@@ -18,9 +18,9 @@ single access is charged.
   by the grades, ties broken by
   :func:`~repro.access.source.tie_break_key` exactly as
   :func:`~repro.access.source.rank_items` breaks them) is computed
-  **once** and shared. All-integer populations sort through
-  ``np.lexsort`` (the tie key for ints is numeric order, which lexsort
-  reproduces directly); anything else falls back to the Python sort.
+  **once** and shared, by the same stable descending argsort over the
+  population's tie-break order that ranks a subsystem's graded set
+  (:func:`rank_orders`).
 
 Sessions are minted in O(m): each source is a cursor over the shared,
 pre-built ranking tuple and grade map (``MaterializedSource.trusted``),
@@ -56,11 +56,15 @@ from array import array
 from typing import Mapping, Sequence
 
 from repro.access.session import MiddlewareSession
-from repro.access.source import MaterializedSource, tie_break_key
-from repro.access.types import GradedItem, ObjectId
+from repro.access.source import (
+    MaterializedSource,
+    checked_grades,
+    descending_order,
+    tie_break_key,
+)
+from repro.access.types import GradedItem, ObjectId, mint_items
 from repro.core.aggregation import AggregationFunction
 from repro.core.graded_set import GradedSet
-from repro.core.grades import validate_grade
 from repro.core.kernels import HAVE_NUMPY, evaluate_columns
 
 if HAVE_NUMPY:
@@ -73,15 +77,40 @@ def rank_orders(objects: tuple[ObjectId, ...], columns):
     """Descending rank order per column, as interned-id permutations.
 
     The one tie-break (:func:`~repro.access.source.tie_break_key`)
-    realised as index permutations: when every object id is a plain
-    int, ``tie_break_key`` reduces to numeric order and one
-    ``np.lexsort`` per column replaces the O(N log N) Python sort —
-    identical permutation, C speed. Mixed or non-integer populations
-    keep the key-based sort. Shared by the full-store constructor and
+    realised as index permutations: the objects' population order
+    (:func:`~repro.access.source.tie_break_order`, as positions) is
+    computed once, and each column, gathered into that order, takes
+    the one stable descending argsort of
+    :func:`~repro.access.source.descending_order` — the sort behind
+    :func:`~repro.access.source.rank_items`, so the permutation is the
+    one it produces. When every object id is a plain int,
+    ``tie_break_key`` reduces to numeric order and the population order
+    is a stable numpy argsort of the ids; mixed or non-integer
+    populations sort by key. Shared by the full-store constructor and
     the shard partitioner (a shard's order is exactly the restriction
     of the global order to the shard's objects, because the sort key
     is a total order).
     """
+    population = _population_positions(objects)
+    if HAVE_NUMPY:
+        return [
+            population[descending_order(_np.asarray(column)[population])]
+            for column in columns
+        ]
+    return [
+        array(
+            "l",
+            (
+                population[j]
+                for j in descending_order([column[p] for p in population])
+            ),
+        )
+        for column in columns
+    ]
+
+
+def _population_positions(objects: tuple[ObjectId, ...]):
+    """The positions of ``objects`` in tie-break order (stable)."""
     if HAVE_NUMPY and all(type(obj) is int for obj in objects):
         try:
             ids = _np.asarray(objects, dtype=_np.int64)
@@ -90,22 +119,10 @@ def rank_orders(objects: tuple[ObjectId, ...], columns):
             # key-based sort below — same ordering, Python speed.
             ids = None
         if ids is not None:
-            return [
-                _np.lexsort((ids, -_np.asarray(column)))
-                for column in columns
-            ]
+            return _np.argsort(ids, kind="stable")
     tie_keys = [tie_break_key(obj) for obj in objects]
-    orders = [
-        array(
-            "l",
-            sorted(
-                range(len(objects)),
-                key=lambda j: (-column[j], tie_keys[j]),
-            ),
-        )
-        for column in columns
-    ]
-    return orders
+    positions = sorted(range(len(objects)), key=tie_keys.__getitem__)
+    return _np.asarray(positions, dtype=_np.intp) if HAVE_NUMPY else positions
 
 
 def _validated_column(
@@ -115,34 +132,17 @@ def _validated_column(
 ):
     """One list's grades as a float64 column in interned-id order.
 
-    The bulk path converts and range-checks the whole column with numpy
-    (same predicate as :func:`validate_grade`: a real in [0, 1], NaN
-    excluded); on any failure — or without numpy — it falls back to the
-    scalar validator, which produces the precise per-object error.
+    The bulk check of :func:`~repro.access.source.checked_grades`: a
+    whole column converted and range-checked at once (same predicate
+    as :func:`~repro.core.grades.validate_grade`), with the scalar
+    validator producing the precise per-object error only on failure.
     """
-    if HAVE_NUMPY:
-        try:
-            column = _np.asarray(
-                [mapping[obj] for obj in objects], dtype=_np.float64
-            )
-        except (TypeError, ValueError):
-            column = None
-        if column is not None and not (
-            _np.isnan(column).any()
-            or (column < 0.0).any()
-            or (column > 1.0).any()
-        ):
-            return column
-    scalar = array(
-        "d",
-        (
-            validate_grade(
-                mapping[obj], context=f"list {list_index}, object {obj!r}"
-            )
-            for obj in objects
-        ),
+    _floats, column = checked_grades(
+        objects,
+        [mapping[obj] for obj in objects],
+        context=f"list {list_index}, object",
     )
-    return _np.asarray(scalar) if HAVE_NUMPY else scalar
+    return column if HAVE_NUMPY else array("d", column)
 
 
 class ColumnarScoringDatabase:
@@ -318,11 +318,11 @@ class ColumnarScoringDatabase:
             with self._mint_lock:
                 cached = self._rankings[list_index]
                 if cached is None:
-                    grades = self._as_floats(self._columns[list_index])
-                    objects = self._objects
-                    cached = tuple(
-                        GradedItem(objects[j], grades[j])
-                        for j in self._order_indices(list_index)
+                    # The column was validated at construction.
+                    cached = mint_items(
+                        self._objects,
+                        self._as_floats(self._columns[list_index]),
+                        self._order_indices(list_index),
                     )
                     self._rankings[list_index] = cached
         return cached

@@ -25,9 +25,13 @@ from abc import ABC, abstractmethod
 from typing import Iterable, Mapping, Sequence
 
 from repro.access.cost import CostTracker
-from repro.access.types import GradedItem, ObjectId
+from repro.access.types import GradedItem, ObjectId, mint_items
 from repro.core.grades import validate_grade
+from repro.core.kernels import HAVE_NUMPY
 from repro.exceptions import ExhaustedSourceError, UnknownObjectError
+
+if HAVE_NUMPY:
+    import numpy as _np
 
 __all__ = [
     "SortedRandomSource",
@@ -36,8 +40,13 @@ __all__ = [
     "StreamOnlySource",
     "UnbatchedSource",
     "PagedBatchSource",
+    "checked_grades",
+    "descending_order",
+    "graded_population",
     "rank_items",
+    "rank_population",
     "tie_break_key",
+    "tie_break_order",
 ]
 
 
@@ -57,6 +66,99 @@ def tie_break_key(obj: ObjectId) -> tuple:
     return (1, 0, repr(obj))
 
 
+def tie_break_order(objects: Iterable[ObjectId]) -> tuple[ObjectId, ...]:
+    """``objects`` sorted by :func:`tie_break_key`: a *population order*.
+
+    The sort is stable, so objects whose keys collide keep their
+    iteration order. Grades listed in this order and sorted descending
+    by a *stable* sort come out ranked exactly as :func:`rank_items`
+    ranks them, ties included — the contract :func:`rank_population`
+    relies on. Subsystems fix their population order once, at
+    construction, and score every atom as a vector aligned with it.
+    """
+    return tuple(sorted(objects, key=tie_break_key))
+
+
+def graded_population(
+    grades: Mapping[ObjectId, float] | Iterable[tuple[ObjectId, float]],
+) -> tuple[list[ObjectId], list[object]]:
+    """A graded set's objects in :func:`tie_break_order`, with their
+    grades aligned — the input :func:`rank_population` takes."""
+    pairs = grades.items() if isinstance(grades, Mapping) else grades
+    ordered = sorted(pairs, key=lambda pair: tie_break_key(pair[0]))
+    return [obj for obj, _ in ordered], [grade for _, grade in ordered]
+
+
+def checked_grades(
+    objects: Sequence[ObjectId], grades: Sequence[object], context: str = "object"
+):
+    """``grades`` as floats in [0, 1]: ``(floats, column)``.
+
+    ``floats`` is a list of Python floats — ``float()`` returns a float
+    argument itself, so a scorer's float objects are reused rather than
+    copied — and ``column`` the same values as a float64 array (the
+    list itself without numpy). The range and NaN checks run over the
+    whole vector at once, with the predicate of :func:`validate_grade`;
+    only when they fail does the scalar validator run, to raise the
+    precise :class:`~repro.exceptions.GradeRangeError` naming
+    ``f"{context} {obj!r}"`` for the first bad grade.
+    """
+    try:
+        floats = list(map(float, grades))  # type: ignore[arg-type]
+    except (TypeError, ValueError):
+        floats = None
+    if floats is not None:
+        if HAVE_NUMPY:
+            column = _np.asarray(floats, dtype=_np.float64)
+            if not (
+                _np.isnan(column).any()
+                or (column < 0.0).any()
+                or (column > 1.0).any()
+            ):
+                return floats, column
+        elif all(0.0 <= grade <= 1.0 for grade in floats):
+            return floats, floats
+    floats = [
+        validate_grade(grade, context=f"{context} {obj!r}")
+        for obj, grade in zip(objects, grades)
+    ]
+    return floats, _np.asarray(floats) if HAVE_NUMPY else floats
+
+
+def descending_order(column):
+    """Positions of ``column`` by descending grade: one stable argsort.
+
+    Equal grades keep their positions' order, so a column listed in
+    :func:`tie_break_order` breaks its ties by :func:`tie_break_key`.
+    An int array with numpy, a list of ints without. The one sort
+    behind :func:`rank_population` and
+    :func:`~repro.access.columnar.rank_orders`.
+    """
+    if HAVE_NUMPY:
+        return _np.argsort(-_np.asarray(column, dtype=_np.float64), kind="stable")
+    # reverse=True keeps equal keys in their original order.
+    return sorted(range(len(column)), key=column.__getitem__, reverse=True)
+
+
+def rank_population(
+    objects: Sequence[ObjectId], grades: Sequence[object]
+) -> tuple[tuple[GradedItem, ...], dict[ObjectId, float]]:
+    """Rank a population's grades for sorted and random access.
+
+    ``objects`` lists the population in :func:`tie_break_order` and
+    ``grades[j]`` is ``objects[j]``'s grade. One bulk validation
+    (:func:`checked_grades`), one stable descending argsort
+    (:func:`descending_order`), one :class:`GradedItem` minted per
+    object; the grade map holds the same float objects as the items.
+    Returns ``(ranking, grade_map)``.
+    """
+    floats, column = checked_grades(objects, grades)
+    order = descending_order(column)
+    if HAVE_NUMPY:
+        order = order.tolist()
+    return mint_items(objects, floats, order), dict(zip(objects, floats))
+
+
 def rank_items(
     grades: Mapping[ObjectId, float] | Iterable[tuple[ObjectId, float]],
 ) -> tuple[GradedItem, ...]:
@@ -66,10 +168,7 @@ def rank_items(
     :func:`tie_break_key` — one concrete choice of the "skeleton" a
     tied graded set is consistent with (Section 5 allows any).
     """
-    pairs = grades.items() if isinstance(grades, Mapping) else grades
-    items = [GradedItem(obj, validate_grade(g, context=f"object {obj!r}")) for obj, g in pairs]
-    items.sort(key=lambda it: (-it.grade, tie_break_key(it.obj)))
-    return tuple(items)
+    return rank_population(*graded_population(grades))[0]
 
 
 class SortedRandomSource(ABC):
@@ -208,10 +307,13 @@ class MaterializedSource(SortedRandomSource):
                         f"ranking for {name!r} is not sorted: "
                         f"{earlier!r} precedes {later!r}"
                     )
+            grades = {it.obj: it.grade for it in items}
         else:
-            items = rank_items(ranking)  # type: ignore[arg-type]
+            items, grades = rank_population(
+                *graded_population(ranking)  # type: ignore[arg-type]
+            )
         self._items = items
-        self._grades = {it.obj: it.grade for it in items}
+        self._grades = grades
         if len(self._grades) != len(items):
             raise ValueError(f"ranking for {name!r} contains duplicate objects")
         self._cursor = 0

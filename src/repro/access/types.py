@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable
+from typing import Hashable, Sequence
 
 from repro.core.grades import validate_grade
 
 ObjectId = Hashable
 
-__all__ = ["ObjectId", "GradedItem"]
+__all__ = ["ObjectId", "GradedItem", "mint_items"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -27,7 +27,12 @@ class GradedItem:
     grade: float
 
     def __post_init__(self) -> None:
-        validate_grade(self.grade, context=f"item {self.obj!r}")
+        grade = self.grade
+        # A float in [0, 1] is valid as it stands (NaN fails the
+        # chained comparison); anything else takes the full validator,
+        # whose error context is only formatted on this slow path.
+        if type(grade) is not float or not 0.0 <= grade <= 1.0:
+            validate_grade(grade, context=f"item {self.obj!r}")
 
     def __iter__(self):
         """Allow ``obj, grade = item`` unpacking."""
@@ -35,3 +40,29 @@ class GradedItem:
 
     def __repr__(self) -> str:
         return f"({self.obj!r}, {self.grade:.4g})"
+
+
+_new = object.__new__
+# The slot descriptors store a field directly, past the frozen
+# dataclass's ``__setattr__`` guard and its ``__post_init__`` check.
+_set_obj = GradedItem.obj.__set__  # type: ignore[attr-defined]
+_set_grade = GradedItem.grade.__set__  # type: ignore[attr-defined]
+
+
+def mint_items(
+    objects: Sequence[ObjectId], grades: Sequence[float], order: Sequence[int]
+) -> tuple[GradedItem, ...]:
+    """``GradedItem(objects[j], grades[j])`` for each ``j`` in ``order``.
+
+    For grades the caller has already validated as floats in [0, 1]
+    (the bulk ranking path checks a whole population at once), so each
+    item is minted without running its per-item check again.
+    """
+    items = []
+    append = items.append
+    for j in order:
+        item = _new(GradedItem)
+        _set_obj(item, objects[j])
+        _set_grade(item, grades[j])
+        append(item)
+    return tuple(items)

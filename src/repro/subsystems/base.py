@@ -41,7 +41,8 @@ from repro.access.source import (
     PagedBatchSource,
     SortedRandomSource,
     UnbatchedSource,
-    rank_items,
+    graded_population,
+    rank_population,
 )
 from repro.access.types import GradedItem, ObjectId
 from repro.core.query import AtomicQuery
@@ -124,23 +125,32 @@ class RankingCache:
         self,
         name: str,
         query: AtomicQuery,
-        build_grades: Callable[[], Mapping[ObjectId, float]],
+        build_grades: Callable[[], Mapping[ObjectId, float] | Sequence[float]],
+        population: Sequence[ObjectId] | None = None,
     ) -> SortedRandomSource:
         """A fresh source for ``query``, ranked at most once per entry.
 
         On a hit the cached ranking backs an O(1)
         :meth:`~repro.access.source.MaterializedSource.trusted` mint; on
         a miss ``build_grades`` is invoked, its result ranked (and
-        validated) once, and the entry stored. An unhashable cache key
-        (an exotic target object) bypasses the cache entirely rather
-        than failing the query. Safe to call from any thread; the same
-        atom is never built twice concurrently (single-flight).
+        validated) once by
+        :func:`~repro.access.source.rank_population`, and the entry
+        stored. ``build_grades`` returns the atom's graded set: when
+        ``population`` (the subsystem's objects in
+        :func:`~repro.access.source.tie_break_order`) is given, as a
+        grade vector aligned with it — the bulk path every concrete
+        subsystem takes — otherwise as a mapping from object to grade.
+        An unhashable cache key (an exotic target object) bypasses the
+        cache entirely rather than failing the query. Safe to call from
+        any thread; the same atom is never built twice concurrently
+        (single-flight).
         """
         key: object = (query.attribute, query.op, query.target)
         try:
             hash(key)
         except TypeError:  # unhashable target: serve uncached
-            return MaterializedSource(name, build_grades())
+            ranking, grade_map = _ranked(build_grades(), population)
+            return MaterializedSource.trusted(name, ranking, grade_map)
         # Single-flight: exactly one designated builder per key at a
         # time. Waiters block on the builder's lock, then *re-check* —
         # never build off a captured lock reference — so a failed build
@@ -163,8 +173,7 @@ class RankingCache:
             build_lock.acquire()
             build_lock.release()
         try:
-            grades = build_grades()
-            entry = (rank_items(grades), dict(grades))
+            entry = _ranked(build_grades(), population)
             with self._lock:
                 self.misses += 1
                 self._entries[key] = entry
@@ -194,6 +203,17 @@ class RankingCache:
             f"RankingCache({len(self._entries)}/{self.capacity}, "
             f"hits={self.hits}, misses={self.misses})"
         )
+
+
+def _ranked(
+    grades: Mapping[ObjectId, float] | Sequence[float],
+    population: Sequence[ObjectId] | None,
+) -> tuple[tuple[GradedItem, ...], Mapping[ObjectId, float]]:
+    """``(ranking, grade_map)`` for a built graded set (see
+    :meth:`RankingCache.source` for the two shapes it comes in)."""
+    if population is None:
+        return rank_population(*graded_population(grades))  # type: ignore[arg-type]
+    return rank_population(population, grades)  # type: ignore[arg-type]
 
 
 class Subsystem(ABC):

@@ -22,19 +22,32 @@ colour), query-by-example (an object id whose features become the
 target — the footnote's "other images whose colors are close to that
 of image I"), and internal conjunction (Section 8) under QBIC-style
 *averaging* semantics, deliberately different from Garlic's min rule.
+
+A similarity query scores the whole collection in one pass over
+per-feature coordinate columns (see :func:`_gaussian_scores`), with
+grades bit-identical to :func:`gaussian_similarity` object by object.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from typing import Mapping, Sequence
 
-from repro.access.source import MaterializedSource, SortedRandomSource
+from repro.access.source import (
+    MaterializedSource,
+    SortedRandomSource,
+    tie_break_order,
+)
 from repro.access.types import ObjectId
+from repro.core.kernels import HAVE_NUMPY
 from repro.core.query import AtomicQuery
 from repro.exceptions import SubsystemCapabilityError, UnknownObjectError
 from repro.subsystems.base import DEFAULT_RANKING_CACHE_CAPACITY, Subsystem
 from repro.workloads.datasets import NAMED_COLORS
+
+if HAVE_NUMPY:
+    import numpy as _np
 
 __all__ = ["QbicSubsystem", "gaussian_similarity", "histogram_intersection"]
 
@@ -86,6 +99,53 @@ def histogram_intersection(
                 f"histogram bins must sum to 1, got {total:.6f}"
             )
     return min(1.0, sum(min(a, b) for a, b in zip(x, target)))
+
+
+def _gaussian_scores(columns, target: Sequence[float], bandwidth: float) -> list[float]:
+    """:func:`gaussian_similarity` of every vector, bit for bit.
+
+    ``columns[d]`` holds coordinate ``d`` of every vector. Only the
+    subtraction is vectorised (IEEE subtraction rounds the same in
+    numpy and Python); each square and exponential is the same libm
+    call :func:`gaussian_similarity` makes — ``x ** 2`` and
+    :func:`math.exp` per element — and each distance the builtin
+    ``sum`` over the coordinates in order. numpy's shortcuts round
+    differently in the last bit for a fraction of inputs (``d * d``,
+    ``np.power``, ``np.exp``), which would reorder tied rankings.
+    """
+    if len(columns) != len(target):
+        raise ValueError(
+            f"feature dimension mismatch: {len(columns)} vs {len(target)}"
+        )
+    if bandwidth <= 0:
+        raise ValueError(f"bandwidth must be positive, got {bandwidth}")
+    squares = [
+        list(map(pow, (column - t).tolist(), repeat(2)))
+        for column, t in zip(columns, target)
+    ]
+    denominator = 2.0 * bandwidth * bandwidth
+    return [math.exp(-sq / denominator) for sq in map(sum, zip(*squares))]
+
+
+def _coordinate_columns(
+    table: Mapping[ObjectId, tuple[float, ...]],
+    population: tuple[ObjectId, ...],
+):
+    """A feature's vectors as a frozen (dimension, N) float64 array,
+    columns aligned with ``population`` — or None without numpy or for
+    ragged or empty vectors, which are scored object by object."""
+    if not HAVE_NUMPY:
+        return None
+    try:
+        rows = _np.array([table[obj] for obj in population], dtype=_np.float64)
+    except ValueError:  # ragged vectors
+        return None
+    if rows.shape[1] == 0:
+        return None
+    columns = _np.ascontiguousarray(rows.T)
+    # Shared by every thread that misses on this feature: read-only.
+    columns.flags.writeable = False
+    return columns
 
 
 class QbicSubsystem(Subsystem):
@@ -172,6 +232,17 @@ class QbicSubsystem(Subsystem):
         for feat in self._features:
             if "color" in feat.lower() and feat not in self._named_targets:
                 self._named_targets[feat] = dict(NAMED_COLORS)
+        # Per feature: its population order (the order its scalar scan
+        # ranked ties in) and, for Gaussian scoring, its coordinates.
+        self._populations = {
+            feat: tie_break_order(table)
+            for feat, table in self._features.items()
+        }
+        self._columns = {
+            feat: _coordinate_columns(table, self._populations[feat])
+            for feat, table in self._features.items()
+            if self._scoring.get(feat, "gaussian") == "gaussian"
+        }
 
     def attributes(self) -> frozenset[str]:
         return frozenset(self._features)
@@ -213,33 +284,42 @@ class QbicSubsystem(Subsystem):
                 "object id"
             ) from None
 
-    def _grades_for(
-        self, query: AtomicQuery
-    ) -> dict[ObjectId, float]:
+    def _check_query(self, query: AtomicQuery) -> None:
         self.validate_query(query)
         if query.op != "~":
             raise ValueError(
                 f"QBIC subsystem {self.name!r} evaluates graded matches "
                 f"('~') only; got op {query.op!r}"
             )
+
+    def _scores(self, query: AtomicQuery) -> list[float]:
+        """Every object's grade under a checked ``query``, aligned with
+        its feature's population order."""
         feature = query.attribute
         target_vec = self._resolve_target(feature, query.target)
+        table = self._features[feature]
+        population = self._populations[feature]
         if self._scoring.get(feature, "gaussian") == "histogram":
-            return {
-                obj: histogram_intersection(vec, target_vec)
-                for obj, vec in self._features[feature].items()
-            }
+            return [
+                histogram_intersection(table[obj], target_vec)
+                for obj in population
+            ]
         bw = self._bandwidth(feature)
-        return {
-            obj: gaussian_similarity(vec, target_vec, bw)
-            for obj, vec in self._features[feature].items()
-        }
+        columns = self._columns[feature]
+        if columns is None:
+            return [
+                gaussian_similarity(table[obj], target_vec, bw)
+                for obj in population
+            ]
+        return _gaussian_scores(columns, target_vec, bw)
 
     def evaluate(self, query: AtomicQuery) -> SortedRandomSource:
+        self._check_query(query)
         return self.ranking_cache.source(
             f"{self.name}:{query.attribute}~{query.target!r}",
             query,
-            lambda: self._grades_for(query),
+            lambda: self._scores(query),
+            self._populations[query.attribute],
         )
 
     def evaluate_conjunction(
@@ -257,7 +337,12 @@ class QbicSubsystem(Subsystem):
             raise SubsystemCapabilityError(
                 "internal conjunction needs at least two atomic queries"
             )
-        tables = [self._grades_for(q) for q in queries]
+        tables = []
+        for q in queries:
+            self._check_query(q)
+            tables.append(
+                dict(zip(self._populations[q.attribute], self._scores(q)))
+            )
         grades = {
             obj: sum(t[obj] for t in tables) / len(tables)
             for obj in self._objects

@@ -10,13 +10,21 @@ equality (``Artist = "Beatles"``) and grade every object 0 or 1. The
 sorted stream delivers all grade-1 objects first — which is what makes
 the filtered-conjunct strategy of Section 4 work: read the matches off
 the top, stop at the first 0.
+
+Matches come from a value index built once per attribute (value ->
+positions in the population order), the in-memory counterpart of a
+relational engine's hash index; it serves ranking-cache misses and the
+selectivity statistics alike. The index reproduces the scan's ``==``
+exactly, so targets or columns it cannot represent faithfully —
+unhashable ones, and values unequal to themselves, such as NaN — are
+answered by the scan itself.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Mapping, Sequence
 
-from repro.access.source import SortedRandomSource
+from repro.access.source import SortedRandomSource, tie_break_order
 from repro.access.types import ObjectId
 from repro.core.query import AtomicQuery
 from repro.subsystems.base import DEFAULT_RANKING_CACHE_CAPACITY, Subsystem
@@ -65,6 +73,13 @@ class RelationalSubsystem(Subsystem):
                 f"{sorted(len(s) for s in schemas)} distinct attribute sets"
             )
         self._schema = next(iter(schemas))
+        self._population = tie_break_order(self._records)
+        self._value_index = {
+            attr: _value_index(
+                [self._records[obj][attr] for obj in self._population]
+            )
+            for attr in self._schema
+        }
 
     def attributes(self) -> frozenset[str]:
         return self._schema
@@ -82,11 +97,27 @@ class RelationalSubsystem(Subsystem):
         return self.ranking_cache.source(
             f"{self.name}:{query.attribute}={query.target!r}",
             query,
-            lambda: {
-                obj: 1.0 if attrs[query.attribute] == query.target else 0.0
-                for obj, attrs in self._records.items()
-            },
+            lambda: self._crisp_grades(query.attribute, query.target),
+            self._population,
         )
+
+    def _crisp_grades(self, attribute: str, target: object) -> list[float]:
+        """1.0 at every match, 0.0 elsewhere, in population order."""
+        grades = [0.0] * len(self._population)
+        for position in self._matches(attribute, target):
+            grades[position] = 1.0
+        return grades
+
+    def _matches(self, attribute: str, target: object) -> Sequence[int]:
+        """Population positions whose ``attribute`` value ``== target``."""
+        index = self._value_index[attribute]
+        if index is not None and _indexable(target):
+            return index.get(target, ())
+        return [
+            position
+            for position, obj in enumerate(self._population)
+            if self._records[obj][attribute] == target
+        ]
 
     #: The "estimate" is a literal count over the relation — exact, so
     #: the filtered-conjunct executor may size block reads from it.
@@ -96,18 +127,39 @@ class RelationalSubsystem(Subsystem):
         """Exact selectivity from the relation's statistics."""
         if query.attribute not in self._schema or query.op != "=":
             return None
-        matches = sum(
-            1
-            for attrs in self._records.values()
-            if attrs[query.attribute] == query.target
-        )
-        return matches / len(self._records)
+        matches = self._matches(query.attribute, query.target)
+        return len(matches) / len(self._records)
 
     def matching_set(self, query: AtomicQuery) -> frozenset[ObjectId]:
         """The crisp answer set (for tests and ground truth)."""
         self.validate_query(query)
+        population = self._population
         return frozenset(
-            obj
-            for obj, attrs in self._records.items()
-            if attrs[query.attribute] == query.target
+            population[position]
+            for position in self._matches(query.attribute, query.target)
         )
+
+
+def _indexable(value: object) -> bool:
+    """Can a hash lookup stand in for ``==`` on ``value``?
+
+    A dict finds a key by hash and then ``==`` (or identity), so it
+    agrees with the scan exactly for hashable values equal to
+    themselves; a NaN is found by identity where ``==`` says False.
+    """
+    try:
+        hash(value)
+        return bool(value == value)
+    except (TypeError, ValueError):
+        return False
+
+
+def _value_index(values: Sequence[object]) -> dict[object, list[int]] | None:
+    """value -> positions holding an equal value, or None when some
+    value is not :func:`_indexable` (the attribute is then scanned)."""
+    index: dict[object, list[int]] = {}
+    for position, value in enumerate(values):
+        if not _indexable(value):
+            return None
+        index.setdefault(value, []).append(position)
+    return index

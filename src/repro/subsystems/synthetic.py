@@ -13,7 +13,7 @@ import random
 import threading
 from typing import Mapping, Sequence
 
-from repro.access.source import SortedRandomSource
+from repro.access.source import SortedRandomSource, tie_break_order
 from repro.access.types import ObjectId
 from repro.core.query import AtomicQuery
 from repro.subsystems.base import DEFAULT_RANKING_CACHE_CAPACITY, Subsystem
@@ -89,6 +89,12 @@ class SyntheticSubsystem(Subsystem):
                 "populations"
             )
         self._objects = next(iter(populations))
+        # Population orders: a table's from its own iteration order, so
+        # objects whose tie-break keys collide rank as they always have.
+        self._populations = {
+            attr: tie_break_order(table) for attr, table in self._tables.items()
+        }
+        self._generated_population = tie_break_order(self._objects)
         self._rng = random.Random(seed)
         self._cache: dict[tuple[str, object], dict[ObjectId, float]] = {}
         # Generated attributes draw from the one seeded rng; the lock
@@ -125,8 +131,17 @@ class SyntheticSubsystem(Subsystem):
         # sort is paid once per distinct query and every later session
         # is an O(1) cursor over the cached tuple.
         self.validate_query(query)
+        population = self._populations.get(
+            query.attribute, self._generated_population
+        )
+
+        def build() -> list[float]:
+            grades = self._grades_for(query)
+            return [grades[obj] for obj in population]
+
         return self.ranking_cache.source(
             f"{self.name}:{query.attribute}{query.op}{query.target!r}",
             query,
-            lambda: self._grades_for(query),
+            build,
+            population,
         )

@@ -10,6 +10,10 @@ queries are scored by cosine similarity — the classical vector-space
 model, normalised into [0, 1] grades. The middleware only sees
 sorted/random access, so any scoring text engine exercises the same
 code paths.
+
+Like any retrieval engine, the stand-in keeps an inverted index (term
+-> documents): a query scores only the documents that share one of
+its terms, and every other document gets the 0.0 its cosine would be.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import re
 from collections import Counter
 from typing import Mapping
 
-from repro.access.source import SortedRandomSource
+from repro.access.source import SortedRandomSource, tie_break_order
 from repro.access.types import ObjectId
 from repro.core.query import AtomicQuery
 from repro.subsystems.base import DEFAULT_RANKING_CACHE_CAPACITY, Subsystem
@@ -86,10 +90,16 @@ class TextSubsystem(Subsystem):
             term: math.log(1.0 + n_docs / (1.0 + count)) + 1.0
             for term, count in df.items()
         }
-        self._doc_vectors = {
+        doc_vectors = {
             obj: self._vectorise(tokens)
             for obj, tokens in self._doc_tokens.items()
         }
+        self._population = tie_break_order(self._docs)
+        self._vectors = [doc_vectors[obj] for obj in self._population]
+        self._postings: dict[str, list[int]] = {}
+        for position, vec in enumerate(self._vectors):
+            for term in vec:
+                self._postings.setdefault(term, []).append(position)
 
     def _vectorise(self, tokens: list[str]) -> dict[str, float]:
         counts = Counter(tokens)
@@ -120,16 +130,24 @@ class TextSubsystem(Subsystem):
             raise ValueError(
                 f"text queries take a string target, got {query.target!r}"
             )
-        def build() -> dict[ObjectId, float]:
-            query_vec = self._vectorise(tokenize(query.target))
-            return {
-                obj: self._cosine(query_vec, doc_vec)
-                for obj, doc_vec in self._doc_vectors.items()
-            }
-
         return self.ranking_cache.source(
-            f"{self.name}:{self._attribute}~{query.target!r}", query, build
+            f"{self.name}:{self._attribute}~{query.target!r}",
+            query,
+            lambda: self._scores(query.target),
+            self._population,
         )
+
+    def _scores(self, text: str) -> list[float]:
+        """Every document's cosine with ``text``, in population order."""
+        query_vec = self._vectorise(tokenize(text))
+        vectors = self._vectors
+        grades = [0.0] * len(vectors)
+        postings = self._postings
+        for position in set().union(
+            *(postings.get(term, ()) for term in query_vec)
+        ):
+            grades[position] = self._cosine(query_vec, vectors[position])
+        return grades
 
     @staticmethod
     def _cosine(a: dict[str, float], b: dict[str, float]) -> float:

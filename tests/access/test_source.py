@@ -25,11 +25,40 @@ class TestGradedItem:
         with pytest.raises(GradeRangeError):
             GradedItem("a", 1.5)
 
+    @pytest.mark.parametrize("bad", [float("nan"), 1.5, -0.25, "high", None])
+    def test_invalid_grade_error_names_the_item(self, bad):
+        with pytest.raises(GradeRangeError, match=r"item 'photo-7'") as info:
+            GradedItem("photo-7", bad)
+        assert info.value.context == "item 'photo-7'"
+
+    @pytest.mark.parametrize("grade", [0.0, -0.0, 0.5, 1.0, 1, True, 0])
+    def test_valid_grades_are_kept_as_given(self, grade):
+        item = GradedItem("a", grade)
+        assert item.grade is grade
+
 
 class TestRankItems:
     def test_descending_order(self):
         ranked = rank_items({"a": 0.1, "b": 0.9, "c": 0.5})
         assert [it.obj for it in ranked] == ["b", "c", "a"]
+
+    @pytest.mark.parametrize("bad", [float("nan"), 1.5, -0.25, "high", None])
+    def test_invalid_grade_error_names_the_object(self, bad):
+        grades = {"a": 0.25, "photo-7": bad, 3: 1.0}
+        with pytest.raises(GradeRangeError, match=r"object 'photo-7'") as info:
+            rank_items(grades)
+        assert info.value.context == "object 'photo-7'"
+        with pytest.raises(GradeRangeError, match=r"object 'photo-7'"):
+            rank_items(list(grades.items()))
+
+    def test_grades_become_floats_reusing_float_objects(self):
+        half = 0.5
+        ranked = rank_items({"a": 1, "b": half, "c": False})
+        assert [(it.obj, it.grade) for it in ranked] == [
+            ("a", 1.0), ("b", 0.5), ("c", 0.0)
+        ]
+        assert all(type(it.grade) is float for it in ranked)
+        assert ranked[1].grade is half
 
     def test_tie_break_deterministic(self):
         ranked = rank_items({"b": 0.5, "a": 0.5})

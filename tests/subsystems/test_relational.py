@@ -91,3 +91,81 @@ class TestStatistics:
             rel.evaluate_conjunction(
                 [AtomicQuery("Artist", "Beatles", "=")] * 2
             )
+
+
+NAN = float("nan")
+
+#: Values chosen to stress a hash index against the scan's ``==``:
+#: equal numbers of different types, NaN (unequal to itself, so a
+#: hash lookup would find it by identity), and unhashable lists.
+INDEX_RECORDS = {
+    "o1": {"Artist": "Beatles", "Year": 1967, "Score": NAN, "Tags": ["a"]},
+    "o2": {"Artist": "Beatles", "Year": 1967.0, "Score": 0.5, "Tags": ["b"]},
+    "o3": {"Artist": "Miles Davis", "Year": True, "Score": NAN, "Tags": []},
+    "o4": {"Artist": "Nina", "Year": 1, "Score": 1, "Tags": ["a"]},
+    "o5": {"Artist": "nina", "Year": None, "Score": 0.5, "Tags": ["a"]},
+}
+
+INDEX_TARGETS = [
+    ("Artist", "Beatles"),     # present
+    ("Artist", "Nobody"),      # absent
+    ("Artist", ["Beatles"]),   # unhashable target
+    ("Year", 1967),            # equal int and float values
+    ("Year", 1),               # 1 == 1.0 == True
+    ("Year", True),
+    ("Year", None),
+    ("Year", {"x": 1}),        # unhashable target
+    ("Score", 0.5),            # a column holding NaN: scanned
+    ("Score", NAN),            # NaN target: scanned (matches nothing)
+    ("Score", 1.0),
+    ("Tags", ["a"]),           # an unhashable column: scanned
+    ("Tags", "a"),
+]
+
+
+def scanned_matches(attribute, target):
+    return frozenset(
+        obj
+        for obj, attrs in INDEX_RECORDS.items()
+        if attrs[attribute] == target
+    )
+
+
+class TestValueIndex:
+    """Statistics and crisp grades come from the value index, and must
+    agree with a record-by-record ``==`` scan on every target."""
+
+    @pytest.fixture
+    def indexed(self):
+        return RelationalSubsystem("rel", INDEX_RECORDS)
+
+    @pytest.mark.parametrize("attribute,target", INDEX_TARGETS)
+    def test_matching_set_equals_the_scan(self, indexed, attribute, target):
+        query = AtomicQuery(attribute, target, "=")
+        assert indexed.matching_set(query) == scanned_matches(attribute, target)
+
+    @pytest.mark.parametrize("attribute,target", INDEX_TARGETS)
+    def test_selectivity_equals_the_scan(self, indexed, attribute, target):
+        query = AtomicQuery(attribute, target, "=")
+        expected = len(scanned_matches(attribute, target)) / len(INDEX_RECORDS)
+        assert indexed.estimate_selectivity(query) == expected
+
+    @pytest.mark.parametrize("attribute,target", INDEX_TARGETS)
+    def test_grades_equal_the_scan(self, indexed, attribute, target):
+        source = indexed.evaluate(AtomicQuery(attribute, target, "="))
+        matches = scanned_matches(attribute, target)
+        for obj in INDEX_RECORDS:
+            assert source.random_access(obj) == (1.0 if obj in matches else 0.0)
+
+    def test_statistics_do_not_rescan_the_records(self, indexed):
+        """A hashable target on an indexable attribute is answered by
+        the index alone: the records are never compared."""
+
+        class Tripwire(dict):
+            def __getitem__(self, key):
+                raise AssertionError("records were scanned")
+
+        indexed._records = {obj: Tripwire(attrs) for obj, attrs in INDEX_RECORDS.items()}
+        query = AtomicQuery("Artist", "Beatles", "=")
+        assert indexed.estimate_selectivity(query) == 2 / 5
+        assert indexed.matching_set(query) == {"o1", "o2"}
