@@ -6,12 +6,12 @@ Exercises every execution path the unified Engine offers —
    checked against ground truth;
 2. cursor paging vs one-shot equivalence (Section 4's "continue where
    we left off");
-3. batch execution over one shared session / cost tracker;
+3. batch execution with one summed cost ledger;
 4. catalog-backed string queries over the federated CD store,
    including the filtered-conjunct and B0 plans, plus a batch with a
    shared atom cache;
-5. the deprecation shims (Garlic.query / choose_algorithm) still
-   answering correctly
+5. one pipeline: explain(), top() and run_many() run the same
+   algorithm, exact and under an ε-approximate contract
 
 — and prints a wall-clock + access-cost summary. Exits non-zero on any
 check failure, so CI can run it as a cheap end-to-end gate:
@@ -21,14 +21,13 @@ check failure, so CI can run it as a cheap end-to-end gate:
 
 import sys
 import time
-import warnings
 
 sys.path.insert(0, "src")
 
 from repro import (  # noqa: E402
     ARITHMETIC_MEAN,
     Engine,
-    Garlic,
+    ExecutionContext,
     MAXIMUM,
     MINIMUM,
     is_valid_top_k,
@@ -94,7 +93,7 @@ def main() -> int:
         )
 
     # ------------------------------------------------------------- 3
-    print("3. batch execution (shared session/tracker)")
+    print("3. batch execution (one summed ledger)")
     batch = engine.run_many([MINIMUM, ARITHMETIC_MEAN, MAXIMUM], k=K)
     per_query = sum(a.stats.sum_cost for a in batch)
     check(
@@ -157,36 +156,22 @@ def main() -> int:
     )
 
     # ------------------------------------------------------------- 5
-    print("5. deprecation shims")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        garlic = Garlic()
-        garlic.register(
-            QbicSubsystem(
-                "qbic2",
-                {"Color": {a.album_id: a.cover_rgb for a in albums}},
-            )
+    print("5. one pipeline: explain(), top() and run_many() agree")
+    text = '(AlbumColor ~ "red") AND (AlbumColor ~ "blue")'
+    for epsilon in (0.0, 0.1):
+        approx = Engine(ExecutionContext(epsilon=epsilon))
+        for subsystem in fed.catalog.subsystems:
+            approx.register(subsystem)
+        one = approx.query(text).top(K)
+        member = approx.run_many([text], k=K)[0]
+        check(
+            f"ε={epsilon:g}: explain() and run_many() name/run "
+            f"{one.result.algorithm}",
+            f"[{one.result.algorithm}]" in approx.explain(text)
+            and member.result.algorithm == one.result.algorithm
+            and member.result.stats == one.result.stats,
+            failures,
         )
-        old = garlic.query('Color ~ "red"', k=3)
-        from repro import choose_algorithm
-
-        choice = choose_algorithm(MINIMUM, 2)
-    deprecations = [
-        w
-        for w in caught
-        if issubclass(w.category, DeprecationWarning)
-        and (
-            "Garlic.query" in str(w.message)
-            or "choose_algorithm" in str(w.message)
-        )
-    ]
-    check(
-        "Garlic.query/choose_algorithm answer correctly and warn",
-        old.result.k == 3
-        and choice.name == "A0-prime"
-        and len(deprecations) >= 2,
-        failures,
-    )
 
     # registry sanity, no execution
     check(

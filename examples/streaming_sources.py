@@ -11,9 +11,9 @@ streams alone using upper/lower bound bookkeeping.
 Run:  python examples/streaming_sources.py
 """
 
-from repro import Garlic, MINIMUM
+from repro import MINIMUM, Engine, select_strategy
 from repro.access.cost import CostModel
-from repro.algorithms import FaginA0Min, NoRandomAccessAlgorithm, choose_algorithm
+from repro.algorithms import FaginA0Min, NoRandomAccessAlgorithm
 from repro.subsystems import QbicSubsystem, StreamOnlySubsystem, SyntheticSubsystem
 from repro.workloads import Uniform, independent_database
 
@@ -38,9 +38,7 @@ def middleware_demo() -> None:
         )
     )
 
-    garlic = Garlic()
-    garlic.register(qbic)
-    garlic.register(popularity)
+    engine = Engine().register(qbic).register(popularity)
 
     # Vector targets are not query-language literals, so build the AST
     # directly (query by value on Timbre, any target on the feed).
@@ -53,8 +51,8 @@ def middleware_demo() -> None:
         )
     )
     print("query:", query)
-    print("plan: ", garlic.explain(query))
-    answer = garlic.query(query, k=5)
+    print("plan: ", engine.plan(query).explain())
+    answer = engine.query(query).top(5)
     stats = answer.result.stats
     print(f"cost:  {stats.sorted_cost} sorted + {stats.random_cost} random "
           f"(random access is impossible on the feed — and unused)\n")
@@ -68,7 +66,7 @@ def cost_model_demo() -> None:
     print("accesses are expensive, the selection table flips to NRA:\n")
     for ratio in (1, 5, 10, 50):
         model = CostModel(sorted_weight=1.0, random_weight=float(ratio))
-        choice = choose_algorithm(MINIMUM, 2, cost_model=model)
+        choice = select_strategy(MINIMUM, 2, cost_model=model)
         print(f"  c2/c1 = {ratio:3d}  ->  {choice.name}")
 
     db = independent_database(2, 2000, seed=3)

@@ -27,7 +27,7 @@ Quick start — the unified :class:`Engine` is the one entry point::
     page1 = cursor.next_k(10)                    # "continue where
     page2 = cursor.next_k(10)                    #  we left off"
 
-    batch = engine.run_many([MINIMUM], k=10)     # shared session/ledger
+    batch = engine.run_many([MINIMUM], k=10)     # one summed ledger
 
 Federated string queries run through the same engine::
 
@@ -35,11 +35,11 @@ Federated string queries run through the same engine::
     answer = engine.query('(Artist = "Beatles") AND (Color ~ "red")').top(3)
     print(answer.plan.explain(), answer.items)
 
-The historical surfaces — ``Garlic.query`` and ``choose_algorithm`` —
-remain as thin deprecation shims over the engine.
+The 2.x shims ``Garlic``, ``QueryCursor`` and ``choose_algorithm`` were
+removed in 3.0: use ``Engine`` and ``select_strategy``.
 
-See DESIGN.md for the paper-to-module map and the old-to-new API
-table, and EXPERIMENTS.md for the reproduced results.
+See DESIGN.md for the paper-to-module map and the list of removed
+names with their replacements.
 """
 
 from repro.access import (
@@ -65,7 +65,6 @@ from repro.algorithms import (
     TopKAlgorithm,
     TopKResult,
     UllmanAlgorithm,
-    choose_algorithm,
     is_valid_top_k,
 )
 from repro.core import (
@@ -102,7 +101,7 @@ from repro.engine import (
     register_strategy,
     select_strategy,
 )
-from repro.middleware import Garlic, parse_query, render_query
+from repro.middleware import parse_query, render_query
 from repro.sharding import ShardedEngine
 from repro.subsystems import (
     QbicSubsystem,
@@ -112,7 +111,7 @@ from repro.subsystems import (
     TextSubsystem,
 )
 
-__version__ = "2.8.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "__version__",
@@ -158,7 +157,6 @@ __all__ = [
     "UllmanAlgorithm",
     "NaiveAlgorithm",
     "ThresholdAlgorithm",
-    "choose_algorithm",
     "is_valid_top_k",
     # engine (the unified API)
     "Engine",
@@ -175,7 +173,6 @@ __all__ = [
     # sharding (multi-process execution)
     "ShardedEngine",
     # middleware & subsystems
-    "Garlic",
     "parse_query",
     "render_query",
     "Subsystem",

@@ -33,7 +33,6 @@ from repro.algorithms.hard_query import (
 from repro.algorithms.median import MedianTopK, median_subset_size
 from repro.algorithms.naive import NaiveAlgorithm
 from repro.algorithms.nra import NoRandomAccessAlgorithm
-from repro.algorithms.selection import AlgorithmChoice, choose_algorithm
 from repro.algorithms.threshold import ThresholdAlgorithm
 from repro.algorithms.ullman import UllmanAlgorithm
 
@@ -57,6 +56,4 @@ __all__ = [
     "SelfNegatedScan",
     "hard_query_depth",
     "self_negated_lists",
-    "AlgorithmChoice",
-    "choose_algorithm",
 ]

@@ -12,7 +12,7 @@ samples and report violations. They are used two ways:
 * in the test-suite, to verify that every concrete aggregation's
   *declared* ``monotone`` / ``strict`` flags match its behaviour;
 * by users, to classify a custom aggregation before trusting the
-  algorithm selection in :mod:`repro.algorithms.selection`.
+  strategy selection in :mod:`repro.engine.registry`.
 
 A grid checker cannot *prove* a property, but for the rational-free
 closed forms in this library a (17-point)^m grid with boundary points

@@ -1001,65 +1001,42 @@ class AdaptivePlanner:
             cost_model=cost_model,
         )
 
-    def choose_catalog(
+    def choose(
         self,
         shape: QueryShape,
         plan: PhysicalPlan,
         num_objects: int,
         k: int,
-        random_access: bool,
         cost_model: CostModel,
-    ) -> tuple[PhysicalPlan, AdaptiveDecision | None]:
+    ) -> PhysicalPlan:
         """Apply the chooser to an auto-selected algorithm plan.
 
         Non-algorithm plans (filtered conjunct, pushdown, full scan)
         pass through: their strategy is structural, not a table pick.
         """
         if not isinstance(plan, AlgorithmPlan) or plan.algorithm is None:
-            return plan, None
+            return plan
         assert plan.aggregation is not None
         incumbent = canonical_strategy_name(plan.algorithm.name)
         candidates = self._candidates(
-            plan.aggregation, len(plan.atoms), num_objects, k,
-            random_access, cost_model,
+            plan.aggregation, plan.num_lists, num_objects, k,
+            shape.random_access, cost_model,
         )
         decision = self.chooser.decide(shape, incumbent, candidates)
         if decision.strategy == incumbent:
-            return plan, decision
+            return plan
         choice = select_strategy(
             plan.aggregation,
-            len(plan.atoms),
-            random_access=random_access,
+            plan.num_lists,
+            random_access=shape.random_access,
             cost_model=cost_model,
             require=decision.strategy,
         )
-        return (
-            _dc_replace(
-                plan,
-                algorithm=choice.algorithm,
-                reason=f"{plan.reason} | adaptive {decision.mode}: "
-                f"{decision.reason}",
-            ),
-            decision,
-        )
-
-    def choose_source(
-        self,
-        shape: QueryShape,
-        incumbent_name: str,
-        aggregation: "AggregationFunction",
-        num_lists: int,
-        num_objects: int,
-        k: int,
-        random_access: bool,
-        cost_model: CostModel,
-    ) -> AdaptiveDecision:
-        """The chooser's verdict for a source-backed run."""
-        candidates = self._candidates(
-            aggregation, num_lists, num_objects, k, random_access, cost_model
-        )
-        return self.chooser.decide(
-            shape, canonical_strategy_name(incumbent_name), candidates
+        return _dc_replace(
+            plan,
+            algorithm=choice.algorithm,
+            reason=f"{plan.reason} | adaptive {decision.mode}: "
+            f"{decision.reason}",
         )
 
     # -- telemetry -----------------------------------------------------
@@ -1086,15 +1063,20 @@ class AdaptivePlanner:
         self,
         shape: QueryShape,
         plan: PhysicalPlan,
-        cache_hit: bool,
+        cache_hit: bool | None,
         num_objects: int,
         k: int,
-        random_access: bool,
         cost_model: CostModel,
     ) -> list[str]:
-        """The adaptive suffix of an ``explain()`` report."""
+        """The adaptive suffix of an ``explain()`` report.
+
+        ``cache_hit`` is None for plans that bypass the plan cache.
+        """
         stats = self.plan_cache.stats()
-        state = "HIT (cached plan rebound)" if cache_hit else "MISS (minted)"
+        if cache_hit is None:
+            state = "not used (a registry lookup plans raw lists)"
+        else:
+            state = "HIT (cached plan rebound)" if cache_hit else "MISS (minted)"
         lines = [
             "--- adaptive planning ---",
             f"shape: {shape.label}",
@@ -1105,8 +1087,8 @@ class AdaptivePlanner:
             name = canonical_strategy_name(plan.algorithm.name)
             assert plan.aggregation is not None
             for cand, estimate in self._candidates(
-                plan.aggregation, len(plan.atoms), num_objects, k,
-                random_access, cost_model,
+                plan.aggregation, plan.num_lists, num_objects, k,
+                shape.random_access, cost_model,
             ):
                 if cand == name:
                     seconds = self.calibration.estimate_seconds(estimate, 0)

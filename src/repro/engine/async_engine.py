@@ -40,7 +40,7 @@ __all__ = ["AsyncEngine", "AsyncResultCursor", "POOL_PARALLELISM"]
 
 #: Sentinel default for :meth:`AsyncEngine.run_many`'s ``parallel``:
 #: "use the facade's own worker count". Distinct from ``None``, which
-#: the engine defines as the serial shared-session batch path.
+#: the engine defines as the serial batch path.
 POOL_PARALLELISM = object()
 
 #: Default worker count for the facade's pool — a small multiple of a
@@ -189,9 +189,8 @@ class AsyncEngine:
         ``parallel`` defaults to :data:`POOL_PARALLELISM` — the
         facade's worker count, so one awaited batch saturates the pool
         it already owns. Pass an explicit ``parallel=None`` to request
-        the engine's *serial* batch semantics (the shared-session /
-        shared-ledger path), or any positive int to size the batch's
-        own worker pool.
+        the engine's *serial* batch (members one after another), or any
+        positive int to size the batch's own worker pool.
 
         Note the batch runs on a pool of its own inside
         ``Engine.run_many`` while one facade worker awaits it — a

@@ -1,12 +1,11 @@
-"""Batch execution results: many queries, one shared accounting ledger.
+"""Batch execution results: many queries, one summed accounting ledger.
 
-``Engine.run_many`` executes a sequence of queries while sharing
-per-engine state across them — the literal session (and therefore one
-cost tracker) for source-backed engines, and a shared atom-evaluation
-cache for catalog-backed engines, so a subquery appearing in several
-batch members is issued to its subsystem once. :class:`BatchResult`
-carries the per-query answers plus the batch-wide access totals, the
-Section 5 cost ledger lifted to many queries.
+``Engine.run_many`` runs each member through the engine's one query
+pipeline in its own session; catalog-backed batches also share an
+atom-evaluation cache, so a subquery appearing in several batch
+members is issued to its subsystem once. :class:`BatchResult` carries
+the per-query answers plus the batch-wide access totals, the Section 5
+cost ledger lifted to many queries.
 """
 
 from __future__ import annotations
@@ -49,11 +48,11 @@ class BatchResult:
         different list counts, so the totals are scalars, not per-list
         tuples).
     details:
-        Batch diagnostics: ``shared_session`` (source-backed),
-        ``atom_evaluations`` / ``atom_reuses`` (catalog-backed cache
-        accounting), ``parallel`` (worker count, when the batch ran on
-        a thread pool — the totals are then per-member stats summed
-        after the fact, equal to the serial shared-ledger totals).
+        Batch diagnostics: ``queries``, ``atom_evaluations`` /
+        ``atom_reuses`` (catalog-backed cache accounting), ``parallel``
+        (worker count, when the batch ran on a thread pool — the
+        totals, per-member stats summed, equal the serial batch's),
+        and ``sharded`` / ``shards`` / ``processes`` (sharded batches).
     """
 
     answers: tuple[object, ...]

@@ -164,14 +164,19 @@ class QueryBuilder:
         )
 
     def plan(self) -> "PhysicalPlan":
-        """The physical plan this query would execute (no execution)."""
+        """The physical plan this query would execute (no execution).
+
+        The adaptive chooser, which only runs inside :meth:`top`, may
+        still swap the algorithm of an auto-selected plan.
+        """
         return self._engine._plan_for(
             query=self._query,
             aggregation=self._aggregation,
             strategy=self._strategy,
             conjunction=self._conjunction,
             adaptive=self._adaptive,
-        )
+            epsilon=self._epsilon,
+        )[0]
 
     def explain(self) -> str:
         """Human-readable strategy description (no execution).

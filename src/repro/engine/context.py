@@ -1,11 +1,10 @@
 """The execution context: one object for every run-time knob.
 
-Before the engine existed, semantics, cost model and planner options
-were threaded separately through ``Garlic``, the planner and the
-benchmark harness. :class:`ExecutionContext` unifies them: build one,
-hand it to :class:`~repro.engine.engine.Engine`, and every query,
-cursor and batch executed by that engine shares the same rules —
-the same way one Garlic deployment would serve one installation.
+Semantics, cost model and planner options live in one object,
+:class:`ExecutionContext`: build one, hand it to
+:class:`~repro.engine.engine.Engine`, and every query, cursor and
+batch executed by that engine shares the same rules — the same way
+one Garlic deployment would serve one installation.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
 """The Engine: one entry point for every way this library answers queries.
 
-Historically the repo exposed three disconnected APIs — raw algorithm
-objects (``FaginA0().top_k(session, agg, k)``), the string-query
-``Garlic`` facade, and an ad-hoc benchmark harness. ``Engine`` unifies
-them behind one fluent surface with pluggable strategies:
+``Engine`` puts raw algorithm objects
+(``FaginA0().top_k(session, agg, k)``), string queries over federated
+subsystems, and batch and paged execution behind one fluent surface
+with pluggable strategies:
 
 String/AST queries over federated subsystems (the Garlic scenario)::
 
@@ -21,20 +21,20 @@ Paging (Section 4's "continue where we left off")::
     cursor = engine.query(MINIMUM).cursor()
     page1, page2 = cursor.next_k(10), cursor.next_k(10)
 
-Batches sharing one session / accounting ledger::
+Batches with one summed accounting ledger, serial or on a thread pool
+(see also :class:`~repro.engine.async_engine.AsyncEngine` for the
+awaitable facade)::
 
     batch = engine.run_many([MINIMUM, MEDIAN, ARITHMETIC_MEAN], k=10)
-
-Concurrent serving (per-query sessions, one summed ledger; see also
-:class:`~repro.engine.async_engine.AsyncEngine` for the awaitable
-facade)::
-
     batch = engine.run_many(queries, k=10, parallel=8)
 
-Every run flows through the same machinery: the planner's strategy
-table is the engine's :mod:`~repro.engine.registry`, the executor's
-accounting is Section 5's cost model, and ``Garlic`` itself is now a
-thin deprecation shim over this class.
+Every query on every backing takes one pipeline: **plan → steer → run
+→ record**. The backing supplies only its static plan (the catalog
+planner behind the plan cache, the registry pick over a fresh session,
+or the pick every shard will make) and its run step (the executor,
+the algorithm over the session, or the shard merge); ε-steering, the
+adaptive chooser, forced-strategy resolution, timing and the ledgers
+are shared.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ from repro.core.query import Query
 from repro.engine.adaptive import (
     AdaptivePlanner,
     QueryShape,
-    canonical_strategy_name,
     shape_of_aggregation,
     shape_of_query,
 )
@@ -89,7 +88,7 @@ __all__ = ["Engine"]
 class Engine:
     """The unified execution engine.
 
-    An engine is backed in exactly one of two ways:
+    An engine is backed in exactly one of three ways:
 
     * **catalog-backed** — subsystems registered via :meth:`register`;
       queries are strings or ASTs, planned and executed through the
@@ -98,7 +97,9 @@ class Engine:
       :class:`~repro.access.scoring_database.ScoringDatabase`, a
       session factory, or a live session; queries are aggregation
       functions over the backing's ranked lists (the Section 5 formal
-      model, and what the benchmarks drive).
+      model, and what the benchmarks drive);
+    * **sharded** — built with :meth:`over_shards`; source-backed
+      queries answered by worker processes over a partitioned store.
 
     Parameters
     ----------
@@ -270,11 +271,8 @@ class Engine:
     ) -> PhysicalPlan:
         """Plan a catalog query without executing it."""
         return self._plan_for(
-            query=self._require_query(query),
-            aggregation=None,
-            strategy=None,
-            conjunction=conjunction,
-        )
+            self._require_query(query), None, None, conjunction
+        )[0]
 
     def explain(
         self, query: "str | Query", conjunction: str | None = None
@@ -299,42 +297,23 @@ class Engine:
         adaptive: "bool | None",
         epsilon: "float | None" = None,
     ) -> str:
-        contract = self._contract_for(epsilon)
-        if self._is_source_backed() and aggregation is not None:
-            # Source-backed explain: the strategy the registry would
-            # pick (including the ε-contract steering) plus the
-            # guarantee the run would certify.
-            num_lists = (
-                self._sharded.num_lists
-                if self._sharded is not None
-                else self._fresh_session().num_lists
-            )
-            choice = self._select(aggregation, num_lists, strategy, contract)
-            return "\n".join(
-                [
-                    f"strategy: {choice.name}",
-                    f"reason: {choice.reason}",
-                    f"guarantee: {self._describe_contract(contract)}",
-                ]
-            )
-        layer = self._adaptive_for(adaptive)
-        plan, shape, hit = self._plan_with_shape(
-            query, aggregation, strategy, conjunction, adaptive=layer,
-            epsilon=contract.epsilon,
+        plan, shape, hit = self._plan_for(
+            query, aggregation, strategy, conjunction, adaptive, epsilon
         )
-        text = plan.explain()
-        if layer is not None and shape is not None:
-            lines = layer.explain_lines(
+        lines = [plan.explain()]
+        if shape is not None:
+            assert self._adaptive is not None
+            lines += self._adaptive.explain_lines(
                 shape,
                 plan,
                 hit,
-                self._catalog.num_objects,
+                self._num_objects(plan),
                 self.context.default_k,
-                shape.random_access,
                 self.context.cost_model,
             )
-            text = "\n".join([text, *lines])
-        return "\n".join([text, f"guarantee: {self._describe_contract(contract)}"])
+        contract = self._contract_for(epsilon)
+        lines.append(f"guarantee: {self._describe_contract(contract)}")
+        return "\n".join(lines)
 
     @staticmethod
     def _describe_contract(contract: QualityContract) -> str:
@@ -352,60 +331,113 @@ class Engine:
         k: int | None = None,
         parallel: int | None = None,
     ) -> BatchResult:
-        """Execute a batch of queries with shared per-engine state.
+        """Execute a batch of queries under one summed accounting ledger.
 
         Each entry is a query spec (string/AST for catalog-backed
         engines, aggregation function for source-backed ones) or a
         ``(spec, k)`` pair overriding the batch-wide ``k``.
 
-        Serial (``parallel=None``) source-backed batches literally
-        share **one session and one cost tracker**: each run restarts
-        the sorted cursors (a fresh subquery issue, charged as such)
-        and the tracker accumulates the batch-wide S and R.
-        Catalog-backed batches share an atom-evaluation cache, so an
-        atomic subquery appearing in several batch members is issued
-        to its subsystem once per batch; every consumer gets its own
-        forked cursor over that one evaluation.
+        Every member takes the pipeline a one-shot ``top()`` takes —
+        plan, ε-steering under the context's contract, run — but never
+        consults or feeds the adaptive chooser. Each member runs in its
+        own session (an engine over a live
+        :class:`~repro.access.session.MiddlewareSession` restarts that
+        one session per member, so its tracker accumulates the batch),
+        and the batch ledger is the sum of the per-member
+        :class:`~repro.access.cost.AccessStats`. Catalog-backed batches
+        share an atom-evaluation cache, so an atomic subquery appearing
+        in several batch members is issued to its subsystem once per
+        batch; every consumer gets its own forked cursor over that one
+        evaluation. Sharded batches advance every member's merge round
+        by round across the worker pool.
 
         ``parallel=N`` executes the batch members on a thread pool of
-        ``N`` workers. Each member runs in its **own session** (its
-        own cursors and cost tracker); the batch ledger is the sum of
-        the per-member :class:`~repro.access.cost.AccessStats`, which
-        makes the Section 5 accounting bit-identical to the serial
-        path — a member performs the same accesses whether its fresh
-        session was minted concurrently or after a restart. The shared
-        atom cache stays shared, with single-flight evaluation per
-        atom. A source-backed engine over a live
-        :class:`~repro.access.session.MiddlewareSession` cannot mint
-        per-member sessions and refuses ``parallel``.
+        ``N`` workers, with accounting bit-identical to the serial
+        batch (a member performs the same accesses either way) and the
+        atom cache still shared, with single-flight evaluation per
+        atom. An engine over a live session cannot mint per-member
+        sessions, and a sharded engine already parallelises across its
+        worker processes; both refuse ``parallel``.
         """
-        if parallel is not None and (
-            isinstance(parallel, bool)
-            or not isinstance(parallel, int)
-            or parallel < 1
-        ):
-            raise EngineConfigurationError(
-                f"parallel must be a positive int or None, got {parallel!r}"
-            )
-        default_k = validate_k(
-            k if k is not None else self.context.default_k
-        )
-        specs = [self._normalise_spec(entry, default_k) for entry in queries]
-        if self._sharded is not None:
-            if parallel is not None:
+        if parallel is not None:
+            if (
+                isinstance(parallel, bool)
+                or not isinstance(parallel, int)
+                or parallel < 1
+            ):
+                raise EngineConfigurationError(
+                    f"parallel must be a positive int or None, got {parallel!r}"
+                )
+            if self._sharded is not None:
                 raise EngineConfigurationError(
                     "sharded engines already parallelise across their "
                     "worker-process pool; drop parallel= (pool width is "
                     "fixed at construction via processes=)"
                 )
-            batch = self._run_many_sharded(specs)
-        elif self._is_source_backed():
-            if parallel is None:
-                batch = self._run_many_sources(specs)
+            if isinstance(self._backing, MiddlewareSession):
+                raise EngineConfigurationError(
+                    "an engine over a live MiddlewareSession is single-"
+                    "consumer and cannot run batch members in parallel; "
+                    "back the engine with a database or session factory"
+                )
+        default_k = validate_k(
+            k if k is not None else self.context.default_k
+        )
+        specs = [self._normalise_spec(entry, default_k) for entry in queries]
+        contract = self._contract_for(None)
+
+        def plan_member(spec: object, k: int) -> PhysicalPlan:
+            if isinstance(spec, AggregationFunction):
+                query, aggregation = None, spec
             else:
-                batch = self._run_many_sources_parallel(specs, parallel)
+                query, aggregation = spec, None
+            plan, _shape, _hit = self._plan(
+                query, aggregation, None, None, k, self._adaptive, contract
+            )
+            return plan
+
+        details: dict[str, object] = {}
+        if self._sharded is not None:
+            plans = [plan_member(spec, k) for spec, k in specs]
+            answers = self._sharded.run_many(
+                [(plan.aggregation, k) for plan, (_, k) in zip(plans, specs)],
+                contract=contract,
+            )
+            details.update(
+                sharded=True,
+                shards=self._sharded.num_shards,
+                processes=self._sharded.processes,
+            )
         else:
-            batch = self._run_many_catalog(specs, parallel)
+            executor = (
+                None
+                if self._is_source_backed()
+                else self._executor(
+                    self._batch_atom_cache(details, serial=parallel is None)
+                )
+            )
+
+            def run_one(spec_k: tuple[object, int]) -> object:
+                spec, k = spec_k
+                return self._run(
+                    plan_member(spec, k), k, contract, None, executor
+                )
+
+            if parallel is None:
+                answers = [run_one(spec_k) for spec_k in specs]
+            else:
+                with ThreadPoolExecutor(
+                    max_workers=parallel, thread_name_prefix="repro-run-many"
+                ) as pool:
+                    answers = list(pool.map(run_one, specs))
+                details["parallel"] = parallel
+        details["queries"] = len(answers)
+        batch = BatchResult(
+            answers=tuple(answers),
+            total_sorted=sum(stats_of(a).sorted_cost for a in answers),
+            total_random=sum(stats_of(a).random_cost for a in answers),
+            details=details,
+        )
         self._record_batch(batch)
         return batch
 
@@ -595,7 +627,7 @@ class Engine:
         return parse_query(query) if isinstance(query, str) else query
 
     # ------------------------------------------------------------------
-    # Catalog-backed execution
+    # The pipeline: plan → steer → run → record
     # ------------------------------------------------------------------
 
     def _planner(self, conjunction: str | None) -> Planner:
@@ -609,17 +641,25 @@ class Engine:
 
     def _executor(
         self,
-        evaluate: Callable[[object], SortedRandomSource] | None = None,
+        evaluate: Callable[[object, int | None], SortedRandomSource] | None = None,
     ) -> Executor:
         return Executor(
             self._catalog, self.context.semantics, evaluate_atom=evaluate
         )
 
     def _random_access_ok(self, atoms: Sequence) -> bool:
-        return all(
+        """Random access is available to a plan over ``atoms``: the
+        backing allows it and every atom's subsystem supports it."""
+        return self._random_access and all(
             self._catalog.subsystem_for(a).supports_random_access
             for a in atoms
         )
+
+    def _num_objects(self, plan: PhysicalPlan) -> int:
+        session = getattr(plan, "session", None)
+        if session is not None:
+            return session.num_objects
+        return self._catalog.num_objects
 
     def _adaptive_for(self, flag: "bool | None") -> AdaptivePlanner | None:
         """The adaptive layer a query should use, honoring the opt-out.
@@ -642,110 +682,13 @@ class Engine:
         eps = self.context.epsilon if epsilon is None else epsilon
         return QualityContract.approximate(eps)
 
-    def _plan_for(
-        self,
-        query: "str | Query | None",
-        aggregation: AggregationFunction | None,
-        strategy: str | None,
-        conjunction: str | None,
-        k: int | None = None,
-        adaptive: "bool | None" = None,
-    ) -> PhysicalPlan:
-        plan, _shape, _hit = self._plan_with_shape(
-            query, aggregation, strategy, conjunction, k,
-            self._adaptive_for(adaptive),
-        )
-        return plan
-
-    def _plan_with_shape(
-        self,
-        query: "str | Query | None",
-        aggregation: AggregationFunction | None,
-        strategy: str | None,
-        conjunction: str | None,
-        k: int | None = None,
-        adaptive: AdaptivePlanner | None = None,
-        epsilon: float = 0.0,
-    ) -> "tuple[PhysicalPlan, QueryShape | None, bool]":
-        """Plan a catalog query, through the plan cache when adaptive.
-
-        Returns ``(plan, shape, cache_hit)``; shape is None when the
-        adaptive layer is off for this call. The shape is normalized
-        over the *rewritten* tree so idempotence rewrites (``A AND A``
-        vs ``A``) cannot alias distinct plans under one key.
-        """
-        if self._is_source_backed():
-            raise PlanningError(
-                "source-backed engines select a strategy, not a physical "
-                "plan; use .explain() or the registry directly"
-            )
-        if query is None:
-            raise EngineConfigurationError(
-                "catalog-backed queries need a query string or AST "
-                "(pass it to engine.query(...))"
-            )
-        if aggregation is not None:
-            raise EngineConfigurationError(
-                "catalog-backed queries compile their aggregation from "
-                "the query under the engine's semantics; .using() is "
-                "for source-backed engines"
-            )
-        planner = self._planner(conjunction)
-        shape: QueryShape | None = None
-        hit = False
-        if adaptive is not None:
-            rewritten = planner.rewrite(self._parse(query))
-            mode = (
-                conjunction
-                if conjunction is not None
-                else self.context.conjunction
-            )
-            shape = shape_of_query(
-                rewritten,
-                self._catalog,
-                k if k is not None else self.context.default_k,
-                mode,
-                self._random_access_ok(rewritten.atoms()),
-                adaptive.catalog_fingerprint(self._catalog),
-                epsilon=epsilon,
-            )
-            plan, hit = adaptive.plan_catalog(
-                rewritten,
-                shape,
-                self.context.semantics,
-                lambda: planner.plan_rewritten(rewritten),
-            )
-        else:
-            plan = planner.plan(self._parse(query))
-        if strategy is not None:
-            if not isinstance(plan, AlgorithmPlan):
-                raise PlanningError(
-                    f"query plans to {type(plan).__name__}, which does "
-                    "not take a pluggable algorithm; remove .strategy()"
-                )
-            assert plan.aggregation is not None
-            if isinstance(strategy, TopKAlgorithm):
-                choice = StrategyChoice(
-                    strategy, "algorithm instance supplied by caller"
-                )
-            else:
-                choice = select_strategy(
-                    plan.aggregation,
-                    len(plan.atoms),
-                    random_access=self._random_access_ok(plan.atoms),
-                    cost_model=self.context.cost_model,
-                    require=strategy,
-                )
-            plan = _dc_replace(
-                plan, algorithm=choice.algorithm, reason=choice.reason
-            )
-        return plan, shape, hit
-
-    # ------------------------------------------------------------------
-    # Source-backed execution
-    # ------------------------------------------------------------------
-
     def _fresh_session(self) -> MiddlewareSession:
+        """A session ready for one run.
+
+        A database or factory mints a new one. A live shared session
+        is restarted instead — a fresh subquery issue, charged as such
+        — and its tracker keeps accumulating across queries.
+        """
         backing = self._backing
         assert backing is not None
         if isinstance(backing, MiddlewareSession):
@@ -758,6 +701,7 @@ class Engine:
                     "progress). Back the engine with a database or "
                     "session factory to interleave queries with cursors."
                 )
+            backing.restart_all()
             return backing
         session_method = getattr(backing, "session", None)
         if callable(session_method):
@@ -771,72 +715,251 @@ class Engine:
             )
         return session
 
-    def _select(
+    def _pick(
         self,
-        aggregation: AggregationFunction | None,
+        aggregation: AggregationFunction,
         num_lists: int,
         strategy: "str | TopKAlgorithm | None",
-        contract: "QualityContract | None" = None,
+        random_access: bool,
     ) -> StrategyChoice:
-        if aggregation is None:
-            raise EngineConfigurationError(
-                "source-backed queries need an aggregation: pass it to "
-                "engine.query(...) or chain .using(...)"
-            )
+        """The registry's pick, a strategy forced by name, or an
+        instance supplied by the caller."""
         if isinstance(strategy, TopKAlgorithm):
             # A pre-built algorithm (possibly tuned via constructor
             # args); it validates its own preconditions at run time.
             return StrategyChoice(
                 strategy, "algorithm instance supplied by caller"
             )
-        if (
-            strategy is None
-            and contract is not None
-            and contract.epsilon > 0.0
-            and aggregation.monotone
-            and self._random_access
-        ):
-            # ε-approximate contract: the default pick would be A0,
-            # whose match-count stop cannot exploit the relaxation (it
-            # observes no grades). TA's threshold stop can — steer the
-            # auto-selection to it so paying ε buys fewer accesses.
-            # Forced strategies and non-random-access workloads (NRA,
-            # which also honours ε) are left alone.
-            choice = select_strategy(
-                aggregation,
-                num_lists,
-                random_access=self._random_access,
-                cost_model=self.context.cost_model,
-                require="threshold",
-            )
-            return StrategyChoice(
-                choice.algorithm,
-                f"ε={contract.epsilon:g} approximate contract: TA's "
-                "θ/(1+ε) stopping rule converts the slack into early "
-                "termination (A0's match-count stop cannot)",
-            )
         return select_strategy(
             aggregation,
             num_lists,
-            random_access=self._random_access,
+            random_access=random_access,
             cost_model=self.context.cost_model,
             require=strategy,
         )
 
-    # ------------------------------------------------------------------
-    # Terminal operations (called by QueryBuilder)
-    # ------------------------------------------------------------------
+    def _plan(
+        self,
+        query: "str | Query | None",
+        aggregation: AggregationFunction | None,
+        strategy: "str | TopKAlgorithm | None",
+        conjunction: str | None,
+        k: int,
+        layer: AdaptivePlanner | None,
+        contract: QualityContract,
+    ) -> "tuple[PhysicalPlan, QueryShape | None, bool | None]":
+        """The plan one query runs, short of the adaptive chooser.
 
-    def _plan_scopes(
+        First the backing's static plan, with any forced strategy:
+
+        * catalog: the planner, through the plan cache when adaptive;
+        * source: the registry's pick over one fresh session (no plan
+          cache: the shape keys the aggregation by name, and the pick
+          is only a lookup);
+        * sharded: the pick every shard will make for itself.
+
+        Then ε-steering. Returns ``(plan, shape, cache_hit)``:
+        ``shape`` is None when the adaptive layer is off for this call,
+        and always when sharded; ``cache_hit`` is None when the plan
+        cache was not consulted.
+        """
+        epsilon = contract.epsilon
+        shape = hit = None
+        if self._is_source_backed():
+            if query is not None:
+                raise EngineConfigurationError(
+                    "source-backed engines take an aggregation function, "
+                    f"not a {type(query).__name__}; register subsystems "
+                    "on Engine() for string queries"
+                )
+            if aggregation is None:
+                raise EngineConfigurationError(
+                    "source-backed queries need an aggregation: pass it to "
+                    "engine.query(...) or chain .using(...)"
+                )
+            if self._sharded is not None:
+                if strategy is not None and not isinstance(strategy, str):
+                    raise EngineConfigurationError(
+                        "sharded engines force strategies by registry "
+                        "name (the algorithm runs in worker processes); "
+                        f"got {type(strategy).__name__}"
+                    )
+                # The call each worker makes per shard: no cost model.
+                choice = select_strategy(
+                    aggregation,
+                    self._sharded.num_lists,
+                    random_access=True,
+                    require=strategy,
+                )
+                shard_plan = AlgorithmPlan(
+                    query=None,
+                    reason=f"{choice.reason} (selected by every shard)",
+                    algorithm=choice.algorithm,
+                    aggregation=aggregation,
+                )
+                return shard_plan, None, None
+            session = self._fresh_session()
+            choice = self._pick(
+                aggregation, session.num_lists, None, self._random_access
+            )
+            plan: PhysicalPlan = AlgorithmPlan(
+                query=None,
+                reason=choice.reason,
+                algorithm=choice.algorithm,
+                aggregation=aggregation,
+                session=session,
+            )
+            if layer is not None:
+                shape = shape_of_aggregation(
+                    aggregation,
+                    session.num_lists,
+                    k,
+                    self._random_access,
+                    layer.source_fingerprint(self._backing),
+                    epsilon=epsilon,
+                )
+        else:
+            if query is None:
+                raise EngineConfigurationError(
+                    "catalog-backed queries need a query string or AST "
+                    "(pass it to engine.query(...))"
+                )
+            if aggregation is not None:
+                raise EngineConfigurationError(
+                    "catalog-backed queries compile their aggregation from "
+                    "the query under the engine's semantics; .using() is "
+                    "for source-backed engines"
+                )
+            parsed = self._parse(self._require_query(query))
+            planner = self._planner(conjunction)
+            if layer is None:
+                plan = planner.plan(parsed)
+            else:
+                # The shape is normalized over the *rewritten* tree so
+                # idempotence rewrites (``A AND A`` vs ``A``) cannot
+                # alias distinct plans under one key.
+                rewritten = planner.rewrite(parsed)
+                shape = shape_of_query(
+                    rewritten,
+                    self._catalog,
+                    k,
+                    conjunction
+                    if conjunction is not None
+                    else self.context.conjunction,
+                    self._random_access_ok(rewritten.atoms()),
+                    layer.catalog_fingerprint(self._catalog),
+                    epsilon=epsilon,
+                )
+                plan, hit = layer.plan_catalog(
+                    rewritten,
+                    shape,
+                    self.context.semantics,
+                    lambda: planner.plan_rewritten(rewritten),
+                )
+        if strategy is not None:
+            if not isinstance(plan, AlgorithmPlan):
+                raise PlanningError(
+                    f"query plans to {type(plan).__name__}, which does "
+                    "not take a pluggable algorithm; remove .strategy()"
+                )
+            assert plan.aggregation is not None
+            choice = self._pick(
+                plan.aggregation,
+                plan.num_lists,
+                strategy,
+                self._random_access_ok(plan.atoms),
+            )
+            plan = _dc_replace(
+                plan, algorithm=choice.algorithm, reason=choice.reason
+            )
+        # ε-steering. Under an approximate contract the auto pick may be
+        # A0, whose match-count stop cannot exploit the relaxation (it
+        # observes no grades); TA's threshold stop can, so steer to it
+        # and paying ε buys fewer accesses. Forced strategies,
+        # non-random-access workloads (NRA, which also honours ε) and
+        # sharded backings (each shard selects for itself) are left
+        # alone. Steering follows the plan cache, whose shapes are
+        # ε-aware, so exact traffic never sees a steered plan.
+        if (
+            epsilon > 0.0
+            and strategy is None
+            and self._sharded is None
+            and isinstance(plan, AlgorithmPlan)
+            and plan.aggregation is not None
+            and plan.aggregation.monotone
+            and self._random_access_ok(plan.atoms)
+        ):
+            choice = self._pick(
+                plan.aggregation, plan.num_lists, "threshold", True
+            )
+            plan = _dc_replace(
+                plan,
+                algorithm=choice.algorithm,
+                reason=(
+                    f"ε={epsilon:g} approximate contract: TA's "
+                    "θ/(1+ε) stopping rule converts the slack into early "
+                    "termination (A0's match-count stop cannot)"
+                ),
+            )
+        return plan, shape, hit
+
+    def _plan_for(
+        self,
+        query: "str | Query | None",
+        aggregation: AggregationFunction | None,
+        strategy: "str | TopKAlgorithm | None",
+        conjunction: str | None,
+        adaptive: "bool | None" = None,
+        epsilon: "float | None" = None,
+    ) -> "tuple[PhysicalPlan, QueryShape | None, bool | None]":
+        """What ``explain()`` renders, at the default k (no execution)."""
+        return self._plan(
+            query, aggregation, strategy, conjunction,
+            self.context.default_k, self._adaptive_for(adaptive),
+            self._contract_for(epsilon),
+        )
+
+    def _run(
+        self,
+        plan: PhysicalPlan,
+        k: int,
+        contract: QualityContract,
+        strategy: "str | TopKAlgorithm | None",
+        executor: Executor | None = None,
+    ):
+        """The backing's run step: the shard merge (which forwards a
+        forced strategy by name to the workers), the algorithm over the
+        plan's session, or the executor."""
+        if self._sharded is not None:
+            assert isinstance(plan, AlgorithmPlan)
+            return self._sharded.top_k(
+                plan.aggregation, k, strategy=strategy, contract=contract
+            )
+        if self._backing is not None:
+            assert isinstance(plan, AlgorithmPlan)
+            assert plan.algorithm is not None and plan.aggregation is not None
+            return plan.algorithm.top_k(
+                plan.session, plan.aggregation, k, contract
+            )
+        return (executor or self._executor()).execute(
+            plan, k, contract=contract
+        )
+
+    def _calibration_scopes(
         self, plan: PhysicalPlan, stats
-    ) -> dict[str, tuple[int, int]]:
-        """Per-subsystem (sorted, random) counts for one executed plan.
+    ) -> "tuple[dict[str, tuple[int, int]], bool | None]":
+        """Per-scope (sorted, random) counts for one executed plan, and
+        whether a batched transport served it (None: not applicable).
 
-        The per-list entries of an ``AccessStats`` align positionally
+        A source run is the one scope ``"store"``. For catalog plans
+        the per-list entries of an ``AccessStats`` align positionally
         with the plan's atom order (the order the executor minted
         sources in); summing them per owning subsystem gives the
         calibration scopes.
         """
+        if self._backing is not None:
+            return {"store": (stats.sorted_cost, stats.random_cost)}, None
+        batched = getattr(plan, "batch_size", None) is not None
         atoms = getattr(plan, "atoms", ())
         if hasattr(plan, "filter_atoms"):
             # The filtered-conjunct executor mints filter sources
@@ -852,193 +975,71 @@ class Engine:
                 if getattr(plan, "subsystem", None) is not None
                 else "catalog"
             )
-            return {name: (stats.sorted_cost, stats.random_cost)}
+            return {name: (stats.sorted_cost, stats.random_cost)}, batched
         for i, atom in enumerate(atoms):
             name = self._catalog.subsystem_for(atom).name
             cell = scopes.setdefault(name, [0, 0])
             cell[0] += stats.sorted_by_list[i]
             cell[1] += stats.random_by_list[i]
-        return {name: (s, r) for name, (s, r) in scopes.items()}
+        return {name: (s, r) for name, (s, r) in scopes.items()}, batched
+
+    # ------------------------------------------------------------------
+    # Terminal operations (called by QueryBuilder)
+    # ------------------------------------------------------------------
 
     def _execute(
         self,
         query: "str | Query | None",
         aggregation: AggregationFunction | None,
-        strategy: str | None,
+        strategy: "str | TopKAlgorithm | None",
         conjunction: str | None,
         k: int | None,
         adaptive: "bool | None" = None,
         epsilon: "float | None" = None,
     ):
         # Validate before any session is minted or plan executed, so
-        # .top(0) / .top(True) fails fast with a clear message on both
-        # backings (previously only the algorithm/executor layer caught
-        # non-positive k, after side effects — and bools not at all).
+        # .top(0) / .top(True) fails fast with a clear message on every
+        # backing.
         k = validate_k(k if k is not None else self.context.default_k)
         contract = self._contract_for(epsilon)
-        if self._is_source_backed():
-            if query is not None:
-                raise EngineConfigurationError(
-                    "source-backed engines take an aggregation, not a "
-                    "query string; register subsystems on Engine() for "
-                    "string queries"
-                )
-            if self._sharded is not None:
-                if aggregation is None:
-                    raise EngineConfigurationError(
-                        "source-backed queries need an aggregation: pass "
-                        "it to engine.query(...) or chain .using(...)"
-                    )
-                if strategy is not None and not isinstance(strategy, str):
-                    raise EngineConfigurationError(
-                        "sharded engines force strategies by registry "
-                        "name (the algorithm runs in worker processes); "
-                        f"got {type(strategy).__name__}"
-                    )
-                result = self._sharded.top_k(
-                    aggregation, k, strategy=strategy, contract=contract
-                )
-                self._record_query(result.stats, result.guarantee)
-                return result
-            session = self._fresh_session()
-            if isinstance(self._backing, MiddlewareSession):
-                session.restart_all()
-            choice = self._select(
-                aggregation, session.num_lists, strategy, contract
-            )
-            layer = self._adaptive_for(adaptive)
-            shape = None
-            if layer is not None:
-                assert aggregation is not None
-                shape = shape_of_aggregation(
-                    aggregation,
-                    session.num_lists,
-                    k,
-                    self._random_access,
-                    layer.source_fingerprint(self._backing),
-                    epsilon=contract.epsilon,
-                )
-                # The chooser's override slate is calibrated on exact
-                # runs; under an ε-contract the contract-driven
-                # steering already picked the algorithm that can spend
-                # the slack, so the chooser only observes (the ε-keyed
-                # shape keeps its histories separate).
-                if strategy is None and contract.epsilon == 0.0:
-                    decision = layer.choose_source(
-                        shape,
-                        choice.name,
-                        aggregation,
-                        session.num_lists,
-                        session.num_objects,
-                        k,
-                        self._random_access,
-                        self.context.cost_model,
-                    )
-                    if decision.strategy != canonical_strategy_name(
-                        choice.name
-                    ):
-                        choice = select_strategy(
-                            aggregation,
-                            session.num_lists,
-                            random_access=self._random_access,
-                            cost_model=self.context.cost_model,
-                            require=decision.strategy,
-                        )
-                        choice = StrategyChoice(
-                            choice.algorithm,
-                            f"{choice.reason} | adaptive {decision.mode}: "
-                            f"{decision.reason}",
-                        )
-            started = perf_counter()
-            result = choice.algorithm.top_k(session, aggregation, k, contract)
-            elapsed = perf_counter() - started
-            self._record_query(result.stats, result.guarantee)
-            if layer is not None:
-                # Instances forced by the caller may be tuned away from
-                # the registry's defaults — calibrate on them, but keep
-                # their runs out of the per-strategy ledger.
-                named = strategy is None or isinstance(strategy, str)
-                layer.record(
-                    shape if named else None,
-                    choice.name if named else None,
-                    result.stats,
-                    elapsed,
-                    {
-                        "store": (
-                            result.stats.sorted_cost,
-                            result.stats.random_cost,
-                        )
-                    },
-                    self.context.cost_model,
-                )
-            return result
         layer = self._adaptive_for(adaptive)
-        plan, shape, _hit = self._plan_with_shape(
-            query, aggregation, strategy, conjunction, k, layer,
-            epsilon=contract.epsilon,
+        plan, shape, _hit = self._plan(
+            query, aggregation, strategy, conjunction, k, layer, contract
         )
-        decision = None
-        if (
-            layer is not None
-            and shape is not None
-            and strategy is None
-            and contract.epsilon == 0.0
-        ):
-            plan, decision = layer.choose_catalog(
-                shape,
-                plan,
-                self._catalog.num_objects,
-                k,
-                shape.random_access,
+        if shape is not None and strategy is None and contract.epsilon == 0.0:
+            # The chooser's override slate is calibrated on exact runs;
+            # under an ε-contract the steering already picked the
+            # algorithm that can spend the slack, so the chooser only
+            # observes (the ε-keyed shape keeps its histories separate).
+            assert layer is not None
+            plan = layer.choose(
+                shape, plan, self._num_objects(plan), k,
                 self.context.cost_model,
             )
-        if (
-            contract.epsilon > 0.0
-            and strategy is None
-            and isinstance(plan, AlgorithmPlan)
-            and plan.aggregation is not None
-            and plan.aggregation.monotone
-            and self._random_access_ok(plan.atoms)
-        ):
-            # Same steering as the source path: the ε slack only pays
-            # off through TA's threshold stop, so swap it in for the
-            # planner's static pick (cached plans are keyed by the
-            # ε-aware shape, and the swap happens after the cache, so
-            # exact traffic never sees a steered plan).
-            steered = select_strategy(
-                plan.aggregation,
-                len(plan.atoms),
-                random_access=True,
-                cost_model=self.context.cost_model,
-                require="threshold",
-            )
-            plan = _dc_replace(
-                plan,
-                algorithm=steered.algorithm,
-                reason=(
-                    f"ε={contract.epsilon:g} approximate contract: TA's "
-                    "θ/(1+ε) stopping rule converts the slack into "
-                    "early termination"
-                ),
-            )
         started = perf_counter()
-        answer = self._executor().execute(plan, k, contract=contract)
+        answer = self._run(plan, k, contract, strategy)
         elapsed = perf_counter() - started
-        self._record_query(answer.result.stats, answer.result.guarantee)
-        if layer is not None and shape is not None:
+        result = answer.result if isinstance(answer, QueryAnswer) else answer
+        self._record_query(result.stats, result.guarantee)
+        if shape is not None:
+            assert layer is not None
+            # Instances forced by the caller may be tuned away from the
+            # registry's defaults — calibrate on them, but keep their
+            # runs out of the per-strategy ledger.
             named = (
                 isinstance(plan, AlgorithmPlan)
                 and plan.algorithm is not None
                 and (strategy is None or isinstance(strategy, str))
             )
+            scopes, batched = self._calibration_scopes(plan, result.stats)
             layer.record(
                 shape if named else None,
                 plan.algorithm.name if named else None,  # type: ignore[union-attr]
-                answer.result.stats,
+                result.stats,
                 elapsed,
-                self._plan_scopes(plan, answer.result.stats),
+                scopes,
                 self.context.cost_model,
-                batched=getattr(plan, "batch_size", None) is not None,
+                batched=batched,
             )
         return answer
 
@@ -1050,209 +1051,68 @@ class Engine:
         conjunction: str | None,
         epsilon: "float | None" = None,
     ) -> ResultCursor:
-        target_epsilon = self._contract_for(epsilon).epsilon
         if strategy is not None:
             raise PlanningError(
                 "cursors page with the incremental Fagin machinery "
                 "(Section 4's \"continue where we left off\"); a forced "
                 ".strategy() cannot apply — remove it or use .top()"
             )
-        if self._is_source_backed():
-            if query is not None:
-                raise EngineConfigurationError(
-                    "source-backed engines take an aggregation, not a "
-                    "query string"
-                )
-            if self._sharded is not None:
-                raise PlanningError(
-                    "sharded engines do not support cursors: incremental "
-                    "paging needs one live session, and a sharded query "
-                    "is many per-probe sessions merged after the fact; "
-                    "re-issue with a larger k, or page against "
-                    "Engine.over(store) on the unsharded store"
-                )
-            if aggregation is None:
-                raise EngineConfigurationError(
-                    "cursors need an aggregation: pass it to "
-                    "engine.query(...) or chain .using(...)"
-                )
-            session = self._fresh_session()
-            shared = isinstance(self._backing, MiddlewareSession)
-            if shared:
-                session.restart_all()
-            cursor = ResultCursor(
-                session,
-                aggregation,
-                default_k=self.context.default_k,
-                cost_model=self.context.cost_model,
-                on_page=self._record_page,
-                epsilon=target_epsilon,
+        if self._sharded is not None:
+            raise PlanningError(
+                "sharded engines do not support cursors: incremental "
+                "paging needs one live session, and a sharded query "
+                "is many per-probe sessions merged after the fact; "
+                "re-issue with a larger k, or page against "
+                "Engine.over(store) on the unsharded store"
             )
-            if shared:
-                self._session_lease = cursor
-            return cursor
-        plan = self._plan_for(query, aggregation, None, conjunction)
+        # Every page is exact (Proposition 4.1) whatever ε the caller
+        # accepts, so the cursor is planned under the exact contract.
+        plan, _shape, _hit = self._plan(
+            query, aggregation, None, conjunction,
+            self.context.default_k, self._adaptive, self._contract_for(0.0),
+        )
         if not isinstance(plan, AlgorithmPlan):
             raise PlanningError(
                 f"query plans to {type(plan).__name__}, which does "
                 "not support cursors; re-issue with a larger k instead"
             )
         assert plan.aggregation is not None
-        raw = [
-            self._catalog.subsystem_for(atom).evaluate_batched(
-                atom, plan.batch_size
-            )
-            if plan.batch_size is not None
-            else self._catalog.subsystem_for(atom).evaluate(atom)
-            for atom in plan.atoms
-        ]
-        session = MiddlewareSession.over_sources(
-            raw, num_objects=self._catalog.num_objects
-        )
-        return ResultCursor(
-            session,
+        cursor = ResultCursor(
+            self._executor().session_for(plan),
             plan.aggregation,
             default_k=self.context.default_k,
-            query=self._parse(query),  # type: ignore[arg-type]
+            query=plan.query,
             cost_model=self.context.cost_model,
             on_page=self._record_page,
-            epsilon=target_epsilon,
+            epsilon=self._contract_for(epsilon).epsilon,
         )
+        if isinstance(self._backing, MiddlewareSession):
+            self._session_lease = cursor
+        return cursor
 
     # ------------------------------------------------------------------
     # Batch execution
     # ------------------------------------------------------------------
 
-    def _run_many_sources(
-        self, specs: Sequence[tuple[object, int]]
-    ) -> BatchResult:
-        session = self._fresh_session()
-        before = session.tracker.snapshot()
-        answers: list[TopKResult] = []
-        for aggregation, k in specs:
-            if not isinstance(aggregation, AggregationFunction):
-                raise EngineConfigurationError(
-                    "source-backed batches take aggregation functions, "
-                    f"got {type(aggregation).__name__}"
-                )
-            # A fresh sorted scan per query — a real re-issued subquery,
-            # charged as such — but one session, one tracker.
-            session.restart_all()
-            contract = self._contract_for(None)
-            choice = self._select(
-                aggregation, session.num_lists, None, contract
-            )
-            answers.append(
-                choice.algorithm.top_k(session, aggregation, k, contract)
-            )
-        after = session.tracker.snapshot()
-        return BatchResult(
-            answers=tuple(answers),
-            total_sorted=after.sorted_cost - before.sorted_cost,
-            total_random=after.random_cost - before.random_cost,
-            details={"shared_session": True, "queries": len(answers)},
-        )
+    def _batch_atom_cache(
+        self, counters: dict, serial: bool
+    ) -> Callable[[object, int | None], SortedRandomSource]:
+        """An executor hook that evaluates each atom once per batch.
 
-    def _run_many_sources_parallel(
-        self, specs: Sequence[tuple[object, int]], parallel: int
-    ) -> BatchResult:
-        """Source-backed batch on a thread pool: one session per member.
-
-        The backing must be able to mint independent sessions (a
-        database or session factory); the per-member
-        :class:`~repro.algorithms.base.TopKResult` stats are summed
-        after the fact into the batch ledger, which equals the serial
-        shared-tracker totals exactly (each member performs the same
-        accesses either way).
+        It keeps one pristine raw evaluation per atom, and every
+        consumer reads through its own forked cursor, so the cached
+        source's state is never mutated (a restart()-based reuse breaks
+        as soon as two plans interleave, e.g. on a thread pool).
+        Sources that cannot fork are still reused serially via
+        restart() — sound when plans run to completion one after
+        another — but re-evaluated per use on a thread pool, where
+        interleaving is real. ``counters`` receives the
+        ``atom_evaluations`` and ``atom_reuses`` tallies.
         """
-        if isinstance(self._backing, MiddlewareSession):
-            raise EngineConfigurationError(
-                "an engine over a live MiddlewareSession is single-"
-                "consumer and cannot run batch members in parallel; "
-                "back the engine with a database or session factory"
-            )
-        for aggregation, _ in specs:
-            if not isinstance(aggregation, AggregationFunction):
-                raise EngineConfigurationError(
-                    "source-backed batches take aggregation functions, "
-                    f"got {type(aggregation).__name__}"
-                )
-
-        def run_one(spec: tuple[object, int]) -> TopKResult:
-            aggregation, k = spec
-            session = self._fresh_session()
-            contract = self._contract_for(None)
-            choice = self._select(
-                aggregation, session.num_lists, None, contract
-            )
-            return choice.algorithm.top_k(session, aggregation, k, contract)
-
-        with ThreadPoolExecutor(
-            max_workers=parallel, thread_name_prefix="repro-run-many"
-        ) as pool:
-            answers = list(pool.map(run_one, specs))
-        return BatchResult(
-            answers=tuple(answers),
-            total_sorted=sum(a.stats.sorted_cost for a in answers),
-            total_random=sum(a.stats.random_cost for a in answers),
-            details={
-                "shared_session": False,
-                "parallel": parallel,
-                "queries": len(answers),
-            },
-        )
-
-    def _run_many_sharded(
-        self, specs: Sequence[tuple[object, int]]
-    ) -> BatchResult:
-        """Batch execution routed across the shard worker pool.
-
-        Every member runs the full threshold-exchange merge with its
-        own deterministic ledger; the merges advance round-
-        synchronously, each round's probes for the whole batch shipped
-        as one task per pinned pool (see
-        :meth:`ShardedEngine.run_many`). The batch ledger is the sum
-        of the member ledgers — the same totals the members would
-        produce run one at a time.
-        """
-        assert self._sharded is not None
-        for aggregation, _ in specs:
-            if not isinstance(aggregation, (AggregationFunction, str)):
-                raise EngineConfigurationError(
-                    "sharded batches take aggregation functions or wire "
-                    f"names, got {type(aggregation).__name__}"
-                )
-        answers = self._sharded.run_many(
-            specs, contract=self._contract_for(None)
-        )
-        return BatchResult(
-            answers=tuple(answers),
-            total_sorted=sum(a.stats.sorted_cost for a in answers),
-            total_random=sum(a.stats.random_cost for a in answers),
-            details={
-                "sharded": True,
-                "shards": self._sharded.num_shards,
-                "processes": self._sharded.processes,
-                "queries": len(answers),
-            },
-        )
-
-    def _run_many_catalog(
-        self, specs: Sequence[tuple[object, int]], parallel: int | None = None
-    ) -> BatchResult:
-        #: One pristine raw evaluation per atom; every consumer reads
-        #: through its own forked cursor, so the cached source's state
-        #: is never mutated (the previous restart()-based reuse broke
-        #: as soon as two plans interleaved — e.g. on a thread pool).
-        #: Entries are (template, forkable): sources that cannot fork
-        #: are still reused serially via restart() — sound when plans
-        #: run to completion one after another — but re-evaluated per
-        #: use on the parallel path, where interleaving is real.
         cache: dict[object, tuple[SortedRandomSource, bool]] = {}
         cache_lock = threading.Lock()
         atom_locks: dict[object, threading.Lock] = {}
-        counters = {"atom_evaluations": 0, "atom_reuses": 0}
-        serial = parallel is None
+        counters.update(atom_evaluations=0, atom_reuses=0)
 
         def reuse(template: SortedRandomSource, forkable: bool):
             """A fresh-cursor view of a cached evaluation, or None when
@@ -1302,7 +1162,7 @@ class Engine:
                         cache[atom] = (raw, forkable)
                 return out
 
-        def evaluate(atom, batch_size=None) -> SortedRandomSource:
+        def evaluate(atom, batch_size: int | None) -> SortedRandomSource:
             # The cache holds the *raw* evaluation (the expensive part:
             # the subsystem computing its graded set); each request
             # then gets its own plan's transport wrapper, so two batch
@@ -1317,30 +1177,4 @@ class Engine:
                 return PagedBatchSource(raw, batch_size)
             return UnbatchedSource(raw)
 
-        executor = self._executor(evaluate=evaluate)
-
-        batch_contract = self._contract_for(None)
-
-        def run_one(spec_k: tuple[object, int]) -> QueryAnswer:
-            spec, k = spec_k
-            plan = self._plan_for(self._require_query(spec), None, None, None)
-            return executor.execute(plan, k, contract=batch_contract)
-
-        if parallel is None:
-            answers = [run_one(spec_k) for spec_k in specs]
-        else:
-            with ThreadPoolExecutor(
-                max_workers=parallel, thread_name_prefix="repro-run-many"
-            ) as pool:
-                answers = list(pool.map(run_one, specs))
-        total_sorted = sum(stats_of(a).sorted_cost for a in answers)
-        total_random = sum(stats_of(a).random_cost for a in answers)
-        details: dict[str, object] = {**counters, "queries": len(answers)}
-        if parallel is not None:
-            details["parallel"] = parallel
-        return BatchResult(
-            answers=tuple(answers),
-            total_sorted=total_sorted,
-            total_random=total_random,
-            details=details,
-        )
+        return evaluate

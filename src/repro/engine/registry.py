@@ -226,7 +226,7 @@ def register_strategy(
 
     Called at import time by each algorithm module — the registry is
     how :func:`select_strategy` (and through it the planner and the
-    deprecated ``choose_algorithm``) finds algorithms. Re-registering
+    engine) finds algorithms. Re-registering
     the same name replaces the entry, so module reloads stay safe.
     """
     registration = StrategyRegistration(
@@ -329,6 +329,12 @@ def select_strategy(
     scan is skipped — the named strategy is instantiated after a
     capability check (the registry still refuses impossible pairings,
     e.g. a random-access strategy without random access).
+
+    >>> from repro.core.tnorms import MINIMUM
+    >>> select_strategy(MINIMUM, 2).name
+    'A0-prime'
+    >>> select_strategy(MINIMUM, 2, random_access=False).name
+    'NRA'
     """
     if num_lists < 1:
         raise ValueError(f"need at least one list, got {num_lists}")

@@ -5,7 +5,8 @@ Boolean combinations of crisp and graded atoms, a catalog of federated
 subsystems, a planner implementing the paper's strategy table
 (filtered conjuncts, A0/A0'/B0/median selection, internal-conjunction
 pushdown, naive fallback), and an executor with full access-cost
-accounting.
+accounting. :class:`~repro.engine.engine.Engine` is the entry point
+that drives them.
 """
 
 from repro.middleware.catalog import Catalog
@@ -14,9 +15,7 @@ from repro.middleware.conjunction_modes import (
     ModeComparison,
     compare_conjunction_modes,
 )
-from repro.middleware.cursor import QueryCursor
 from repro.middleware.executor import Executor, QueryAnswer
-from repro.middleware.garlic import Garlic
 from repro.middleware.parser import parse_query, render_query
 from repro.middleware.plan import (
     AlgorithmPlan,
@@ -28,13 +27,11 @@ from repro.middleware.plan import (
 from repro.middleware.planner import Planner, PlannerOptions
 
 __all__ = [
-    "Garlic",
     "Catalog",
     "Planner",
     "PlannerOptions",
     "Executor",
     "QueryAnswer",
-    "QueryCursor",
     "parse_query",
     "render_query",
     "CompiledQueryAggregation",

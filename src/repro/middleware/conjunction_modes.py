@@ -8,7 +8,8 @@
     which might involve many calls to the subsystem, must be used."
 
 :func:`compare_conjunction_modes` runs the same conjunction both ways
-against a Garlic instance and reports where the answers differ — the
+through an :class:`~repro.engine.engine.Engine` and reports where the
+answers differ — the
 mismatch Section 8 warns about when the subsystem's internal semantics
 (e.g. QBIC's score averaging) is not Garlic's min rule.
 """
@@ -63,17 +64,16 @@ class ModeComparison:
 
 
 def compare_conjunction_modes(
-    garlic, query, k: int = 10
+    engine, query, k: int = 10
 ) -> ModeComparison:
     """Evaluate ``query`` under both conjunction flavours.
 
-    ``garlic`` is a :class:`repro.middleware.garlic.Garlic` or
-    :class:`~repro.engine.engine.Engine` instance; ``query`` is
-    query-language text or a parsed AND-of-atoms whose atoms all live
-    in a subsystem that supports internal conjunction (otherwise the
-    internal run raises).
+    ``engine`` is a catalog-backed
+    :class:`~repro.engine.engine.Engine`; ``query`` is query-language
+    text or a parsed AND-of-atoms whose atoms all live in a subsystem
+    that supports internal conjunction (otherwise the internal run
+    raises).
     """
-    engine = getattr(garlic, "engine", garlic)
     external = engine.query(query).conjunction("external").top(k)
     internal = engine.query(query).conjunction("internal").top(k)
     return ModeComparison(external=external, internal=internal)

@@ -8,7 +8,6 @@ the federated level.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 
 from repro.access.cost import CostTracker
@@ -70,13 +69,12 @@ class Executor:
     Parameters
     ----------
     evaluate_atom:
-        Optional hook returning the raw source for an atomic query;
-        defaults to asking the catalog's owning subsystem. Batch
-        execution injects a caching hook here so an atom shared by
-        several queries is evaluated once per batch. The hook may
-        accept an optional ``batch_size`` keyword; single-argument
-        hooks keep working (the plan's negotiated batch size is then
-        the hook's own business).
+        Optional hook ``evaluate_atom(atom, batch_size)`` returning the
+        raw source for an atomic query under the plan's negotiated
+        batch size (``None`` for unit access); defaults to asking the
+        catalog's owning subsystem. Batch execution injects a caching
+        hook here so an atom shared by several queries is evaluated
+        once per batch.
 
     An executor holds no per-execution state — ``execute`` builds a
     fresh session/tracker per plan — so one instance may serve plans
@@ -95,35 +93,17 @@ class Executor:
         self._catalog = catalog
         self._semantics = semantics
         self._custom_evaluate = evaluate_atom
-        self._custom_accepts_batch = False
-        if evaluate_atom is not None:
-            parameters = inspect.signature(evaluate_atom).parameters.values()
-            self._custom_accepts_batch = any(
-                p.name == "batch_size" or p.kind is inspect.Parameter.VAR_KEYWORD
-                for p in parameters
-            )
-        self._evaluate = evaluate_atom or (
-            lambda atom: catalog.subsystem_for(atom).evaluate(atom)
-        )
 
     def _evaluate_source(self, atom, batch_size: int | None):
-        """Mint the raw source for one atom, honouring the plan's transport.
-
-        With a negotiated batch size the owning subsystem serves the
-        atom through ``evaluate_batched`` (ranked pages, native bulk
-        lookups); without one the unit route applies unchanged. A
-        caller-supplied hook is forwarded the batch size only if its
-        signature takes one.
-        """
+        """The raw source for one atom: the hook's, else the owning
+        subsystem's — ranked pages through ``evaluate_batched`` under a
+        negotiated batch size, the unit route without one."""
         if self._custom_evaluate is not None:
-            if self._custom_accepts_batch:
-                return self._custom_evaluate(atom, batch_size=batch_size)
-            return self._custom_evaluate(atom)
+            return self._custom_evaluate(atom, batch_size)
+        subsystem = self._catalog.subsystem_for(atom)
         if batch_size is None:
-            return self._evaluate(atom)
-        return self._catalog.subsystem_for(atom).evaluate_batched(
-            atom, batch_size
-        )
+            return subsystem.evaluate(atom)
+        return subsystem.evaluate_batched(atom, batch_size)
 
     def execute(
         self, plan: PhysicalPlan, k: int, contract=None
@@ -154,10 +134,16 @@ class Executor:
     # Strategies
     # ------------------------------------------------------------------
 
-    def _session_for(
-        self, atoms, batch_size: int | None = None
+    def session_for(
+        self, plan: "AlgorithmPlan | FullScanPlan"
     ) -> MiddlewareSession:
-        raw = [self._evaluate_source(atom, batch_size) for atom in atoms]
+        """The instrumented session a plan's algorithm reads: the
+        plan's own session when it has one, else one source per atom
+        under the plan's transport, with a fresh tracker."""
+        session = getattr(plan, "session", None)
+        if session is not None:
+            return session
+        raw = [self._evaluate_source(atom, plan.batch_size) for atom in plan.atoms]
         return MiddlewareSession.over_sources(
             raw, num_objects=self._catalog.num_objects
         )
@@ -166,13 +152,13 @@ class Executor:
         self, plan: AlgorithmPlan, k: int, contract=None
     ) -> TopKResult:
         assert plan.algorithm is not None and plan.aggregation is not None
-        session = self._session_for(plan.atoms, plan.batch_size)
-        return plan.algorithm.top_k(session, plan.aggregation, k, contract)
+        return plan.algorithm.top_k(
+            self.session_for(plan), plan.aggregation, k, contract
+        )
 
     def _run_full_scan(self, plan: FullScanPlan, k: int) -> TopKResult:
         assert plan.aggregation is not None
-        session = self._session_for(plan.atoms, plan.batch_size)
-        return NaiveAlgorithm().top_k(session, plan.aggregation, k)
+        return NaiveAlgorithm().top_k(self.session_for(plan), plan.aggregation, k)
 
     def _run_internal(self, plan: InternalConjunctionPlan, k: int) -> TopKResult:
         assert plan.subsystem is not None

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.access.session import MiddlewareSession
 from repro.algorithms.base import TopKAlgorithm
 from repro.core.aggregation import AggregationFunction
 from repro.core.query import AtomicQuery, Query
@@ -38,9 +39,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PhysicalPlan:
-    """Base: a strategy plus the query and the planner's justification."""
+    """Base: a strategy plus the query and the planner's justification.
 
-    query: Query
+    ``query`` is None for plans over raw ranked lists, which answer an
+    aggregation rather than a query tree.
+    """
+
+    query: Query | None
     reason: str
 
     def explain(self) -> str:
@@ -50,7 +55,11 @@ class PhysicalPlan:
 
 @dataclass(frozen=True)
 class AlgorithmPlan(PhysicalPlan):
-    """Run ``algorithm`` over one source per atom with ``aggregation``."""
+    """Run ``algorithm`` over one source per atom with ``aggregation``.
+
+    A plan over raw ranked lists (the Section 5 model) has no atoms:
+    its ``session`` supplies the lists the atoms would have.
+    """
 
     atoms: tuple[AtomicQuery, ...] = ()
     algorithm: TopKAlgorithm | None = None
@@ -63,19 +72,33 @@ class AlgorithmPlan(PhysicalPlan):
     #: ``None`` routes the executor through unit access — the fallback
     #: when any involved subsystem lacks ``supports_batched_access``.
     batch_size: int | None = None
+    #: The session whose ranked lists stand in for the atoms, minted
+    #: for this one run; None for catalog plans, whose sources the
+    #: executor mints per atom.
+    session: MiddlewareSession | None = field(default=None, compare=False)
+
+    @property
+    def num_lists(self) -> int:
+        """m, the number of graded lists the algorithm combines."""
+        if self.session is not None:
+            return self.session.num_lists
+        return len(self.atoms)
 
     def explain(self) -> str:
         assert self.algorithm is not None
-        atom_list = ", ".join(map(repr, self.atoms))
-        transport = (
-            f"batched x{self.batch_size}"
-            if self.batch_size is not None
-            else "unit access"
-        )
-        return (
-            f"AlgorithmPlan[{self.algorithm.name}] over atoms [{atom_list}]"
-            f" ({transport}) — {self.reason}"
-        )
+        if self.atoms:
+            atom_list = ", ".join(map(repr, self.atoms))
+            transport = (
+                f"batched x{self.batch_size}"
+                if self.batch_size is not None
+                else "unit access"
+            )
+            target = f" over atoms [{atom_list}] ({transport})"
+        elif self.session is not None:
+            target = f" over {self.num_lists} ranked lists"
+        else:
+            target = ""
+        return f"AlgorithmPlan[{self.algorithm.name}]{target} — {self.reason}"
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ Strategy selection follows the paper's decision points:
    down** as an internal conjunction when the caller opts into
    Section 8's internal mode.
 4. Everything monotone goes to the **algorithm table** of
-   :mod:`repro.algorithms.selection` (B0 for max-disjunctions, A0'
+   :mod:`repro.engine.registry` (B0 for max-disjunctions, A0'
    for min-conjunctions, the median construction, generic A0).
 5. Negation or other non-monotone structure falls back to the **full
    scan** (Theorem 7.1 shows that in the worst case nothing better

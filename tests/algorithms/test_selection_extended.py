@@ -5,53 +5,53 @@ from repro.access.cost import CostModel
 from repro.algorithms.disjunction import DisjunctionB0
 from repro.algorithms.naive import NaiveAlgorithm
 from repro.algorithms.nra import NoRandomAccessAlgorithm
-from repro.algorithms.selection import choose_algorithm
 from repro.core.aggregation import FunctionAggregation
 from repro.core.means import ARITHMETIC_MEAN
 from repro.core.tconorms import MAXIMUM
 from repro.core.tnorms import MINIMUM
+from repro.engine.registry import select_strategy
 
 
 class TestNoRandomAccessSelection:
     def test_monotone_goes_to_nra(self):
-        choice = choose_algorithm(MINIMUM, 2, random_access=False)
+        choice = select_strategy(MINIMUM, 2, random_access=False)
         assert isinstance(choice.algorithm, NoRandomAccessAlgorithm)
         assert "random access" in choice.reason
 
     def test_max_still_goes_to_b0(self):
         """B0 is sorted-only already — no downgrade needed."""
-        choice = choose_algorithm(MAXIMUM, 2, random_access=False)
+        choice = select_strategy(MAXIMUM, 2, random_access=False)
         assert isinstance(choice.algorithm, DisjunctionB0)
 
     def test_non_monotone_goes_to_naive(self):
         bad = FunctionAggregation(lambda *g: 0.5, "flat", monotone=False)
-        choice = choose_algorithm(bad, 2, random_access=False)
+        choice = select_strategy(bad, 2, random_access=False)
         assert isinstance(choice.algorithm, NaiveAlgorithm)
 
 
 class TestCostModelSelection:
     def test_expensive_random_access_prefers_nra(self):
         model = CostModel(sorted_weight=1.0, random_weight=50.0)
-        choice = choose_algorithm(MINIMUM, 2, cost_model=model)
+        choice = select_strategy(MINIMUM, 2, cost_model=model)
         assert isinstance(choice.algorithm, NoRandomAccessAlgorithm)
         assert "c2/c1" in choice.reason
 
     def test_cheap_random_access_keeps_a0_prime(self):
         model = CostModel(sorted_weight=1.0, random_weight=2.0)
-        choice = choose_algorithm(MINIMUM, 2, cost_model=model)
+        choice = select_strategy(MINIMUM, 2, cost_model=model)
         assert choice.name == "A0-prime"
 
     def test_threshold_boundary(self):
         at = CostModel(sorted_weight=1.0, random_weight=10.0)
         below = CostModel(sorted_weight=1.0, random_weight=9.99)
-        assert choose_algorithm(MINIMUM, 2, cost_model=at).name == "NRA"
+        assert select_strategy(MINIMUM, 2, cost_model=at).name == "NRA"
         assert (
-            choose_algorithm(MINIMUM, 2, cost_model=below).name == "A0-prime"
+            select_strategy(MINIMUM, 2, cost_model=below).name == "A0-prime"
         )
 
     def test_applies_to_any_monotone(self):
         model = CostModel(sorted_weight=1.0, random_weight=100.0)
-        choice = choose_algorithm(ARITHMETIC_MEAN, 3, cost_model=model)
+        choice = select_strategy(ARITHMETIC_MEAN, 3, cost_model=model)
         assert choice.name == "NRA"
 
     def test_weighted_cost_actually_favours_nra(self):

@@ -192,8 +192,8 @@ class TestLifecycle:
 
 class TestRunManySerialOptOut:
     """parallel=None through the facade reaches the engine's serial
-    shared-session batch semantics (the sentinel default, not None,
-    means "use the pool width")."""
+    batch (the sentinel default, not None, means "use the pool
+    width")."""
 
     def test_explicit_none_gets_shared_session(self, db):
         async def run():
@@ -203,8 +203,12 @@ class TestRunManySerialOptOut:
                 )
 
         batch = asyncio.run(run())
-        assert batch.details["shared_session"] is True
+        serial = Engine.over(db).run_many([MINIMUM, ARITHMETIC_MEAN], k=6)
         assert "parallel" not in batch.details
+        assert (batch.total_sorted, batch.total_random) == (
+            serial.total_sorted,
+            serial.total_random,
+        )
 
     def test_explicit_worker_count_overrides_pool(self, db):
         async def run():

@@ -1,4 +1,4 @@
-"""Batch execution: shared session / cost-tracker accounting."""
+"""Batch execution: per-member sessions, one summed cost ledger."""
 
 import pytest
 
@@ -26,7 +26,7 @@ class TestSourceBackedBatch:
         assert batch.total_random == sum(
             stats_of(a).random_cost for a in batch
         )
-        assert batch.details["shared_session"] is True
+        assert "parallel" not in batch.details
 
     def test_shared_tracker_matches_session_ledger(self):
         """The batch totals are literally one session's tracker."""

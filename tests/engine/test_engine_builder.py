@@ -136,13 +136,14 @@ class TestCatalogBacked:
         assert isinstance(plan, AlgorithmPlan)
 
     def test_engine_matches_garlic_shim(self, fed_engine):
-        """The shim and the engine produce identical answers."""
+        """The replacement for the removed ``Garlic.query(q, k)`` — an
+        engine over the same context and subsystems, queried with the
+        shim's explicit external conjunction — answers identically."""
         text = '(Artist = "Beatles") AND (AlbumColor ~ "red")'
         direct = fed_engine.query(text).top(4)
-        from repro.middleware.garlic import Garlic
-
-        garlic = Garlic()
-        garlic._engine = fed_engine  # same catalog, same context
-        with pytest.deprecated_call():
-            shimmed = garlic.query(text, k=4)
-        assert shimmed.items == direct.items
+        migrated = Engine(fed_engine.context)
+        for subsystem in fed_engine.catalog.subsystems:
+            migrated.register(subsystem)
+        replacement = migrated.query(text).conjunction("external").top(4)
+        assert replacement.items == direct.items
+        assert replacement.result.algorithm == direct.result.algorithm

@@ -76,8 +76,13 @@ class TestSourceBackedParallel:
 
     def test_parallel_details(self, db):
         batch = Engine.over(db).run_many(AGGS, k=5, parallel=4)
+        serial = Engine.over(db).run_many(AGGS, k=5)
         assert batch.details["parallel"] == 4
-        assert batch.details["shared_session"] is False
+        assert "parallel" not in serial.details
+        assert (batch.total_sorted, batch.total_random) == (
+            serial.total_sorted,
+            serial.total_random,
+        )
         assert batch.details["queries"] == len(AGGS)
 
     def test_totals_are_per_member_sums(self, db):

@@ -1,7 +1,7 @@
 """End-to-end integration: the full CD-store pipeline of Section 2.
 
 Builds the complete federated stack (relational + QBIC + text
-subsystems behind Garlic) and runs the paper's queries, checking
+subsystems behind one Engine) and runs the paper's queries, checking
 answers against an exhaustive oracle and cost accounting against the
 strategy expectations.
 """
@@ -11,7 +11,7 @@ import pytest
 from repro.algorithms.base import is_valid_top_k
 from repro.core.graded_set import GradedSet
 from repro.core.semantics import STANDARD_FUZZY
-from repro.middleware.garlic import Garlic
+from repro.engine import Engine, ExecutionContext
 from repro.middleware.parser import parse_query
 from repro.middleware.planner import PlannerOptions
 from repro.subsystems.qbic import QbicSubsystem
@@ -23,8 +23,10 @@ from repro.workloads.datasets import cd_store
 @pytest.fixture(scope="module")
 def stack():
     albums = cd_store(150, seed=13)
-    garlic = Garlic(options=PlannerOptions(selectivity_threshold=0.25))
-    garlic.register(
+    engine = Engine(
+        ExecutionContext(planner=PlannerOptions(selectivity_threshold=0.25))
+    )
+    engine.register(
         RelationalSubsystem(
             "store-db",
             {
@@ -37,7 +39,7 @@ def stack():
             },
         )
     )
-    garlic.register(
+    engine.register(
         QbicSubsystem(
             "qbic",
             {
@@ -47,24 +49,24 @@ def stack():
             named_targets={"Shape": {"round": (1.0,), "square": (0.0,)}},
         )
     )
-    garlic.register(
+    engine.register(
         TextSubsystem(
             "blurbs", {a.album_id: a.blurb for a in albums}, attribute="Blurb"
         )
     )
-    return albums, garlic
+    return albums, engine
 
 
-def _oracle(garlic, query_text):
+def _oracle(engine, query_text):
     query = parse_query(query_text)
     atom_sets = {}
     for a in query.atoms():
-        source = garlic.catalog.subsystem_for(a).evaluate(a)
+        source = engine.catalog.subsystem_for(a).evaluate(a)
         atom_sets[a] = GradedSet(
-            {obj: source.random_access(obj) for obj in garlic.catalog.objects}
+            {obj: source.random_access(obj) for obj in engine.catalog.objects}
         )
     return STANDARD_FUZZY.evaluate_sets(
-        query, atom_sets, garlic.catalog.objects
+        query, atom_sets, engine.catalog.objects
     )
 
 
@@ -82,17 +84,17 @@ QUERIES = [
 
 @pytest.mark.parametrize("query_text", QUERIES)
 def test_answers_match_oracle(stack, query_text):
-    __, garlic = stack
+    __, engine = stack
     k = 6
-    answer = garlic.query(query_text, k=k)
-    truth = _oracle(garlic, query_text)
+    answer = engine.query(query_text).top(k)
+    truth = _oracle(engine, query_text)
     assert is_valid_top_k(answer.items, truth, k)
 
 
 def test_every_strategy_exercised(stack):
     """The query list above covers all four physical plan types."""
-    __, garlic = stack
-    plan_types = {type(garlic.plan(q)).__name__ for q in QUERIES}
+    __, engine = stack
+    plan_types = {type(engine.plan(q)).__name__ for q in QUERIES}
     assert "FilteredConjunctPlan" in plan_types
     assert "AlgorithmPlan" in plan_types
     assert "FullScanPlan" in plan_types
@@ -100,24 +102,24 @@ def test_every_strategy_exercised(stack):
 
 def test_federated_cost_is_sublinear_for_conjunction(stack):
     """The Section 1 promise, at the federated level."""
-    __, garlic = stack
-    answer = garlic.query('(AlbumColor ~ "red") AND (Shape ~ "round")', k=5)
-    n = garlic.catalog.num_objects
+    __, engine = stack
+    answer = engine.query('(AlbumColor ~ "red") AND (Shape ~ "round")').top(5)
+    n = engine.catalog.num_objects
     assert answer.result.stats.sum_cost < 2 * n  # beats the naive scan
 
 
 def test_incremental_next_k_via_two_queries(stack):
     """Top-10 equals top-5 followed by next-5 (grade-wise)."""
-    __, garlic = stack
+    __, engine = stack
     text = '(AlbumColor ~ "red") AND (Shape ~ "round")'
-    top10 = garlic.query(text, k=10)
-    top5 = garlic.query(text, k=5)
+    top10 = engine.query(text).top(10)
+    top5 = engine.query(text).top(5)
     assert top10.result.grades()[:5] == pytest.approx(top5.result.grades())
 
 
 def test_crisp_only_query(stack):
-    albums, garlic = stack
-    answer = garlic.query('Artist = "Beatles"', k=5)
+    albums, engine = stack
+    answer = engine.query('Artist = "Beatles"').top(5)
     by_id = {a.album_id: a for a in albums}
     for item in answer.items:
         assert item.grade == 1.0

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from repro.algorithms.base import is_valid_top_k
 from repro.core.graded_set import GradedSet
 from repro.core.query import And, AtomicQuery, Or, Weighted
-from repro.middleware.garlic import Garlic
+from repro.engine import Engine, ExecutionContext
 from repro.middleware.planner import PlannerOptions
 from repro.subsystems.relational import RelationalSubsystem
 from repro.subsystems.synthetic import SyntheticSubsystem
@@ -34,12 +34,14 @@ CRISP_ATOMS = (
 )
 
 
-def _build_garlic(seed: int, threshold: float) -> Garlic:
+def _build_engine(seed: int, threshold: float) -> Engine:
     rng = random.Random(seed)
-    garlic = Garlic(
-        options=PlannerOptions(selectivity_threshold=threshold)
+    engine = Engine(
+        ExecutionContext(
+            planner=PlannerOptions(selectivity_threshold=threshold)
+        )
     )
-    garlic.register(
+    engine.register(
         RelationalSubsystem(
             "rel",
             {
@@ -48,7 +50,7 @@ def _build_garlic(seed: int, threshold: float) -> Garlic:
             },
         )
     )
-    garlic.register(
+    engine.register(
         SyntheticSubsystem(
             "syn",
             generated={
@@ -60,7 +62,7 @@ def _build_garlic(seed: int, threshold: float) -> Garlic:
             seed=seed + 1,
         )
     )
-    return garlic
+    return engine
 
 
 @st.composite
@@ -79,14 +81,14 @@ def monotone_queries(draw, depth=2):
     return Weighted(operands, weights)
 
 
-def _oracle(garlic: Garlic, query) -> GradedSet:
+def _oracle(engine: Engine, query) -> GradedSet:
     atom_sets = {}
     for a in query.atoms():
-        src = garlic.catalog.subsystem_for(a).evaluate(a)
+        src = engine.catalog.subsystem_for(a).evaluate(a)
         atom_sets[a] = GradedSet(
             {obj: src.random_access(obj) for obj in OBJECTS}
         )
-    return garlic.semantics.evaluate_sets(query, atom_sets, OBJECTS)
+    return engine.semantics.evaluate_sets(query, atom_sets, OBJECTS)
 
 
 class TestFullStackFuzz:
@@ -98,9 +100,9 @@ class TestFullStackFuzz:
     )
     @settings(max_examples=120, deadline=None)
     def test_planned_answer_matches_oracle(self, query, seed, k, threshold):
-        garlic = _build_garlic(seed, threshold)
-        answer = garlic.query(query, k=k)
-        truth = _oracle(garlic, query)
+        engine = _build_engine(seed, threshold)
+        answer = engine.query(query).top(k)
+        truth = _oracle(engine, query)
         assert is_valid_top_k(answer.items, truth, k), (
             f"plan {type(answer.plan).__name__} wrong for {query!r} "
             f"at k={k}, threshold={threshold}"
@@ -112,8 +114,8 @@ class TestFullStackFuzz:
     )
     @settings(max_examples=40, deadline=None)
     def test_plan_strategies_all_reachable_and_explainable(self, query, seed):
-        garlic = _build_garlic(seed, threshold=0.5)
-        plan = garlic.plan(query)
+        engine = _build_engine(seed, threshold=0.5)
+        plan = engine.plan(query)
         text = plan.explain()
         assert isinstance(text, str) and text
 
@@ -122,10 +124,10 @@ class TestFullStackFuzz:
     def test_negated_queries_also_correct(self, seed):
         from repro.core.query import Not
 
-        garlic = _build_garlic(seed, threshold=0.2)
+        engine = _build_engine(seed, threshold=0.2)
         query = And(
             (Not(CRISP_ATOMS[0]), GRADED_ATOMS[0])
         )
-        answer = garlic.query(query, k=5)
-        truth = _oracle(garlic, query)
+        answer = engine.query(query).top(5)
+        truth = _oracle(engine, query)
         assert is_valid_top_k(answer.items, truth, 5)

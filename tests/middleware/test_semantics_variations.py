@@ -1,4 +1,4 @@
-"""Garlic under non-standard fuzzy semantics.
+"""The Garlic scenario under non-standard fuzzy semantics.
 
 Section 3 surveys many conjunction/disjunction rules; the middleware
 must stay correct (and appropriately conservative) when configured
@@ -16,7 +16,7 @@ from repro.core.graded_set import GradedSet
 from repro.core.semantics import FuzzySemantics
 from repro.core.tconorms import ALGEBRAIC_SUM, BOUNDED_SUM
 from repro.core.tnorms import ALGEBRAIC_PRODUCT, BOUNDED_DIFFERENCE
-from repro.middleware.garlic import Garlic
+from repro.engine import Engine, ExecutionContext
 from repro.middleware.parser import parse_query
 from repro.subsystems.qbic import QbicSubsystem
 
@@ -28,10 +28,10 @@ LUKASIEWICZ_SEMANTICS = FuzzySemantics(
 )
 
 
-def _garlic(semantics):
+def _engine(semantics):
     rng = random.Random(31)
     objs = [f"o{i}" for i in range(80)]
-    g = Garlic(semantics=semantics)
+    g = Engine(ExecutionContext(semantics=semantics))
     g.register(
         QbicSubsystem(
             "qbic",
@@ -46,16 +46,16 @@ def _garlic(semantics):
     return g
 
 
-def _oracle(garlic, text):
+def _oracle(engine, text):
     query = parse_query(text)
     atom_sets = {}
     for a in query.atoms():
-        src = garlic.catalog.subsystem_for(a).evaluate(a)
+        src = engine.catalog.subsystem_for(a).evaluate(a)
         atom_sets[a] = GradedSet(
-            {obj: src.random_access(obj) for obj in garlic.catalog.objects}
+            {obj: src.random_access(obj) for obj in engine.catalog.objects}
         )
-    return garlic.semantics.evaluate_sets(
-        query, atom_sets, garlic.catalog.objects
+    return engine.semantics.evaluate_sets(
+        query, atom_sets, engine.catalog.objects
     )
 
 
@@ -70,47 +70,47 @@ DISJUNCTION = '(Color ~ "red") OR (Shape ~ "round")'
 )
 class TestNonStandardSemantics:
     def test_conjunction_answers_match_oracle(self, semantics):
-        garlic = _garlic(semantics)
-        answer = garlic.query(CONJUNCTION, k=5)
-        assert is_valid_top_k(answer.items, _oracle(garlic, CONJUNCTION), 5)
+        engine = _engine(semantics)
+        answer = engine.query(CONJUNCTION).top(5)
+        assert is_valid_top_k(answer.items, _oracle(engine, CONJUNCTION), 5)
 
     def test_disjunction_answers_match_oracle(self, semantics):
-        garlic = _garlic(semantics)
-        answer = garlic.query(DISJUNCTION, k=5)
-        assert is_valid_top_k(answer.items, _oracle(garlic, DISJUNCTION), 5)
+        engine = _engine(semantics)
+        answer = engine.query(DISJUNCTION).top(5)
+        assert is_valid_top_k(answer.items, _oracle(engine, DISJUNCTION), 5)
 
     def test_no_min_max_shortcuts(self, semantics):
         """A0'/B0 are min/max-specific; other semantics get generic A0."""
-        garlic = _garlic(semantics)
-        assert garlic.plan(CONJUNCTION).algorithm.name == "A0"
-        assert garlic.plan(DISJUNCTION).algorithm.name == "A0"
+        engine = _engine(semantics)
+        assert engine.plan(CONJUNCTION).algorithm.name == "A0"
+        assert engine.plan(DISJUNCTION).algorithm.name == "A0"
 
     def test_no_idempotence_rewrites(self, semantics):
         """Theorem 3.1: rewriting A AND A -> A changes answers here."""
-        garlic = _garlic(semantics)
+        engine = _engine(semantics)
         doubled = parse_query('(Color ~ "red") AND (Color ~ "red")')
-        plan = garlic.plan(doubled)
+        plan = engine.plan(doubled)
         # The tree is preserved: both conjuncts still present.
         assert len(plan.query.children()) == 2
 
     def test_still_sublinear(self, semantics):
-        garlic = _garlic(semantics)
-        answer = garlic.query(CONJUNCTION, k=5)
-        n = garlic.catalog.num_objects
+        engine = _engine(semantics)
+        answer = engine.query(CONJUNCTION).top(5)
+        n = engine.catalog.num_objects
         assert answer.result.stats.sum_cost < 2 * n
 
     def test_answers_differ_from_standard_semantics(self, semantics):
         """The semantics genuinely changes grades (not just plumbing)."""
-        garlic = _garlic(semantics)
-        standard = _garlic(FuzzySemantics())
-        alt = garlic.query(CONJUNCTION, k=1).items[0]
-        std = standard.query(CONJUNCTION, k=1).items[0]
+        engine = _engine(semantics)
+        standard = _engine(FuzzySemantics())
+        alt = engine.query(CONJUNCTION).top(1).items[0]
+        std = standard.query(CONJUNCTION).top(1).items[0]
         assert alt.grade != pytest.approx(std.grade)
 
 
 class TestWeightedUnderNonStandardSemantics:
     def test_weighted_query_uses_configured_tnorm(self):
-        garlic = _garlic(PRODUCT_SEMANTICS)
+        engine = _engine(PRODUCT_SEMANTICS)
         text = 'WEIGHTED(2: Color ~ "red", 1: Shape ~ "round")'
-        answer = garlic.query(text, k=5)
-        assert is_valid_top_k(answer.items, _oracle(garlic, text), 5)
+        answer = engine.query(text).top(5)
+        assert is_valid_top_k(answer.items, _oracle(engine, text), 5)

@@ -28,9 +28,9 @@ DOCTEST_MODULES = [
     "repro.core.means",
     "repro.core.weights",
     "repro.core.parametric",
+    "repro.engine.registry",
     "repro.algorithms.median",
     "repro.algorithms.hard_query",
-    "repro.algorithms.selection",
     "repro.analysis.bounds",
     "repro.analysis.fitting",
     "repro.analysis.tables",
@@ -57,7 +57,7 @@ def test_top_level_version():
 
 def test_headline_imports():
     """The README quickstart imports, verbatim."""
-    from repro import FaginA0, Garlic, MINIMUM, NaiveAlgorithm  # noqa: F401
+    from repro import Engine, FaginA0, MINIMUM, NaiveAlgorithm  # noqa: F401
     from repro.workloads import independent_database  # noqa: F401
 
 
