@@ -2,18 +2,16 @@
 
 Drives ``POST /v1/query`` with ``--clients`` concurrent paced workers
 targeting ``--target-qps`` aggregate, measures the end-to-end latency
-distribution, and (optionally) writes the result into BENCH_topk.json
-as an **informational** ``serve-`` lane — recorded for the throughput
-trajectory, never hard-gated (wall-clock through a socket is machine
-noise; the perf harness's access-count gates stay authoritative).
+distribution and prints it as JSON. perfbench's ``serve-http``
+workload is the serving path's benchmark; this generator checks the
+serving invariants.
 
 Modes::
 
     # Against a running server:
     PYTHONPATH=src python benchmarks/load_gen.py \\
         --url http://127.0.0.1:8000 --clients 8 --duration 5 \\
-        --target-qps 200 --lane serve-N10000-m3-k10 \\
-        --merge-into BENCH_topk.json
+        --target-qps 200
 
     # Self-booting (spawns `python -m repro.serving`, waits for
     # /healthz, loads, then SIGINTs and asserts a clean drain):
@@ -48,7 +46,6 @@ import threading
 import time
 import urllib.error
 import urllib.request
-from pathlib import Path
 
 DEFAULT_TIMEOUT_S = 30.0
 
@@ -349,24 +346,6 @@ def smoke_check(args, payload: dict, failures: list[str]) -> dict:
 
 
 # ----------------------------------------------------------------------
-# BENCH_topk.json merge
-# ----------------------------------------------------------------------
-
-
-def merge_lane(path: Path, lane: dict) -> None:
-    """Insert/replace the lane in the bench file, touching nothing else."""
-    report = json.loads(path.read_text()) if path.exists() else {
-        "schema": "bench-topk/v3",
-        "configs": [],
-    }
-    configs = report.setdefault("configs", [])
-    report["configs"] = [
-        c for c in configs if c.get("config") != lane["config"]
-    ] + [lane]
-    path.write_text(json.dumps(report, indent=2) + "\n")
-
-
-# ----------------------------------------------------------------------
 # Server boot (self-contained smoke / bench runs)
 # ----------------------------------------------------------------------
 
@@ -457,7 +436,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--deadline-ms", type=float, default=None,
-        help="per-request deadline_ms field (the serving deadline lane)",
+        help="per-request deadline_ms field (exercises the deadline path)",
     )
     parser.add_argument(
         "--allow-partial", action="store_true",
@@ -465,14 +444,6 @@ def main(argv: list[str] | None = None) -> int:
         "prefixes (200 + guarantee block) instead of 504",
     )
     parser.add_argument("--timeout-s", type=float, default=DEFAULT_TIMEOUT_S)
-    parser.add_argument(
-        "--lane", default=None,
-        help="config name for the bench lane (default serve-<agg>-k<k>)",
-    )
-    parser.add_argument(
-        "--merge-into", default=None, metavar="BENCH_JSON",
-        help="write the lane into this bench file (other lanes untouched)",
-    )
     parser.add_argument(
         "--smoke", action="store_true",
         help="exercise cursor/explain/healthz/metrics and assert invariants",
@@ -515,11 +486,7 @@ def main(argv: list[str] | None = None) -> int:
     latencies = sorted(stats.latencies_ms)
     ok = stats.by_status.get(200, 0)
     shed = stats.by_status.get(503, 0)
-    lane = {
-        "config": args.lane
-        or f"serve-{args.aggregation if not args.query else 'query'}-k{args.k}",
-        "workload": "serving",
-        "informational": True,
+    report = {
         "clients": args.clients,
         "target_qps": args.target_qps,
         "requests": stats.total,
@@ -543,7 +510,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     if server_metrics:
         engine = server_metrics.get("engine", {})
-        lane["server"] = {
+        report["server"] = {
             "qps": server_metrics.get("server", {}).get("qps"),
             "p99_ms": server_metrics.get("server", {})
             .get("latency", {})
@@ -554,9 +521,9 @@ def main(argv: list[str] | None = None) -> int:
             "cache_hits": engine.get("cache_totals", {}).get("hits"),
         }
     if exercised:
-        lane["smoke"] = exercised
+        report["smoke"] = exercised
 
-    print(json.dumps(lane, indent=2))
+    print(json.dumps(report, indent=2))
 
     # Invariants of every run (smoke or bench): the server answered,
     # deterministically, and nothing failed server-side.
@@ -586,10 +553,6 @@ def main(argv: list[str] | None = None) -> int:
             f"{shed} requests shed (503) — raise capacity or pass "
             "--allow-shed for overload experiments"
         )
-
-    if args.merge_into and not failures:
-        merge_lane(Path(args.merge_into), lane)
-        print(f"merged lane {lane['config']!r} into {args.merge_into}")
 
     if failures:
         print("\nLOAD GEN FAILURES:", file=sys.stderr)

@@ -76,10 +76,10 @@ Three further lanes extend the trajectory:
 * **plan** configs (``plan-``) — the adaptive-planning lane: a
   repeated-shape workload (conjunctive at two k bands + disjunctive,
   round-robin, 60 queries per shape) through the engine's shape-keyed
-  plan cache, calibrated cost model and measured-history chooser,
-  against every *feasible* fixed-strategy replay of the same workload
-  (b0 cannot run the conjunctive shapes, fagin-min cannot run the
-  disjunctive one — reported as infeasible, never silently skipped).
+  plan cache and measured-history chooser, against every *feasible*
+  fixed-strategy replay of the same workload (b0 cannot run the
+  conjunctive shapes, fagin-min cannot run the disjunctive one —
+  reported as infeasible, never silently skipped).
   Generation-time hard gates: answers identical to the static engine
   on every run, a fresh adaptive replay reproducing the access totals
   bit for bit (deterministic decisions), plan-cache hit rate >=
@@ -101,12 +101,6 @@ Three further lanes extend the trajectory:
   remaining-upper bounds capping the oracle's best hidden grade on
   every page. ``--compare`` gates the per-ε access counts, never the
   wall-clock.
-* **serving** configs (``serve-``) — written by
-  ``benchmarks/load_gen.py`` against a live ``repro.serving`` HTTP
-  server, not by this harness. Purely informational: end-to-end
-  socket latency is machine noise, so ``--compare`` never gates on
-  them, and regenerating this file carries existing serve- lanes
-  forward untouched.
 
 ``--only PREFIX`` re-runs just the configs whose name starts with
 PREFIX (``--only shard-`` after a sharding change); every lane the
@@ -1100,9 +1094,9 @@ def bench_plan(entry, repeats: int) -> dict:
     three query shapes (deterministic round-robin) against a federated
     catalog engine. Four runs are compared:
 
-    * **adaptive** — the engine as shipped: shape-keyed plan cache,
-      calibrated cost model, measured-history chooser (with the
-      warmed-up serving options above);
+    * **adaptive** — the engine as shipped: shape-keyed plan cache and
+      measured-history chooser (with the warmed-up serving options
+      above);
     * **fixed-NAME** — the same engine with adaptive planning off and
       NAME forced on every query, for each feasible registry strategy.
 
@@ -1273,7 +1267,6 @@ def bench_plan(entry, repeats: int) -> dict:
         f"  {'plan mint':<16} cold {cold_plan_ms:6.3f} ms   "
         f"cached {cached_plan_us:6.1f} us/plan"
     )
-    calibration = planner_metrics["calibration"].get("__all__", {})
     return {
         "config": name,
         "workload": entry["workload"],
@@ -1290,7 +1283,6 @@ def bench_plan(entry, repeats: int) -> dict:
         "plan_cache": cache,
         "plan_cache_hit_rate": round(hit_rate, 4),
         "chooser": planner_metrics["chooser"],
-        "calibration_global": calibration,
         "cold_plan_ms": round(cold_plan_ms, 3),
         "cached_plan_us": round(cached_plan_us, 2),
         "static_auto_ms": round(static_ms, 3),
@@ -1641,13 +1633,6 @@ def compare(current: dict, baseline_path: Path) -> list[str]:
     base_by_name = {c["config"]: c for c in baseline.get("configs", [])}
     failures: list[str] = []
     for config in current["configs"]:
-        if config.get("workload") == "serving":
-            # serve- lanes come from benchmarks/load_gen.py and are
-            # informational only: end-to-end socket wall-clock is
-            # machine noise, and they carry no per-algorithm access
-            # counts to gate. Reported for the trajectory, never
-            # failed on.
-            continue
         base = base_by_name.get(config["config"])
         if base is None:
             continue
@@ -1759,13 +1744,11 @@ def main(argv=None) -> int:
         report["configs"].append(bench_config(entry, args.repeats))
     report["wall_s"] = round(time.perf_counter() - started, 1)
 
-    # Carry-forward: serve- lanes are produced by benchmarks/load_gen.py
-    # against a live server, not by this harness, so they always ride
-    # along from the existing output file; under --only, every lane the
-    # filter skipped is likewise carried forward, so a partial
-    # re-measure never silently drops the rest of the trajectory.
+    # Carry-forward: under --only, every lane the filter skipped rides
+    # along from the existing output file, so a partial re-measure
+    # never silently drops the rest of the trajectory.
     out_path = Path(args.out)
-    if out_path.exists():
+    if args.only and out_path.exists():
         try:
             previous_configs = json.loads(out_path.read_text()).get(
                 "configs", []
@@ -1773,12 +1756,7 @@ def main(argv=None) -> int:
         except ValueError:
             previous_configs = []
         ran = {c["config"] for c in report["configs"]}
-        carried = [
-            c
-            for c in previous_configs
-            if c["config"] not in ran
-            and (c.get("workload") == "serving" or args.only)
-        ]
+        carried = [c for c in previous_configs if c["config"] not in ran]
         if carried:
             report["configs"].extend(carried)
             print(

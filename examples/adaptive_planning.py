@@ -6,9 +6,6 @@ federation:
 * **plan cache** — the first query of a shape pays the full planning
   pass; every repeat with different constants is a shape lookup plus a
   constant rebind (cold vs cached mint is timed below);
-* **calibrated cost model** — wall-clock observations refine the
-  abstract access-count model into per-subsystem microseconds,
-  surfaced in ``explain()`` and ``metrics_snapshot()``;
 * **chooser** — per-shape measured access histories let the engine
   *override* the static planner's pick when the evidence says another
   registry strategy is cheaper, without ever changing answers.
@@ -125,7 +122,7 @@ def explain_demo() -> None:
     print("=== explain(): the adaptive block ===")
     engine = build_engine()
     query = conjunction()
-    engine.query(query).top(K)  # seed cache, calibration and history
+    engine.query(query).top(K)  # seed the cache and the history
     report = engine.query(query).explain()
     lines = report.splitlines()
     start = lines.index("--- adaptive planning ---")

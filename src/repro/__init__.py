@@ -36,7 +36,10 @@ Federated string queries run through the same engine::
     print(answer.plan.explain(), answer.items)
 
 The 2.x shims ``Garlic``, ``QueryCursor`` and ``choose_algorithm`` were
-removed in 3.0: use ``Engine`` and ``select_strategy``.
+removed in 3.0: use ``Engine`` and ``select_strategy``. 4.0 removed
+the adaptive layer's wall-clock cost calibration, and five
+``AdaptiveOptions`` fields became constants of
+``repro.engine.adaptive``.
 
 See DESIGN.md for the paper-to-module map and the list of removed
 names with their replacements.
@@ -111,7 +114,7 @@ from repro.subsystems import (
     TextSubsystem,
 )
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "__version__",

@@ -56,25 +56,6 @@ class CostModel:
         """
         return self.random_weight / self.sorted_weight
 
-    @classmethod
-    def from_calibration(
-        cls, sorted_seconds: float, random_seconds: float
-    ) -> "CostModel":
-        """A model from measured per-access seconds, normalized to c1=1.
-
-        The paper's constants are abstract weights; a calibrated model
-        carries the *measured ratio* while keeping costs comparable to
-        the unweighted ledger (one sorted access still costs 1).
-        """
-        if sorted_seconds <= 0 or random_seconds <= 0:
-            raise ValueError(
-                "calibrated unit costs must be positive, got "
-                f"sorted={sorted_seconds}, random={random_seconds}"
-            )
-        return cls(
-            sorted_weight=1.0, random_weight=random_seconds / sorted_seconds
-        )
-
 
 #: The unweighted model (c1 = c2 = 1) used throughout the benchmarks.
 UNWEIGHTED = CostModel()

@@ -7,7 +7,7 @@ baseline/suppression entries::
 
     [rules.RPR001]
     paths = ["repro/algorithms/", "repro/engine/adaptive.py"]
-    allow-within = ["CalibratedCostModel.observe"]
+    allow-within = ["QueryTrace.span"]
 
     [[suppressions]]
     rule = "RPR002"

@@ -22,8 +22,8 @@ Flagged:
 Allowed without comment: ``random.Random(seed)`` *with* a seed and
 ``numpy.random.default_rng(seed)`` — deterministic by construction.
 Telemetry-only call sites are waived via the config's
-``allow-within`` qualname globs (e.g. a calibration observer that is
-*handed* an elapsed time but never reads the clock itself).
+``allow-within`` qualname globs (e.g. a tracer that times spans for
+reports but never feeds a decision).
 """
 
 from __future__ import annotations

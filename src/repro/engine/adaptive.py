@@ -1,14 +1,9 @@
-"""Adaptive planning: measured costs, a plan cache, and a chooser.
+"""Adaptive planning: a plan cache and an access-count chooser.
 
-Section 5 prices every run as ``c1*S + c2*R`` — but the paper's
-constants are *givens*, while a running middleware can measure them.
-This module closes that loop with three cooperating pieces:
+Section 5 prices every run as ``c1*S + c2*R`` with the constants
+given; the context's static :class:`~repro.access.cost.CostModel`
+carries them. This module adds two cooperating pieces on top:
 
-* :class:`CalibratedCostModel` — fits per-subsystem sorted/random unit
-  costs (seconds per access) and batch-amortization factors from the
-  ``AccessStats`` + wall-clock telemetry every executed query already
-  produces. Exponentially-decayed online least squares, thread-safe,
-  snapshot/restore serializable.
 * :class:`PlanCache` — memoizes physical plans under a *normalized
   query shape* (atoms modulo constants, aggregation, k-band,
   subsystem set, store fingerprint), so the dominant traffic pattern
@@ -16,11 +11,12 @@ This module closes that loop with three cooperating pieces:
   Single-flight minting (the :class:`~repro.subsystems.base.RankingCache`
   discipline), LRU-bounded, invalidated whenever the catalog or store
   fingerprint moves.
-* :class:`AdaptiveChooser` — keeps a per-(shape, strategy) ledger of
-  *measured* access costs and overrides the static selection when the
-  evidence disagrees with the estimate (explore rarely, exploit the
-  winner). Decisions are surfaced through ``explain()`` with both the
-  estimate and the evidence.
+* :class:`AdaptiveChooser` — keeps a per-shape ledger of *measured*
+  access costs per strategy and overrides the static selection when
+  the evidence disagrees with the estimate (explore rarely, exploit
+  the winner). The ledger is LRU-bounded like the plan cache.
+  Decisions are surfaced through ``explain()`` with both the estimate
+  and the evidence.
 
 Determinism contract
 --------------------
@@ -35,9 +31,6 @@ function of the query sequence:
 * ``run_many`` batches and cursors reuse cached plans but never consult
   nor advance the chooser — the serial/parallel count-parity gates stay
   bit-identical.
-
-The calibrated *seconds* feed estimates, ``explain()`` text and the
-``/metrics`` planner block only.
 """
 
 from __future__ import annotations
@@ -46,7 +39,7 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace as _dc_replace
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.access.cost import AccessStats, CostModel
 from repro.core.query import And, AtomicQuery, Ft, Not, Or, Query, Weighted
@@ -71,7 +64,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "AdaptiveOptions",
-    "CalibratedCostModel",
     "QueryShape",
     "shape_of_query",
     "shape_of_aggregation",
@@ -86,10 +78,28 @@ __all__ = [
 # Options
 # ----------------------------------------------------------------------
 
+#: LRU bound on distinct shapes, shared by the plan cache and the
+#: chooser's ledger.
+PLAN_CACHE_CAPACITY = 256
+
+#: EWMA step for a shape's per-strategy measured-cost cell:
+#: ``new = (1 - HISTORY_DECAY) * old + HISTORY_DECAY * sample``.
+HISTORY_DECAY = 0.3
+
+#: A measured winner must beat the incumbent's measured cost by this
+#: factor to take over (guards against noise flapping).
+OVERRIDE_MARGIN = 0.9
+
+#: Never trial a candidate whose *estimated* cost exceeds this multiple
+#: of the best measured cost on the shape — exploration must not torch
+#: the latency budget (e.g. a naive full scan on a shape the incumbent
+#: answers in hundreds of accesses).
+EXPLORE_COST_CAP = 3.0
+
 
 @dataclass(frozen=True)
 class AdaptiveOptions:
-    """Tuning knobs for the adaptive planning layer.
+    """The chooser's exploration cadence.
 
     The defaults are deliberately conservative: a shape must repeat
     ``explore_after`` times before the first exploration, so short-lived
@@ -99,14 +109,6 @@ class AdaptiveOptions:
 
     Attributes
     ----------
-    plan_cache_capacity:
-        LRU bound on distinct cached shapes.
-    calibration_decay:
-        Forgetting factor of the decayed least-squares fit (weight of
-        history per new observation; closer to 1 = longer memory).
-    history_decay:
-        EWMA step for the per-(shape, strategy) measured-cost ledger:
-        ``new = (1 - history_decay) * old + history_decay * sample``.
     explore_after:
         Number of decisions a shape must accumulate before the chooser
         may run its first exploration trial.
@@ -117,40 +119,13 @@ class AdaptiveOptions:
         Samples a strategy needs on a shape before its measured cost
         can win an override (and before exploration stops re-trialing
         it).
-    override_margin:
-        A measured winner must beat the incumbent's measured cost by
-        this factor to take over (guards against noise flapping).
-    explore_cost_cap:
-        Never trial a candidate whose *estimated* cost exceeds this
-        multiple of the best measured cost on the shape — exploration
-        must not torch the latency budget (e.g. a naive full scan on a
-        shape the incumbent answers in hundreds of accesses).
     """
 
-    plan_cache_capacity: int = 256
-    calibration_decay: float = 0.9
-    history_decay: float = 0.3
     explore_after: int = 32
     explore_every: int = 64
     min_trials: int = 3
-    override_margin: float = 0.9
-    explore_cost_cap: float = 3.0
 
     def __post_init__(self) -> None:
-        if self.plan_cache_capacity < 1:
-            raise ValueError(
-                f"plan_cache_capacity must be positive, "
-                f"got {self.plan_cache_capacity}"
-            )
-        if not 0.0 < self.calibration_decay <= 1.0:
-            raise ValueError(
-                f"calibration_decay must be in (0, 1], "
-                f"got {self.calibration_decay}"
-            )
-        if not 0.0 < self.history_decay <= 1.0:
-            raise ValueError(
-                f"history_decay must be in (0, 1], got {self.history_decay}"
-            )
         if self.explore_after < 1 or self.explore_every < 1:
             raise ValueError(
                 "explore_after and explore_every must be positive, got "
@@ -160,260 +135,6 @@ class AdaptiveOptions:
             raise ValueError(
                 f"min_trials must be positive, got {self.min_trials}"
             )
-        if not 0.0 < self.override_margin <= 1.0:
-            raise ValueError(
-                f"override_margin must be in (0, 1], "
-                f"got {self.override_margin}"
-            )
-        if self.explore_cost_cap < 1.0:
-            raise ValueError(
-                f"explore_cost_cap must be >= 1, got {self.explore_cost_cap}"
-            )
-
-
-# ----------------------------------------------------------------------
-# Calibrated cost model
-# ----------------------------------------------------------------------
-
-#: Pseudo-scope aggregating every observation (the global fit reported
-#: when a per-subsystem scope has too little data).
-GLOBAL_SCOPE = "__all__"
-
-#: Observations a scope needs before its fitted units are trusted.
-MIN_CALIBRATION_OBSERVATIONS = 5
-
-
-class _ScopeFit:
-    """Decayed least-squares state for one scope (subsystem or global).
-
-    Fits ``elapsed ~= c1 * S + c2 * R`` by minimizing the
-    exponentially-weighted squared error; the sufficient statistics are
-    five decayed sums, so an update is O(1) and a solve is a 2x2
-    system. When the design is degenerate (e.g. the scope never served
-    a random access) the fit falls back to a per-access rate.
-    """
-
-    __slots__ = (
-        "ss", "rr", "sr", "st", "rt", "tt",
-        "weight", "observations",
-        "unit_seconds", "batched_seconds",
-    )
-
-    def __init__(self) -> None:
-        self.ss = self.rr = self.sr = self.st = self.rt = self.tt = 0.0
-        self.weight = 0.0
-        self.observations = 0
-        #: EWMA seconds-per-access over unit-transport observations
-        #: and over batched-transport ones; their ratio is the batch
-        #: amortization factor.
-        self.unit_seconds: float | None = None
-        self.batched_seconds: float | None = None
-
-    def observe(
-        self,
-        sorted_count: int,
-        random_count: int,
-        elapsed: float,
-        decay: float,
-        batched: bool | None,
-    ) -> None:
-        s = float(sorted_count)
-        r = float(random_count)
-        self.ss = decay * self.ss + s * s
-        self.rr = decay * self.rr + r * r
-        self.sr = decay * self.sr + s * r
-        self.st = decay * self.st + s * elapsed
-        self.rt = decay * self.rt + r * elapsed
-        self.tt = decay * self.tt + elapsed
-        self.weight = decay * self.weight + (s + r)
-        self.observations += 1
-        total = s + r
-        if batched is not None and total > 0:
-            per_access = elapsed / total
-            if batched:
-                prior = self.batched_seconds
-                self.batched_seconds = (
-                    per_access if prior is None
-                    else 0.7 * prior + 0.3 * per_access
-                )
-            else:
-                prior = self.unit_seconds
-                self.unit_seconds = (
-                    per_access if prior is None
-                    else 0.7 * prior + 0.3 * per_access
-                )
-
-    def units(self) -> tuple[float, float] | None:
-        """Fitted (sorted, random) seconds per access, or None."""
-        if self.observations == 0 or self.weight <= 0:
-            return None
-        rate = self.tt / self.weight  # blended seconds per access
-        det = self.ss * self.rr - self.sr * self.sr
-        if det > 1e-18 * max(self.ss, self.rr, 1.0) ** 2:
-            c1 = (self.st * self.rr - self.rt * self.sr) / det
-            c2 = (self.rt * self.ss - self.st * self.sr) / det
-            # A negative coefficient means the design is too collinear
-            # for a 2-parameter fit; fall back to the blended rate for
-            # the offending axis.
-            if c1 > 0 and c2 > 0:
-                return (c1, c2)
-        if self.ss > 0 and self.rr == 0:
-            return (self.st / self.ss, rate)
-        if self.rr > 0 and self.ss == 0:
-            return (rate, self.rt / self.rr)
-        return (rate, rate)
-
-    def amortization(self) -> float | None:
-        """batched/unit seconds-per-access ratio (< 1 = batching pays)."""
-        if self.unit_seconds is None or self.batched_seconds is None:
-            return None
-        if self.unit_seconds <= 0:
-            return None
-        return self.batched_seconds / self.unit_seconds
-
-    def snapshot(self) -> dict:
-        return {
-            "ss": self.ss, "rr": self.rr, "sr": self.sr,
-            "st": self.st, "rt": self.rt, "tt": self.tt,
-            "weight": self.weight,
-            "observations": self.observations,
-            "unit_seconds": self.unit_seconds,
-            "batched_seconds": self.batched_seconds,
-        }
-
-    @classmethod
-    def from_snapshot(cls, data: Mapping) -> "_ScopeFit":
-        fit = cls()
-        fit.ss = float(data["ss"])
-        fit.rr = float(data["rr"])
-        fit.sr = float(data["sr"])
-        fit.st = float(data["st"])
-        fit.rt = float(data["rt"])
-        fit.tt = float(data["tt"])
-        fit.weight = float(data["weight"])
-        fit.observations = int(data["observations"])
-        fit.unit_seconds = data.get("unit_seconds")
-        fit.batched_seconds = data.get("batched_seconds")
-        return fit
-
-
-class CalibratedCostModel:
-    """Online fit of per-scope access unit costs from telemetry.
-
-    ``observe`` apportions one query's elapsed wall-clock across the
-    subsystem scopes it touched (proportionally to their access
-    counts) and updates each scope's decayed least-squares state plus
-    the global scope. Thread-safe; all reads return plain data.
-    """
-
-    def __init__(self, decay: float = 0.9) -> None:
-        self._decay = decay
-        self._lock = threading.Lock()
-        self._scopes: dict[str, _ScopeFit] = {}
-
-    def observe(
-        self,
-        scopes: Mapping[str, tuple[int, int]],
-        elapsed: float,
-        batched: bool | None = None,
-    ) -> None:
-        """Record one completed query.
-
-        ``scopes`` maps scope name -> (sorted, random) access counts;
-        ``elapsed`` is the query's wall-clock seconds; ``batched``
-        says which transport served it (None = unknown).
-        """
-        if elapsed < 0:
-            return
-        total = sum(s + r for s, r in scopes.values())
-        if total <= 0:
-            return
-        with self._lock:
-            for name, (s, r) in scopes.items():
-                share = elapsed * (s + r) / total
-                self._fit(name).observe(s, r, share, self._decay, batched)
-            global_s = sum(s for s, _ in scopes.values())
-            global_r = sum(r for _, r in scopes.values())
-            self._fit(GLOBAL_SCOPE).observe(
-                global_s, global_r, elapsed, self._decay, batched
-            )
-
-    def _fit(self, name: str) -> _ScopeFit:
-        fit = self._scopes.get(name)
-        if fit is None:
-            fit = self._scopes[name] = _ScopeFit()
-        return fit
-
-    @property
-    def observations(self) -> int:
-        with self._lock:
-            fit = self._scopes.get(GLOBAL_SCOPE)
-            return fit.observations if fit is not None else 0
-
-    def units(self, scope: str = GLOBAL_SCOPE) -> tuple[float, float] | None:
-        """(sorted, random) seconds per access for a scope, or None."""
-        with self._lock:
-            fit = self._scopes.get(scope)
-            if fit is None or fit.observations < MIN_CALIBRATION_OBSERVATIONS:
-                return None
-            return fit.units()
-
-    def estimate_seconds(
-        self, sorted_count: float, random_count: float
-    ) -> float | None:
-        """Predicted wall-clock for (S, R) accesses under the global fit."""
-        units = self.units()
-        if units is None:
-            return None
-        return units[0] * sorted_count + units[1] * random_count
-
-    def as_cost_model(self) -> CostModel | None:
-        """The calibrated (c1, c2) as a normalized :class:`CostModel`."""
-        units = self.units()
-        if units is None:
-            return None
-        return CostModel.from_calibration(*units)
-
-    def snapshot(self) -> dict:
-        """Serializable state: per-scope sums plus solved units."""
-        with self._lock:
-            scopes = {
-                name: fit.snapshot() for name, fit in self._scopes.items()
-            }
-        return {"decay": self._decay, "scopes": scopes}
-
-    def restore(self, data: Mapping) -> None:
-        """Load a :meth:`snapshot` (replaces current state)."""
-        scopes = {
-            str(name): _ScopeFit.from_snapshot(fit)
-            for name, fit in dict(data.get("scopes", {})).items()
-        }
-        with self._lock:
-            self._decay = float(data.get("decay", self._decay))
-            self._scopes = scopes
-
-    def metrics(self) -> dict:
-        """JSON-ready per-scope units for the ``/metrics`` plane."""
-        with self._lock:
-            fits = dict(self._scopes)
-            out: dict[str, object] = {}
-            for name, fit in fits.items():
-                units = fit.units() if fit.observations else None
-                out[name] = {
-                    "observations": fit.observations,
-                    "sorted_unit_us": (
-                        round(units[0] * 1e6, 4) if units else None
-                    ),
-                    "random_unit_us": (
-                        round(units[1] * 1e6, 4) if units else None
-                    ),
-                    "batch_amortization": (
-                        round(fit.amortization(), 4)
-                        if fit.amortization() is not None
-                        else None
-                    ),
-                }
-        return out
 
 
 # ----------------------------------------------------------------------
@@ -603,7 +324,7 @@ class PlanCache:
     minted against a replaced store never survive it.
     """
 
-    def __init__(self, capacity: int = 256) -> None:
+    def __init__(self, capacity: int = PLAN_CACHE_CAPACITY) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
@@ -746,12 +467,25 @@ class _HistoryCell:
         self.ewma = 0.0
         self.samples = 0
 
-    def update(self, cost: float, alpha: float) -> None:
+    def update(self, cost: float) -> None:
         if self.samples == 0:
             self.ewma = cost
         else:
-            self.ewma = (1.0 - alpha) * self.ewma + alpha * cost
+            self.ewma = (
+                (1.0 - HISTORY_DECAY) * self.ewma + HISTORY_DECAY * cost
+            )
         self.samples += 1
+
+
+class _ShapeLedger:
+    """One shape's chooser state: how many decisions it has had, and
+    one measured-cost cell per strategy that ran on it."""
+
+    __slots__ = ("decisions", "cells")
+
+    def __init__(self) -> None:
+        self.decisions = 0
+        self.cells: dict[str, _HistoryCell] = {}
 
 
 @dataclass(frozen=True)
@@ -772,34 +506,44 @@ def canonical_strategy_name(name: str) -> str:
 
 
 class AdaptiveChooser:
-    """Per-(shape, strategy) measured-cost ledger + decision rule.
+    """Per-shape measured-cost ledger + decision rule.
 
     All decisions are deterministic functions of the decision sequence
-    (see the module docstring's determinism contract).
+    (see the module docstring's determinism contract). The ledger
+    keeps the :data:`PLAN_CACHE_CAPACITY` most recently used shapes: a
+    shape carries its ``WEIGHTED(...)`` weights and its ε, so wire
+    traffic can mint new shapes without end. An evicted shape that
+    comes back starts its warmup again.
     """
 
     def __init__(self, options: AdaptiveOptions) -> None:
         self._options = options
         self._lock = threading.Lock()
-        self._history: dict[tuple[QueryShape, str], _HistoryCell] = {}
-        self._counts: dict[QueryShape, int] = {}
+        self._ledgers: "OrderedDict[QueryShape, _ShapeLedger]" = OrderedDict()
         self.decisions = 0
         self.explorations = 0
         self.overrides = 0
 
-    def _cell(self, shape: QueryShape, name: str) -> _HistoryCell:
-        key = (shape, name)
-        cell = self._history.get(key)
-        if cell is None:
-            cell = self._history[key] = _HistoryCell()
-        return cell
+    def _ledger_locked(self, shape: QueryShape) -> _ShapeLedger:
+        # Called under self._lock; marks the shape most recently used.
+        ledger = self._ledgers.get(shape)
+        if ledger is not None:
+            self._ledgers.move_to_end(shape)
+            return ledger
+        ledger = self._ledgers[shape] = _ShapeLedger()
+        if len(self._ledgers) > PLAN_CACHE_CAPACITY:
+            self._ledgers.popitem(last=False)
+        return ledger
 
     def record(self, shape: QueryShape, name: str, cost: float) -> None:
         """Fold one measured run (static cost-model units) into the ledger."""
+        name = canonical_strategy_name(name)
         with self._lock:
-            self._cell(shape, canonical_strategy_name(name)).update(
-                cost, self._options.history_decay
-            )
+            cells = self._ledger_locked(shape).cells
+            cell = cells.get(name)
+            if cell is None:
+                cell = cells[name] = _HistoryCell()
+            cell.update(cost)
 
     def decide(
         self,
@@ -815,14 +559,12 @@ class AdaptiveChooser:
         """
         opts = self._options
         with self._lock:
-            count = self._counts.get(shape, 0)
-            self._counts[shape] = count + 1
+            ledger = self._ledger_locked(shape)
+            count = ledger.decisions
+            ledger.decisions = count + 1
             self.decisions += 1
 
-            sampled = {
-                name: self._history.get((shape, name))
-                for name, _ in candidates
-            }
+            sampled = {name: ledger.cells.get(name) for name, _ in candidates}
             measured = {
                 name: cell
                 for name, cell in sampled.items()
@@ -845,7 +587,7 @@ class AdaptiveChooser:
                     if cell is not None and cell.samples > 0:
                         anchor = cell.ewma
                 if anchor is not None:
-                    cap = opts.explore_cost_cap * anchor
+                    cap = EXPLORE_COST_CAP * anchor
                     untried = sorted(
                         (
                             (
@@ -870,7 +612,7 @@ class AdaptiveChooser:
                             mode="explore",
                             reason=(
                                 f"trial {name!r} (estimate ~{estimate:.0f} "
-                                f"accesses, under {opts.explore_cost_cap}x "
+                                f"accesses, under {EXPLORE_COST_CAP}x "
                                 f"the measured anchor {anchor:.0f})"
                             ),
                         )
@@ -882,7 +624,7 @@ class AdaptiveChooser:
                 and incumbent_cell is not None
                 and incumbent_cell.samples >= opts.min_trials
                 and measured[best_name].ewma
-                < opts.override_margin * incumbent_cell.ewma
+                < OVERRIDE_MARGIN * incumbent_cell.ewma
             ):
                 self.overrides += 1
                 return AdaptiveDecision(
@@ -905,11 +647,9 @@ class AdaptiveChooser:
     def evidence(self, shape: QueryShape) -> list[tuple[str, float, int]]:
         """Measured (strategy, avg cost, samples) rows for a shape."""
         with self._lock:
-            rows = [
-                (name, cell.ewma, cell.samples)
-                for (s, name), cell in self._history.items()
-                if s == shape and cell.samples > 0
-            ]
+            ledger = self._ledgers.get(shape)
+            cells = ledger.cells.items() if ledger is not None else ()
+            rows = [(name, cell.ewma, cell.samples) for name, cell in cells]
         return sorted(rows, key=lambda r: r[1])
 
     def metrics(self) -> dict:
@@ -918,7 +658,9 @@ class AdaptiveChooser:
                 "decisions": self.decisions,
                 "explorations": self.explorations,
                 "overrides": self.overrides,
-                "shapes": len(self._counts),
+                "shapes": sum(
+                    1 for ledger in self._ledgers.values() if ledger.decisions
+                ),
             }
 
 
@@ -928,18 +670,17 @@ class AdaptiveChooser:
 
 
 class AdaptivePlanner:
-    """The engine-facing bundle: calibration + plan cache + chooser.
+    """The engine-facing bundle: plan cache + chooser.
 
     One instance per :class:`~repro.engine.engine.Engine`; every method
     is thread-safe. The engine consults it in three places: plan
     minting (cache), one-shot strategy choice (chooser), and query
-    completion (telemetry).
+    completion (the chooser's ledger).
     """
 
     def __init__(self, options: AdaptiveOptions | None = None) -> None:
         self.options = options or AdaptiveOptions()
-        self.calibration = CalibratedCostModel(self.options.calibration_decay)
-        self.plan_cache = PlanCache(self.options.plan_cache_capacity)
+        self.plan_cache = PlanCache()
         self.chooser = AdaptiveChooser(self.options)
 
     # -- plan cache ----------------------------------------------------
@@ -1039,23 +780,16 @@ class AdaptivePlanner:
             f"{decision.reason}",
         )
 
-    # -- telemetry -----------------------------------------------------
-
     def record(
         self,
-        shape: QueryShape | None,
-        strategy_name: str | None,
+        shape: QueryShape,
+        strategy_name: str,
         stats: AccessStats,
-        elapsed: float,
-        scopes: Mapping[str, tuple[int, int]],
         cost_model: CostModel,
-        batched: bool | None = None,
     ) -> None:
-        """Fold one completed query into calibration and (when the run
-        had a choosable strategy) the chooser's ledger."""
-        self.calibration.observe(scopes, elapsed, batched)
-        if shape is not None and strategy_name is not None:
-            self.chooser.record(shape, strategy_name, cost_model.cost(stats))
+        """Fold one completed run's weighted accesses into the chooser's
+        ledger."""
+        self.chooser.record(shape, strategy_name, cost_model.cost(stats))
 
     # -- reporting -----------------------------------------------------
 
@@ -1091,15 +825,8 @@ class AdaptivePlanner:
                 shape.random_access, cost_model,
             ):
                 if cand == name:
-                    seconds = self.calibration.estimate_seconds(estimate, 0)
-                    timing = (
-                        f" (~{seconds * 1e3:.2f} ms at calibrated units)"
-                        if seconds is not None
-                        else " (calibration warming up)"
-                    )
                     lines.append(
-                        f"estimate: {name!r} ~{estimate:.0f} weighted "
-                        f"accesses{timing}"
+                        f"estimate: {name!r} ~{estimate:.0f} weighted accesses"
                     )
                     break
         evidence = self.chooser.evidence(shape)
@@ -1119,5 +846,4 @@ class AdaptivePlanner:
             "enabled": True,
             "plan_cache": self.plan_cache.stats(),
             "chooser": self.chooser.metrics(),
-            "calibration": self.calibration.metrics(),
         }

@@ -182,7 +182,7 @@ class QueryBuilder:
         """Human-readable strategy description (no execution).
 
         With adaptive planning on, appends the plan-cache state, the
-        calibrated cost estimate and the measured history for this
+        weighted-access estimate and the measured history for this
         query's shape.
         """
         return self._engine._explain_spec(

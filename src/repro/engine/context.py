@@ -60,12 +60,12 @@ class ExecutionContext:
     adaptive:
         Enable the adaptive planning layer
         (:class:`~repro.engine.adaptive.AdaptivePlanner`): the
-        shape-keyed plan cache, the calibrated cost model, and the
-        measured-history chooser. On by default; individual queries
-        can opt out with ``QueryBuilder.adaptive(False)``.
+        shape-keyed plan cache and the measured-history chooser. On
+        by default; individual queries can opt out with
+        ``QueryBuilder.adaptive(False)``.
     adaptive_options:
-        Tuning for the adaptive layer (cache capacity, exploration
-        cadence, calibration decay).
+        The chooser's exploration cadence (warmup, trial spacing,
+        samples per trial).
     epsilon:
         Deployment-wide default approximation slack. 0 (the default)
         keeps every query exact; ε > 0 lets contract-aware algorithms

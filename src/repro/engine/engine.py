@@ -33,8 +33,8 @@ Every query on every backing takes one pipeline: **plan → steer → run
 planner behind the plan cache, the registry pick over a fresh session,
 or the pick every shard will make) and its run step (the executor,
 the algorithm over the session, or the shard merge); ε-steering, the
-adaptive chooser, forced-strategy resolution, timing and the ledgers
-are shared.
+adaptive chooser, forced-strategy resolution and the ledgers are
+shared.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from __future__ import annotations
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace as _dc_replace
-from time import perf_counter
 from typing import Callable, Iterable, Sequence
 
 from repro.access.session import MiddlewareSession
@@ -141,12 +140,11 @@ class Engine:
             "approximate": 0,
             "anytime": 0,
         }
-        #: The adaptive planning layer (plan cache + calibrated cost
-        #: model + measured-history chooser), or None when the context
-        #: disables it. The chooser only steers one-shot auto-selected
-        #: queries; cursors and run_many batches reuse cached plans but
-        #: never consult it (see repro.engine.adaptive's determinism
-        #: contract).
+        #: The adaptive planning layer (plan cache + measured-history
+        #: chooser), or None when the context disables it. The chooser
+        #: only steers one-shot auto-selected queries; cursors and
+        #: run_many batches reuse cached plans but never consult it
+        #: (see repro.engine.adaptive's determinism contract).
         self._adaptive: AdaptivePlanner | None = (
             AdaptivePlanner(self.context.adaptive_options)
             if self.context.adaptive
@@ -281,7 +279,7 @@ class Engine:
 
         With the adaptive layer on, the report carries an extra block:
         the normalized shape, whether the plan came from the cache,
-        the calibrated cost estimate for the chosen strategy, and the
+        the weighted-access estimate for the chosen strategy, and the
         measured per-strategy history backing the chooser's verdict.
         """
         return self._explain_spec(
@@ -462,7 +460,7 @@ class Engine:
               "ranking_caches": {<subsystem>: {"hits": ..., ...}},
               "cache_totals": {"hits": H, "misses": M},
               "planner": {"enabled": ..., "plan_cache": {...},
-                          "chooser": {...}, "calibration": {...}},
+                          "chooser": {...}},
             }
 
         Thread-safe: counters are read under the ledger lock, cache
@@ -945,44 +943,6 @@ class Engine:
             plan, k, contract=contract
         )
 
-    def _calibration_scopes(
-        self, plan: PhysicalPlan, stats
-    ) -> "tuple[dict[str, tuple[int, int]], bool | None]":
-        """Per-scope (sorted, random) counts for one executed plan, and
-        whether a batched transport served it (None: not applicable).
-
-        A source run is the one scope ``"store"``. For catalog plans
-        the per-list entries of an ``AccessStats`` align positionally
-        with the plan's atom order (the order the executor minted
-        sources in); summing them per owning subsystem gives the
-        calibration scopes.
-        """
-        if self._backing is not None:
-            return {"store": (stats.sorted_cost, stats.random_cost)}, None
-        batched = getattr(plan, "batch_size", None) is not None
-        atoms = getattr(plan, "atoms", ())
-        if hasattr(plan, "filter_atoms"):
-            # The filtered-conjunct executor mints filter sources
-            # first, then the graded ones.
-            atoms = plan.filter_atoms + plan.graded_atoms
-        scopes: dict[str, list[int]] = {}
-        if len(atoms) != stats.num_lists:
-            # Internal-conjunction pushdown (one merged stream) or any
-            # future shape mismatch: attribute the whole ledger to one
-            # scope rather than guessing a split.
-            name = (
-                plan.subsystem.name
-                if getattr(plan, "subsystem", None) is not None
-                else "catalog"
-            )
-            return {name: (stats.sorted_cost, stats.random_cost)}, batched
-        for i, atom in enumerate(atoms):
-            name = self._catalog.subsystem_for(atom).name
-            cell = scopes.setdefault(name, [0, 0])
-            cell[0] += stats.sorted_by_list[i]
-            cell[1] += stats.random_by_list[i]
-        return {name: (s, r) for name, (s, r) in scopes.items()}, batched
-
     # ------------------------------------------------------------------
     # Terminal operations (called by QueryBuilder)
     # ------------------------------------------------------------------
@@ -1007,7 +967,7 @@ class Engine:
             query, aggregation, strategy, conjunction, k, layer, contract
         )
         if shape is not None and strategy is None and contract.epsilon == 0.0:
-            # The chooser's override slate is calibrated on exact runs;
+            # The chooser's override slate is built from exact runs;
             # under an ε-contract the steering already picked the
             # algorithm that can spend the slack, so the chooser only
             # observes (the ε-keyed shape keeps its histories separate).
@@ -1016,30 +976,22 @@ class Engine:
                 shape, plan, self._num_objects(plan), k,
                 self.context.cost_model,
             )
-        started = perf_counter()
         answer = self._run(plan, k, contract, strategy)
-        elapsed = perf_counter() - started
         result = answer.result if isinstance(answer, QueryAnswer) else answer
         self._record_query(result.stats, result.guarantee)
-        if shape is not None:
+        # Only runs the ledger can name feed it: auto-selected, or forced
+        # by registry name. A caller-supplied instance may be tuned away
+        # from the registry's defaults, so its run stays out.
+        if (
+            shape is not None
+            and isinstance(plan, AlgorithmPlan)
+            and plan.algorithm is not None
+            and (strategy is None or isinstance(strategy, str))
+        ):
             assert layer is not None
-            # Instances forced by the caller may be tuned away from the
-            # registry's defaults — calibrate on them, but keep their
-            # runs out of the per-strategy ledger.
-            named = (
-                isinstance(plan, AlgorithmPlan)
-                and plan.algorithm is not None
-                and (strategy is None or isinstance(strategy, str))
-            )
-            scopes, batched = self._calibration_scopes(plan, result.stats)
             layer.record(
-                shape if named else None,
-                plan.algorithm.name if named else None,  # type: ignore[union-attr]
-                result.stats,
-                elapsed,
-                scopes,
+                shape, plan.algorithm.name, result.stats,
                 self.context.cost_model,
-                batched=batched,
             )
         return answer
 

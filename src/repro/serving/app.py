@@ -194,7 +194,8 @@ class ServingApp:
             return self.config.default_deadline_ms
         try:
             deadline = int(raw)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
+            # OverflowError: JSON's Infinity / -Infinity / 1e400.
             raise ServingError(
                 HTTPStatus.BAD_REQUEST,
                 "invalid_deadline",

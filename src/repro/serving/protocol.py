@@ -107,6 +107,11 @@ class HttpRequest:
                 HTTPStatus.BAD_REQUEST, "invalid_json",
                 f"request body is not valid JSON: {exc}",
             ) from None
+        except RecursionError:
+            raise ServingError(
+                HTTPStatus.BAD_REQUEST, "invalid_json",
+                "request body nests deeper than the decoder's limit",
+            ) from None
 
     def json_object(self) -> dict:
         """The body as a JSON *object* (the common case)."""

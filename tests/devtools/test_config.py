@@ -107,4 +107,4 @@ class TestLoad:
     def test_committed_repo_config_loads(self, repo_root: Path) -> None:
         config = CheckConfig.load(repo_root / "devtools.toml")
         assert "repro/engine/engine.py" in config.rules["RPR001"].paths
-        assert "Engine._execute" in config.rules["RPR001"].allow_within
+        assert config.rules["RPR001"].allow_within == ()

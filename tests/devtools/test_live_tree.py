@@ -19,18 +19,16 @@ def test_src_tree_is_clean_under_committed_config() -> None:
     assert result.files_checked > 90
 
 
-def test_engine_telemetry_is_the_only_sanctioned_clock_read() -> None:
-    """Without the allowlist, the telemetry observation in
-    Engine._execute is flagged — proof the waiver is load-bearing and
-    that nothing else in the engine facade reads the clock."""
+def test_engine_reads_no_clock_even_without_an_allowlist() -> None:
+    """With RPR001's allowlist emptied, the engine package is still
+    clean: no waiver hides a clock read in the planning path."""
     config = CheckConfig.load(REPO_ROOT / "devtools.toml")
     config.rules["RPR001"].allow_within = ()
     result = run_check(
         [REPO_ROOT / "src" / "repro" / "engine"], config, root=REPO_ROOT
     )
-    assert result.findings, "expected the telemetry reads to surface"
-    assert {f.rule for f in result.findings} == {"RPR001"}
-    assert {f.symbol for f in result.findings} == {"Engine._execute"}
+    assert result.findings == [], "\n" + result.format_text()
+    assert result.files_checked > 5
 
 
 def test_every_rule_scope_touches_existing_paths() -> None:

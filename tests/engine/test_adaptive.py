@@ -1,14 +1,12 @@
-"""The adaptive planning layer: calibration, shapes, and the chooser.
+"""The adaptive planning layer: shapes and the chooser.
 
-Covers the three pieces of :mod:`repro.engine.adaptive` in isolation
-(known-cost calibration fits, shape normalization modulo constants,
-deterministic explore/exploit decisions) and their engine wiring (the
+Covers the pieces of :mod:`repro.engine.adaptive` in isolation (shape
+normalization modulo constants, deterministic explore/exploit
+decisions, the bounded ledger) and their engine wiring (the
 ``adaptive(False)`` opt-out, explain() reporting, the metrics block,
 and the determinism contract: cursors and batches never advance the
 chooser).
 """
-
-import json
 
 import pytest
 
@@ -16,11 +14,9 @@ from repro.core.means import ARITHMETIC_MEAN
 from repro.core.tnorms import MINIMUM
 from repro.engine import Engine
 from repro.engine.adaptive import (
-    GLOBAL_SCOPE,
-    MIN_CALIBRATION_OBSERVATIONS,
+    PLAN_CACHE_CAPACITY,
     AdaptiveChooser,
     AdaptiveOptions,
-    CalibratedCostModel,
     QueryShape,
     k_band,
     shape_of_aggregation,
@@ -76,107 +72,14 @@ class TestAdaptiveOptions:
     @pytest.mark.parametrize(
         "field, bad",
         [
-            ("plan_cache_capacity", 0),
-            ("calibration_decay", 0.0),
-            ("calibration_decay", 1.5),
-            ("history_decay", 0.0),
             ("explore_after", 0),
             ("explore_every", 0),
             ("min_trials", 0),
-            ("override_margin", 0.0),
-            ("override_margin", 1.2),
-            ("explore_cost_cap", 0.5),
         ],
     )
     def test_rejects_bad_values(self, field, bad):
         with pytest.raises(ValueError):
             AdaptiveOptions(**{field: bad})
-
-
-class TestCalibratedCostModel:
-    def feed(self, model, pairs, c1=2e-6, c2=20e-6):
-        for s, r in pairs:
-            model.observe({"store": (s, r)}, c1 * s + c2 * r)
-
-    def test_fit_recovers_known_unit_costs(self):
-        model = CalibratedCostModel(decay=1.0)
-        # Varied (S, R) designs so the 2x2 system is well-conditioned.
-        self.feed(
-            model,
-            [(1000, 10), (500, 200), (2000, 50), (100, 400), (800, 800),
-             (1500, 5)],
-        )
-        c1, c2 = model.units()
-        assert c1 == pytest.approx(2e-6, rel=1e-6)
-        assert c2 == pytest.approx(20e-6, rel=1e-6)
-        # The normalized CostModel exposes the paper's c2/c1 ratio.
-        assert model.as_cost_model().random_access_ratio == pytest.approx(
-            10.0, rel=1e-6
-        )
-        assert model.estimate_seconds(1000, 100) == pytest.approx(
-            2e-3 + 2e-3, rel=1e-6
-        )
-
-    def test_untrusted_below_min_observations(self):
-        model = CalibratedCostModel()
-        self.feed(model, [(100, 10)] * (MIN_CALIBRATION_OBSERVATIONS - 1))
-        assert model.units() is None
-        assert model.estimate_seconds(10, 0) is None
-        assert model.as_cost_model() is None
-
-    def test_sorted_only_scope_falls_back_to_rate(self):
-        model = CalibratedCostModel(decay=1.0)
-        for _ in range(MIN_CALIBRATION_OBSERVATIONS + 1):
-            model.observe({"store": (100, 0)}, 100 * 3e-6)
-        c1, c2 = model.units()
-        assert c1 == pytest.approx(3e-6, rel=1e-6)
-        assert c2 == pytest.approx(3e-6, rel=1e-6)  # blended-rate fallback
-
-    def test_elapsed_apportioned_across_scopes(self):
-        model = CalibratedCostModel(decay=1.0)
-        # Scope "a" does 3x the accesses of "b" — it gets 3/4 of the
-        # elapsed, so both scopes fit the same per-access rate.
-        for _ in range(MIN_CALIBRATION_OBSERVATIONS + 1):
-            model.observe({"a": (300, 0), "b": (100, 0)}, 400 * 5e-6)
-        assert model.units("a")[0] == pytest.approx(5e-6, rel=1e-6)
-        assert model.units("b")[0] == pytest.approx(5e-6, rel=1e-6)
-
-    def test_batch_amortization_tracks_transport(self):
-        model = CalibratedCostModel()
-        for _ in range(6):
-            model.observe({"s": (100, 0)}, 100 * 4e-6, batched=False)
-            model.observe({"s": (100, 0)}, 100 * 1e-6, batched=True)
-        metrics = model.metrics()
-        assert metrics["s"]["batch_amortization"] == pytest.approx(
-            0.25, rel=0.05
-        )
-
-    def test_snapshot_restore_round_trip(self):
-        model = CalibratedCostModel(decay=1.0)
-        self.feed(model, [(1000, 10), (500, 200), (2000, 50), (100, 400),
-                          (800, 800), (1500, 5)])
-        snap = model.snapshot()
-        json.dumps(snap)  # must be serializable
-        clone = CalibratedCostModel()
-        clone.restore(snap)
-        assert clone.units() == model.units()
-        assert clone.observations == model.observations
-
-    def test_metrics_reports_scopes(self):
-        model = CalibratedCostModel()
-        self.feed(model, [(100, 10)] * 6)
-        metrics = model.metrics()
-        assert set(metrics) == {"store", GLOBAL_SCOPE}
-        block = metrics["store"]
-        assert block["observations"] == 6
-        assert block["sorted_unit_us"] is not None
-        json.dumps(metrics)
-
-    def test_zero_access_and_negative_elapsed_ignored(self):
-        model = CalibratedCostModel()
-        model.observe({"s": (0, 0)}, 1.0)
-        model.observe({"s": (10, 0)}, -1.0)
-        assert model.observations == 0
 
 
 class TestShapes:
@@ -262,9 +165,7 @@ class TestShapes:
 
 
 class TestChooser:
-    OPTS = AdaptiveOptions(
-        explore_after=3, explore_every=4, min_trials=2, override_margin=0.9
-    )
+    OPTS = AdaptiveOptions(explore_after=3, explore_every=4, min_trials=2)
     CANDIDATES = [("nra", 50.0), ("fagin", 100.0), ("naive", 500.0)]
 
     def test_warmup_is_static(self):
@@ -361,6 +262,39 @@ class TestChooser:
         assert [name for name, _, _ in rows] == ["nra", "fagin"]
         assert rows[0][2] == 1  # samples
 
+    def test_history_is_an_ewma_with_step_0_3(self):
+        chooser = AdaptiveChooser(self.OPTS)
+        s = shape()
+        chooser.record(s, "fagin", 100.0)
+        chooser.record(s, "fagin", 200.0)
+        ((name, cost, samples),) = chooser.evidence(s)
+        assert (name, samples) == ("fagin", 2)
+        assert cost == pytest.approx(130.0)
+
+    def test_ledger_is_bounded_and_evicted_shapes_warm_up_again(self):
+        """Every ε (and every WEIGHTED(...) weight vector) is its own
+        shape, so wire traffic can mint shapes without end; the ledger
+        keeps the plan cache's capacity of them, least recent out."""
+        chooser = AdaptiveChooser(self.OPTS)
+        first = shape()
+        chooser.record(first, "fagin", 120.0)
+        for _ in range(3):
+            chooser.decide(first, "fagin", self.CANDIDATES)
+        # The next decision on `first` would be its first trial slot.
+        for i in range(PLAN_CACHE_CAPACITY + 50):
+            other = shape(epsilon=(i + 1) / 10_000)
+            chooser.record(other, "fagin", 100.0)
+            chooser.decide(other, "fagin", self.CANDIDATES)
+        assert chooser.metrics()["shapes"] == PLAN_CACHE_CAPACITY
+        assert chooser.evidence(first) == []
+        # Evicted with its history and decision count: it warms up anew.
+        chooser.record(first, "fagin", 120.0)
+        modes = [
+            chooser.decide(first, "fagin", self.CANDIDATES).mode
+            for _ in range(4)
+        ]
+        assert modes == ["static", "static", "static", "explore"]
+
     def test_metrics_counts(self):
         chooser = AdaptiveChooser(self.OPTS)
         s = shape()
@@ -379,7 +313,6 @@ class TestEngineWiring:
         planner = engine.metrics_snapshot()["planner"]
         assert planner["enabled"] is True
         assert planner["chooser"]["decisions"] == 0
-        assert planner["calibration"] == {}
 
     def test_opt_out_engine_wide(self):
         db = independent_database(3, N, seed=11)
@@ -392,7 +325,7 @@ class TestEngineWiring:
         with pytest.raises(TypeError):
             engine.query(MINIMUM).adaptive("yes")
 
-    def test_source_queries_feed_chooser_and_calibration(self):
+    def test_source_queries_feed_chooser(self):
         db = independent_database(3, N, seed=11)
         engine = Engine.over(db)
         for _ in range(3):
@@ -400,7 +333,6 @@ class TestEngineWiring:
         planner = engine.metrics_snapshot()["planner"]
         assert planner["chooser"]["decisions"] == 3
         assert planner["chooser"]["shapes"] == 1
-        assert planner["calibration"][GLOBAL_SCOPE]["observations"] == 3
 
     def test_identical_queries_identical_stats_during_warmup(self):
         db = independent_database(3, N, seed=11)
@@ -446,7 +378,6 @@ class TestEngineWiring:
         planner = engine.metrics_snapshot()["planner"]
         # Forced-by-name runs don't ask the chooser but do feed it.
         assert planner["chooser"]["decisions"] == 0
-        assert planner["calibration"][GLOBAL_SCOPE]["observations"] == 1
         s = shape_of_aggregation(
             MINIMUM, 3, 5, True,
             engine._adaptive.source_fingerprint(db),

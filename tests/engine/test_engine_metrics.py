@@ -121,12 +121,9 @@ class TestPlannerBlock:
         engine.query(MINIMUM).top(5)
         planner = Engine.over(db).metrics_snapshot()["planner"]
         assert planner["enabled"] is True
-        assert set(planner) == {
-            "enabled", "plan_cache", "chooser", "calibration",
-        }
+        assert set(planner) == {"enabled", "plan_cache", "chooser"}
         planner = engine.metrics_snapshot()["planner"]
         assert planner["chooser"]["decisions"] == 1
-        assert planner["calibration"]["__all__"]["observations"] == 1
 
     def test_plan_cache_counters_flow_through(self):
         engine = catalog_engine()

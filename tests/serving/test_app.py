@@ -220,6 +220,47 @@ class TestErrorEnvelopes:
         assert status == 400
         assert payload["error"]["code"] == "invalid_deadline"
 
+    @pytest.mark.parametrize("raw", ["Infinity", "-Infinity", "1e400", "NaN"])
+    def test_non_finite_deadline_400(self, db, raw):
+        body = b'{"aggregation": "min", "k": 3, "deadline_ms": %s}' % (
+            raw.encode()
+        )
+        status, payload = self.run_one(
+            db, make_request("POST", "/v1/query", body=body)
+        )
+        assert status == 400
+        assert payload["error"]["code"] == "invalid_deadline"
+
+    @pytest.mark.parametrize("path", ["/v1/query", "/v1/cursor"])
+    def test_deeply_nested_json_400(self, db, path):
+        status, payload = self.run_one(
+            db, make_request("POST", path, body=b"[" * 200_000)
+        )
+        assert status == 400
+        assert payload["error"]["code"] == "invalid_json"
+
+    def test_healthz_after_hostile_bodies(self, db):
+        async def scenario():
+            app = make_app(db)
+            try:
+                statuses = [
+                    (
+                        await app.handle(
+                            make_request("POST", "/v1/query", body=body)
+                        )
+                    ).status
+                    for body in (
+                        b'{"aggregation": "min", "deadline_ms": Infinity}',
+                        b"[" * 200_000,
+                    )
+                ]
+                health = await app.handle(make_request("GET", "/healthz"))
+                return statuses, health.status
+            finally:
+                await drained(app)
+
+        assert asyncio.run(scenario()) == ([400, 400], 200)
+
     def test_query_string_on_source_backing_400(self, db):
         status, payload = self.run_one(
             db,
