@@ -328,6 +328,25 @@ def smoke_check(args, payload: dict, failures: list[str]) -> dict:
     if status != 200:
         failures.append(f"engine unhealthy after partial: {status} {after}")
 
+    # allow_partial under a deadline the query meets: a complete 200 on
+    # every backing, whether the plan pages through the anytime cursor
+    # or not. Cursor pages may resolve grade ties to another valid
+    # answer set, so the grades are compared as a multiset.
+    roomy_spec = dict(payload)
+    roomy_spec["deadline_ms"] = 30_000
+    roomy_spec["allow_partial"] = True
+    status, roomy = http_json(f"{args.url}/v1/query", roomy_spec)
+    exercised["allow_partial_roomy"] = status
+    if status != 200 or roomy.get("partial"):
+        failures.append(f"allow_partial, 30 s deadline gave {status} {roomy}")
+    elif "items" in after and sorted(
+        item["grade"] for item in roomy["items"]
+    ) != sorted(item["grade"] for item in after["items"]):
+        failures.append(
+            f"allow_partial answer {roomy['items']} differs from the "
+            f"plain answer {after['items']}"
+        )
+
     status, metrics = http_json(f"{args.url}/metrics")
     exercised["metrics"] = status
     if status != 200:

@@ -28,10 +28,10 @@ Three further lanes extend the trajectory:
   ones: the naive scan on the mean-family configs, TA's warm-up sweep
   on the ``ta-`` config, the filtered strategy's column scoring on the
   ``filtered-`` configs).
-* **federated** configs — queries spanning two batch-capable
-  subsystems through the full engine stack (plan, negotiate batch
-  size, ``evaluate_batched``); the legacy lane is the same federation
-  behind ``UnbatchedSource`` driven by the seed-replica runner.
+* **federated** configs — queries spanning two subsystems through the
+  full engine stack (plan, ``Subsystem.evaluate``, the batch
+  protocol); the legacy lane is the same federation behind
+  ``UnbatchedSource`` driven by the seed-replica runner.
 * **filtered** configs — the Section 4 filtered-conjunct strategy
   (crisp relational filter + graded conjuncts): the batched lane pages
   the grade-1 block, bulk-looks-up the survivors and scores them in
@@ -419,8 +419,8 @@ def cfg(
 #: The quick set is the CI gate; the full set adds the larger and
 #: negatively-correlated points. The ``mean`` entries are the
 #: computation-heavy configs the vectorized kernels are gated on;
-#: ``federated`` entries span two batch-capable subsystems through the
-#: whole engine stack; the ``ta-`` entry is the Threshold Algorithm's
+#: ``federated`` entries span two subsystems through the whole engine
+#: stack; the ``ta-`` entry is the Threshold Algorithm's
 #: kernel-gated point (aligned lists + large k, so the warm-up's
 #: pending sweep dominates); ``filtered-`` entries run the Section 4
 #: filtered-conjunct strategy over a crisp + graded federation.
@@ -681,7 +681,7 @@ def bench_config(entry, repeats: int) -> dict:
 def federated_engine(
     db, m: int, context: ExecutionContext | None = None
 ) -> Engine:
-    """The db's m lists split across two batch-capable subsystems."""
+    """The db's m lists split across two subsystems."""
     tables = [db.graded_set(i).as_dict() for i in range(m)]
     engine = Engine(context)
     engine.register(
@@ -715,8 +715,8 @@ def bench_federated(entry, repeats: int) -> dict:
     """A query spanning two subsystems: engine bulk path vs unit lane.
 
     The batched lane is the *entire* current stack — parse nothing,
-    but plan (with batch-size negotiation), mint sources through
-    ``evaluate_batched``, and run the forced A0 strategy. The legacy
+    but plan, mint sources through ``Subsystem.evaluate``, and run the
+    forced A0 strategy over the batch protocol. The legacy
     lane drives the seed-replica runner over the same federation with
     every source behind ``UnbatchedSource``. Answers and per-list
     counts must match exactly.
@@ -735,7 +735,6 @@ def bench_federated(entry, repeats: int) -> dict:
 
     # Warm-up + equivalence check against the unit lane.
     answer = run_batched()
-    plan = engine.plan(query)
     unit_session = federated_unit_session(engine, atoms)
     ref_items = _prepr_fagin(unit_session, MINIMUM, k)
     ref_stats = unit_session.tracker.snapshot()
@@ -772,8 +771,7 @@ def bench_federated(entry, repeats: int) -> dict:
         f"  {'fagin':<10} unit   {legacy_ms:8.2f} ms   "
         f"batched  {batched_ms:8.2f} ms   "
         f"{legacy_ms / batched_ms:5.2f}x   "
-        f"S={ref_stats.sorted_cost} R={ref_stats.random_cost}   "
-        f"(negotiated batch {plan.batch_size})"
+        f"S={ref_stats.sorted_cost} R={ref_stats.random_cost}"
     )
     return {
         "config": name,
@@ -785,7 +783,6 @@ def bench_federated(entry, repeats: int) -> dict:
         "seed": seed,
         "aggregation": agg_name,
         "subsystems": 2,
-        "negotiated_batch_size": plan.batch_size,
         "kernel_gated": list(entry["kernel_gated"]),
         "algorithms": results,
     }
@@ -1377,7 +1374,6 @@ def filtered_setup(entry):
     )
     plan = planner.plan(query)
     assert isinstance(plan, FilteredConjunctPlan), plan.explain()
-    assert plan.batch_size is not None, "federation must negotiate batching"
     scalar_plan = dataclasses.replace(
         plan,
         aggregation=CompiledQueryAggregation(
@@ -1443,8 +1439,7 @@ def bench_filtered(entry, repeats: int) -> dict:
         f"{legacy_ms / columnar_ms:5.2f}x   "
         f"S={stats.sorted_cost} R={stats.random_cost}   "
         f"kernel {scalar_ms / columnar_ms:4.2f}x   "
-        f"(|S|={batched.result.details['filter_set_size']}, "
-        f"batch {plan.batch_size})"
+        f"(|S|={batched.result.details['filter_set_size']})"
     )
     return {
         "config": name,
@@ -1455,7 +1450,6 @@ def bench_filtered(entry, repeats: int) -> dict:
         "k": k,
         "seed": entry["seed"],
         "aggregation": entry["aggregation"],
-        "negotiated_batch_size": plan.batch_size,
         "kernel_gated": list(entry["kernel_gated"]),
         "algorithms": results,
     }

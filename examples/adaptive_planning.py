@@ -31,7 +31,7 @@ N, M, K = 10_000, 3, 10
 
 
 def build_engine(context: ExecutionContext | None = None) -> Engine:
-    """The m graded lists split across two batch-capable subsystems."""
+    """The m graded lists split across two subsystems."""
     db = independent_database(M, N, seed=42)
     tables = [db.graded_set(i).as_dict() for i in range(M)]
     engine = Engine(context)

@@ -39,7 +39,9 @@ The 2.x shims ``Garlic``, ``QueryCursor`` and ``choose_algorithm`` were
 removed in 3.0: use ``Engine`` and ``select_strategy``. 4.0 removed
 the adaptive layer's wall-clock cost calibration, and five
 ``AdaptiveOptions`` fields became constants of
-``repro.engine.adaptive``.
+``repro.engine.adaptive``. 5.0 removed batch-size negotiation:
+``Subsystem.evaluate`` is the one way to an atom's source, read
+through the batch protocol.
 
 See DESIGN.md for the paper-to-module map and the list of removed
 names with their replacements.
@@ -114,7 +116,7 @@ from repro.subsystems import (
     TextSubsystem,
 )
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 __all__ = [
     "__version__",

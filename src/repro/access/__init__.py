@@ -18,7 +18,6 @@ from repro.access.session import MiddlewareSession
 from repro.access.source import (
     InstrumentedSource,
     MaterializedSource,
-    PagedBatchSource,
     SortedRandomSource,
     UnbatchedSource,
     rank_items,
@@ -45,7 +44,6 @@ __all__ = [
     "MaterializedSource",
     "InstrumentedSource",
     "UnbatchedSource",
-    "PagedBatchSource",
     "rank_items",
     "tie_break_key",
     "GradedItem",

@@ -39,7 +39,6 @@ __all__ = [
     "InstrumentedSource",
     "StreamOnlySource",
     "UnbatchedSource",
-    "PagedBatchSource",
     "checked_grades",
     "descending_order",
     "graded_population",
@@ -242,9 +241,9 @@ class SortedRandomSource(ABC):
     def sorted_access_batch(self, count: int) -> Sequence[GradedItem]:
         """Deliver up to ``count`` further objects under sorted access.
 
-        Returns fewer than ``count`` items (possibly none) when the
-        list runs out — exhaustion is signalled by a short or empty
-        batch, never by :class:`ExhaustedSourceError`.
+        May return fewer than ``count`` items: a source that pages over
+        a wire ships at most one page per call. Exhaustion is signalled
+        by an empty batch, never by :class:`ExhaustedSourceError`.
         """
         if count < 0:
             raise ValueError(f"batch size must be non-negative, got {count}")
@@ -490,63 +489,6 @@ class InstrumentedSource(SortedRandomSource):
 
     def restart(self) -> None:
         self._inner.restart()
-
-
-class PagedBatchSource(SortedRandomSource):
-    """Caps every batch exchange at a subsystem's negotiated page size.
-
-    Models the wire protocol of a federated data server that streams
-    ranked results in pages of at most ``page_size`` objects per round
-    trip (:meth:`~repro.subsystems.base.Subsystem.evaluate_batched`).
-    A sorted batch request larger than the page returns one page —
-    legal under the batch protocol, which lets any call return fewer
-    items than asked — and a bulk random lookup is served page by page
-    and re-assembled. Per-item access counts are untouched: batches
-    decompose into unit accesses whatever the page size.
-    """
-
-    def __init__(self, inner: SortedRandomSource, page_size: int) -> None:
-        if page_size < 1:
-            raise ValueError(f"page size must be positive, got {page_size}")
-        self._inner = inner
-        self.page_size = page_size
-        self.name = inner.name
-
-    def __len__(self) -> int:
-        return len(self._inner)
-
-    @property
-    def position(self) -> int:
-        return self._inner.position
-
-    def next_sorted(self) -> GradedItem:
-        return self._inner.next_sorted()
-
-    def random_access(self, obj: ObjectId) -> float:
-        return self._inner.random_access(obj)
-
-    def sorted_access_batch(self, count: int) -> Sequence[GradedItem]:
-        if count < 0:
-            raise ValueError(f"batch size must be non-negative, got {count}")
-        return self._inner.sorted_access_batch(min(count, self.page_size))
-
-    def random_access_many(self, objs: Sequence[ObjectId]) -> list[float]:
-        if len(objs) <= self.page_size:
-            return self._inner.random_access_many(objs)
-        grades: list[float] = []
-        for start in range(0, len(objs), self.page_size):
-            grades.extend(
-                self._inner.random_access_many(
-                    objs[start : start + self.page_size]
-                )
-            )
-        return grades
-
-    def restart(self) -> None:
-        self._inner.restart()
-
-    def fork(self) -> "PagedBatchSource":
-        return PagedBatchSource(self._inner.fork(), self.page_size)
 
 
 class UnbatchedSource(SortedRandomSource):

@@ -516,9 +516,7 @@ def _estimate_fagin(n: int, m: int, k: int) -> tuple[float, float]:
 register_strategy(
     "fagin",
     FaginA0,
-    StrategyCapabilities(
-        monotone_only=True, needs_random_access=True, batch_aware=True
-    ),
+    StrategyCapabilities(monotone_only=True, needs_random_access=True),
     priority=50,
     selector=_select_fagin,
     aliases=("A0", "fa"),

@@ -121,7 +121,6 @@ register_strategy(
         monotone_only=True,
         needs_random_access=True,
         aggregation_guard=lambda agg, m: isinstance(agg, MinimumTNorm),
-        batch_aware=True,
     ),
     priority=40,
     selector=_select_fa_min,

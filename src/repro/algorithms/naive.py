@@ -172,9 +172,7 @@ def _select_naive(aggregation, num_lists, random_access, cost_model):
 register_strategy(
     "naive",
     NaiveAlgorithm,
-    StrategyCapabilities(
-        monotone_only=False, needs_random_access=False, batch_aware=True
-    ),
+    StrategyCapabilities(monotone_only=False, needs_random_access=False),
     priority=100,
     selector=_select_naive,
     summary="full scan; the only fully-general strategy (Theorem 7.1)",

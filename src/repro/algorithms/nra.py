@@ -299,9 +299,7 @@ def _select_nra(aggregation, num_lists, random_access, cost_model):
 register_strategy(
     "nra",
     NoRandomAccessAlgorithm,
-    StrategyCapabilities(
-        monotone_only=True, needs_random_access=False, batch_aware=True
-    ),
+    StrategyCapabilities(monotone_only=True, needs_random_access=False),
     priority=20,
     selector=_select_nra,
     aliases=("NRA",),

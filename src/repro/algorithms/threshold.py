@@ -203,9 +203,7 @@ from repro.engine.registry import (
 register_strategy(
     "threshold",
     ThresholdAlgorithm,
-    StrategyCapabilities(
-        monotone_only=True, needs_random_access=True, batch_aware=True
-    ),
+    StrategyCapabilities(monotone_only=True, needs_random_access=True),
     aliases=("TA",),
     summary="Threshold Algorithm (FLN 2001 successor); adaptive stopping",
     # TA stops no later than A0 (instance optimality); on independent

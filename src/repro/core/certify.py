@@ -69,7 +69,8 @@ def validate_epsilon(epsilon: float) -> float:
     """Validate an approximation slack: a finite float >= 0."""
     try:
         value = float(epsilon)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
+        # OverflowError: an int past float range, e.g. 10**400.
         raise ValueError(
             f"epsilon must be a non-negative real number, got {epsilon!r}"
         ) from None

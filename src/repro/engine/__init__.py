@@ -31,7 +31,6 @@ __all__ = [
     "create_strategy",
     "available_strategies",
     "capable_strategies",
-    "batch_aware_strategies",
     "select_strategy",
 ]
 
@@ -51,7 +50,6 @@ _EXPORTS = {
     "create_strategy": "repro.engine.registry",
     "available_strategies": "repro.engine.registry",
     "capable_strategies": "repro.engine.registry",
-    "batch_aware_strategies": "repro.engine.registry",
     "select_strategy": "repro.engine.registry",
 }
 
@@ -68,7 +66,6 @@ if TYPE_CHECKING:  # pragma: no cover - static imports for type checkers
         StrategyRegistration,
         UnknownStrategyError,
         available_strategies,
-        batch_aware_strategies,
         capable_strategies,
         create_strategy,
         register_strategy,

@@ -47,16 +47,6 @@ class ExecutionContext:
     default_k:
         The k used when a query does not name one (the usual "page
         size" of a deployment).
-    batch_size:
-        Deployment-wide cap on the federation's negotiated batch size
-        (how many ranked objects a subsystem ships per exchange).
-        ``None`` — the default — lets each query's subsystems agree
-        among themselves
-        (:func:`~repro.subsystems.base.negotiate_batch_size`); the
-        negotiation still falls back to unit access whenever an
-        involved subsystem lacks ``supports_batched_access``, so this
-        knob can shrink pages but never force batching on a subsystem
-        that cannot serve it.
     adaptive:
         Enable the adaptive planning layer
         (:class:`~repro.engine.adaptive.AdaptivePlanner`): the
@@ -80,7 +70,6 @@ class ExecutionContext:
     planner: PlannerOptions = field(default_factory=PlannerOptions)
     conjunction: str = "external"
     default_k: int = 10
-    batch_size: int | None = None
     adaptive: bool = True
     adaptive_options: AdaptiveOptions = field(default_factory=AdaptiveOptions)
     epsilon: float = 0.0
@@ -95,10 +84,6 @@ class ExecutionContext:
         if self.default_k < 1:
             raise ValueError(
                 f"default_k must be at least 1, got {self.default_k}"
-            )
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError(
-                f"batch_size must be positive (or None), got {self.batch_size}"
             )
 
     def planner_options(self, conjunction: str | None = None) -> PlannerOptions:

@@ -45,11 +45,7 @@ from dataclasses import replace as _dc_replace
 from typing import Callable, Iterable, Sequence
 
 from repro.access.session import MiddlewareSession
-from repro.access.source import (
-    PagedBatchSource,
-    SortedRandomSource,
-    UnbatchedSource,
-)
+from repro.access.source import SortedRandomSource
 from repro.algorithms.base import TopKAlgorithm, TopKResult
 from repro.core.aggregation import AggregationFunction
 from repro.core.certify import (
@@ -71,6 +67,7 @@ from repro.engine.cursor import ResultCursor, validate_k
 from repro.engine.registry import StrategyChoice, select_strategy
 from repro.exceptions import (
     EngineConfigurationError,
+    InsufficientObjectsError,
     PlanningError,
     SubsystemCapabilityError,
 )
@@ -392,6 +389,7 @@ class Engine:
             plan, _shape, _hit = self._plan(
                 query, aggregation, None, None, k, self._adaptive, contract
             )
+            self._fit_k(plan, k)
             return plan
 
         details: dict[str, object] = {}
@@ -634,12 +632,11 @@ class Engine:
             self.context.semantics,
             self.context.planner_options(conjunction),
             cost_model=self.context.cost_model,
-            batch_size=self.context.batch_size,
         )
 
     def _executor(
         self,
-        evaluate: Callable[[object, int | None], SortedRandomSource] | None = None,
+        evaluate: Callable[[object], SortedRandomSource] | None = None,
     ) -> Executor:
         return Executor(
             self._catalog, self.context.semantics, evaluate_atom=evaluate
@@ -657,7 +654,21 @@ class Engine:
         session = getattr(plan, "session", None)
         if session is not None:
             return session.num_objects
+        if self._sharded is not None:
+            return self._sharded.num_objects
         return self._catalog.num_objects
+
+    def _fit_k(self, plan: PhysicalPlan, k: int) -> int:
+        """The plan's population N, once ``k`` is known to fit in it.
+
+        A0 "assumes that there are at least k objects" (Section 4), and
+        so does every other plan: k > N fails here, before a strategy
+        is chosen or run, the same way on every backing and plan kind.
+        """
+        num_objects = self._num_objects(plan)
+        if k > num_objects:
+            raise InsufficientObjectsError(k, num_objects)
+        return num_objects
 
     def _adaptive_for(self, flag: "bool | None") -> AdaptivePlanner | None:
         """The adaptive layer a query should use, honoring the opt-out.
@@ -966,6 +977,7 @@ class Engine:
         plan, shape, _hit = self._plan(
             query, aggregation, strategy, conjunction, k, layer, contract
         )
+        num_objects = self._fit_k(plan, k)
         if shape is not None and strategy is None and contract.epsilon == 0.0:
             # The chooser's override slate is built from exact runs;
             # under an ε-contract the steering already picked the
@@ -973,8 +985,7 @@ class Engine:
             # observes (the ε-keyed shape keeps its histories separate).
             assert layer is not None
             plan = layer.choose(
-                shape, plan, self._num_objects(plan), k,
-                self.context.cost_model,
+                shape, plan, num_objects, k, self.context.cost_model
             )
         answer = self._run(plan, k, contract, strategy)
         result = answer.result if isinstance(answer, QueryAnswer) else answer
@@ -1048,7 +1059,7 @@ class Engine:
 
     def _batch_atom_cache(
         self, counters: dict, serial: bool
-    ) -> Callable[[object, int | None], SortedRandomSource]:
+    ) -> Callable[[object], SortedRandomSource]:
         """An executor hook that evaluates each atom once per batch.
 
         It keeps one pristine raw evaluation per atom, and every
@@ -1114,19 +1125,4 @@ class Engine:
                         cache[atom] = (raw, forkable)
                 return out
 
-        def evaluate(atom, batch_size: int | None) -> SortedRandomSource:
-            # The cache holds the *raw* evaluation (the expensive part:
-            # the subsystem computing its graded set); each request
-            # then gets its own plan's transport wrapper, so two batch
-            # members that negotiated different transports for a
-            # shared atom still reuse one evaluation without either
-            # bypassing its plan's page cap (or lack thereof).
-            raw = raw_for(atom)
-            if batch_size is None:
-                return raw
-            # Mirror Subsystem.evaluate_batched over the cached source.
-            if self._catalog.subsystem_for(atom).supports_batched_access:
-                return PagedBatchSource(raw, batch_size)
-            return UnbatchedSource(raw)
-
-        return evaluate
+        return raw_for

@@ -51,7 +51,6 @@ __all__ = [
     "create_strategy",
     "available_strategies",
     "capable_strategies",
-    "batch_aware_strategies",
     "select_strategy",
     "estimate_access_costs",
 ]
@@ -124,13 +123,6 @@ class StrategyCapabilities:
         Optional predicate ``(aggregation, num_lists) -> bool`` for
         strategies tied to one aggregation (B0 to max, A0' to min,
         MedianTopK to the median).
-    batch_aware:
-        The strategy's hot loops consume the batched access protocol
-        (``sorted_access_batch`` / ``random_access_many``) and so run
-        at full speed on columnar backends. Advisory metadata — every
-        strategy still runs on unit-only sources via the protocol's
-        loop fallbacks, and batch-aware strategies charge exactly the
-        unit-access costs (batches are an implementation detail).
     """
 
     monotone_only: bool = True
@@ -140,7 +132,6 @@ class StrategyCapabilities:
     aggregation_guard: (
         Callable[["AggregationFunction", int], bool] | None
     ) = None
-    batch_aware: bool = False
 
     def admits(
         self,
@@ -294,21 +285,6 @@ def capable_strategies(
             r.name
             for r in _REGISTRY.values()
             if r.capabilities.admits(aggregation, num_lists, random_access)
-        )
-    )
-
-
-def batch_aware_strategies() -> tuple[str, ...]:
-    """Names of the strategies whose hot loops consume access batches.
-
-    These are the strategies the columnar backend accelerates most;
-    all of them degrade gracefully to unit accesses on sources that
-    only implement ``next_sorted``/``random_access``.
-    """
-    _ensure_registered()
-    return tuple(
-        sorted(
-            r.name for r in _REGISTRY.values() if r.capabilities.batch_aware
         )
     )
 

@@ -16,6 +16,7 @@ from repro.access.source import InstrumentedSource, tie_break_key
 from repro.access.types import GradedItem
 from repro.algorithms.base import TopKResult, top_k_of
 from repro.algorithms.naive import NaiveAlgorithm
+from repro.core.certify import EXACT_GUARANTEE
 from repro.core.graded_set import GradedSet
 from repro.core.query import Query
 from repro.core.semantics import FuzzySemantics
@@ -69,12 +70,11 @@ class Executor:
     Parameters
     ----------
     evaluate_atom:
-        Optional hook ``evaluate_atom(atom, batch_size)`` returning the
-        raw source for an atomic query under the plan's negotiated
-        batch size (``None`` for unit access); defaults to asking the
-        catalog's owning subsystem. Batch execution injects a caching
-        hook here so an atom shared by several queries is evaluated
-        once per batch.
+        Optional hook ``evaluate_atom(atom)`` returning the raw source
+        for an atomic query; defaults to the owning subsystem's
+        :meth:`~repro.subsystems.base.Subsystem.evaluate`. Batch
+        execution injects a caching hook here so an atom shared by
+        several queries is evaluated once per batch.
 
     An executor holds no per-execution state — ``execute`` builds a
     fresh session/tracker per plan — so one instance may serve plans
@@ -94,16 +94,12 @@ class Executor:
         self._semantics = semantics
         self._custom_evaluate = evaluate_atom
 
-    def _evaluate_source(self, atom, batch_size: int | None):
+    def _evaluate_source(self, atom):
         """The raw source for one atom: the hook's, else the owning
-        subsystem's — ranked pages through ``evaluate_batched`` under a
-        negotiated batch size, the unit route without one."""
+        subsystem's."""
         if self._custom_evaluate is not None:
-            return self._custom_evaluate(atom, batch_size)
-        subsystem = self._catalog.subsystem_for(atom)
-        if batch_size is None:
-            return subsystem.evaluate(atom)
-        return subsystem.evaluate_batched(atom, batch_size)
+            return self._custom_evaluate(atom)
+        return self._catalog.subsystem_for(atom).evaluate(atom)
 
     def execute(
         self, plan: PhysicalPlan, k: int, contract=None
@@ -138,12 +134,12 @@ class Executor:
         self, plan: "AlgorithmPlan | FullScanPlan"
     ) -> MiddlewareSession:
         """The instrumented session a plan's algorithm reads: the
-        plan's own session when it has one, else one source per atom
-        under the plan's transport, with a fresh tracker."""
+        plan's own session when it has one, else one source per atom,
+        with a fresh tracker."""
         session = getattr(plan, "session", None)
         if session is not None:
             return session
-        raw = [self._evaluate_source(atom, plan.batch_size) for atom in plan.atoms]
+        raw = [self._evaluate_source(atom) for atom in plan.atoms]
         return MiddlewareSession.over_sources(
             raw, num_objects=self._catalog.num_objects
         )
@@ -174,47 +170,40 @@ class Executor:
             stats=tracker.snapshot(),
             algorithm="internal-conjunction",
             details={"subsystem": plan.subsystem.name},
+            guarantee=EXACT_GUARANTEE,
         )
 
     def _run_filtered(self, plan: FilteredConjunctPlan, k: int) -> TopKResult:
         """The Section 4 filtered-conjunct strategy.
 
         1. For each crisp filter atom, read its sorted stream just past
-           the grade-1 block; intersect the match sets to get S.
-        2. For each object in S, random-access the graded conjuncts.
+           the grade-1 block, in pages (:meth:`_crisp_block`); intersect
+           the match sets to get S.
+        2. Fetch each graded conjunct's grades for S's members with one
+           ``random_access_many``.
         3. Grade S's members with the compiled aggregation (filter
-           atoms contribute 1). Objects outside S provably have grade
-           0 (some crisp conjunct is 0 and every t-norm annihilates at
-           0), so if |S| < k the answer is padded with grade-0 objects
-           — no further accesses needed.
+           atoms contribute 1) in one column sweep. Objects outside S
+           provably have grade 0 (some crisp conjunct is 0 and every
+           t-norm annihilates at 0), so if |S| < k the answer is padded
+           with grade-0 objects — no further accesses needed.
 
-        With a negotiated ``plan.batch_size`` the same three phases run
-        bulk: sources are minted through ``evaluate_batched``, the
-        grade-1 blocks are paged off the filter streams, the survivors
-        are bulk-looked-up per graded atom via ``random_access_many``,
-        and S is scored in one column sweep. Access counts match the
-        unit route (a batch of b accesses costs b unit accesses).
+        Access counts are those of the paper's one-by-one protocol: a
+        batch of b accesses costs b unit accesses.
         """
         assert plan.aggregation is not None
         compiled = plan.aggregation
         all_atoms = compiled.atoms  # argument order of the aggregation
-        batch_size = plan.batch_size
         tracker = CostTracker(len(plan.filter_atoms) + len(plan.graded_atoms))
 
         sources = {}
         for index, atom in enumerate(plan.filter_atoms + plan.graded_atoms):
-            raw = self._evaluate_source(atom, batch_size)
+            raw = self._evaluate_source(atom)
             sources[atom] = InstrumentedSource(raw, tracker, index)
 
         # Phase 1: crisp match sets off the top of each filter stream.
         survivors: set | None = None
         for atom in plan.filter_atoms:
-            if batch_size is None:
-                matches = self._crisp_block_unit(sources[atom])
-            else:
-                matches = self._crisp_block_batched(
-                    sources[atom], atom, batch_size
-                )
+            matches = self._crisp_block(sources[atom], atom)
             survivors = matches if survivors is None else (survivors & matches)
             if not survivors:
                 break
@@ -230,9 +219,6 @@ class Executor:
         for atom in all_atoms:
             if atom in plan.filter_atoms:
                 rows.append([1.0] * len(ordered))
-            elif batch_size is None:
-                source = sources[atom]
-                rows.append([source.random_access(obj) for obj in ordered])
             else:
                 rows.append(sources[atom].random_access_many(ordered))
         scores = compiled.evaluate_columns(rows) if ordered else []
@@ -255,42 +241,27 @@ class Executor:
             items=tuple(items),
             stats=tracker.snapshot(),
             algorithm="filtered-conjunct",
-            details={
-                "filter_set_size": len(survivors),
-                "batch_size": batch_size,
-            },
+            details={"filter_set_size": len(survivors)},
+            guarantee=EXACT_GUARANTEE,
         )
 
-    @staticmethod
-    def _crisp_block_unit(source) -> set:
-        """The grade-1 block of a crisp stream, one sorted access at a
-        time — the paper's literal protocol: read matches off the top,
-        stop at the first non-match."""
-        matches = set()
-        while not source.exhausted:
-            item = source.next_sorted()
-            if item.grade >= 1.0:
-                matches.add(item.obj)
-            else:
-                break  # crisp stream: everything after is graded 0
-        return matches
-
-    def _crisp_block_batched(self, source, atom, batch_size: int) -> set:
-        """The grade-1 block, read in sorted-access pages.
+    def _crisp_block(self, source, atom) -> set:
+        """The grade-1 block of a crisp stream, read in sorted-access
+        pages: matches off the top, up to the first non-match.
 
         The page sizing keeps the Section 5 accounting identical to the
-        unit route. When the owning subsystem declares its selectivity
-        statistic *exact* (``selectivity_is_exact``), the statistic (a
-        catalogue lookup, not a charged access — the planner already
-        consulted it to pick this strategy) gives the block length B,
-        and the reads total exactly the block plus the one probe item
-        that proves it ended — ``B + 1`` accesses, precisely what the
-        unit loop performs (a short count degrades to unit-sized probe
-        pages past the predicted prefix and still lands on B + 1).
-        Without an exactness declaration the estimate is not trusted
-        for sizing at all — an over-estimate would over-read and
-        inflate the sorted count — and the block is read in unit-sized
-        pages: one object per exchange, the unit lane's accounting by
+        paper's one-by-one protocol. When the owning subsystem declares
+        its selectivity statistic *exact* (``selectivity_is_exact``),
+        the statistic (a catalogue lookup, not a charged access — the
+        planner already consulted it to pick this strategy) gives the
+        block length B, and the reads total exactly the block plus the
+        one probe item that proves it ended — ``B + 1`` accesses,
+        precisely what the one-by-one loop performs (a short count
+        degrades to unit-sized probe pages past the predicted prefix
+        and still lands on B + 1). Without an exactness declaration the
+        estimate is not trusted for sizing at all — an over-estimate
+        would over-read and inflate the sorted count — and the block is
+        read in unit-sized pages, the one-by-one accounting by
         construction. The same caution applies when a caller-supplied
         evaluation hook minted the stream: the hook may serve data the
         catalogue's statistics do not describe (a snapshot, a cache, a
@@ -309,8 +280,9 @@ class Executor:
             else 0
         )
         while not source.exhausted:
-            want = min(max(expected - len(matches), 0) + 1, batch_size)
-            page = source.sorted_access_batch(want)
+            page = source.sorted_access_batch(
+                max(expected - len(matches), 0) + 1
+            )
             if not page:
                 break
             for item in page:

@@ -67,11 +67,6 @@ class AlgorithmPlan(PhysicalPlan):
     #: for flat AND/OR under standard semantics (so A0'/B0's type checks
     #: see min/max), otherwise the compiled composite.
     aggregation: AggregationFunction | None = None
-    #: The batch size the planner negotiated across the atoms'
-    #: subsystems (:func:`~repro.subsystems.base.negotiate_batch_size`);
-    #: ``None`` routes the executor through unit access — the fallback
-    #: when any involved subsystem lacks ``supports_batched_access``.
-    batch_size: int | None = None
     #: The session whose ranked lists stand in for the atoms, minted
     #: for this one run; None for catalog plans, whose sources the
     #: executor mints per atom.
@@ -88,12 +83,7 @@ class AlgorithmPlan(PhysicalPlan):
         assert self.algorithm is not None
         if self.atoms:
             atom_list = ", ".join(map(repr, self.atoms))
-            transport = (
-                f"batched x{self.batch_size}"
-                if self.batch_size is not None
-                else "unit access"
-            )
-            target = f" over atoms [{atom_list}] ({transport})"
+            target = f" over atoms [{atom_list}]"
         elif self.session is not None:
             target = f" over {self.num_lists} ranked lists"
         else:
@@ -114,25 +104,13 @@ class FilteredConjunctPlan(PhysicalPlan):
     filter_atoms: tuple[AtomicQuery, ...] = ()
     graded_atoms: tuple[AtomicQuery, ...] = ()
     aggregation: CompiledQueryAggregation | None = None
-    #: Negotiated federation batch size (see :class:`AlgorithmPlan`):
-    #: with one, the executor pages the crisp grade-1 block off the top
-    #: of each filter stream and bulk-looks-up the survivors per graded
-    #: atom; ``None`` keeps the unit-access route. Access counts are
-    #: identical either way (Section 5's model counts accesses, not
-    #: round trips).
-    batch_size: int | None = None
 
     def explain(self) -> str:
         filters = ", ".join(map(repr, self.filter_atoms))
         graded = ", ".join(map(repr, self.graded_atoms))
-        transport = (
-            f"batched x{self.batch_size}"
-            if self.batch_size is not None
-            else "unit access"
-        )
         return (
             f"FilteredConjunctPlan: filter on [{filters}], random-access "
-            f"grades for [{graded}] ({transport}) — {self.reason}"
+            f"grades for [{graded}] — {self.reason}"
         )
 
 
@@ -159,8 +137,6 @@ class FullScanPlan(PhysicalPlan):
     atoms: tuple[AtomicQuery, ...] = ()
     aggregation: CompiledQueryAggregation | None = None
     universe_negation: bool = field(default=False)
-    #: Negotiated federation batch size (see :class:`AlgorithmPlan`).
-    batch_size: int | None = None
 
     def explain(self) -> str:
         return (

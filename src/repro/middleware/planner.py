@@ -19,16 +19,6 @@ Strategy selection follows the paper's decision points:
 5. Negation or other non-monotone structure falls back to the **full
    scan** (Theorem 7.1 shows that in the worst case nothing better
    exists).
-
-Orthogonally to strategy choice, the planner negotiates the
-federation's *transport*: when every subsystem a plan touches —
-algorithm, full-scan, and filtered-conjunct plans alike — declares
-``supports_batched_access``, the plan records the agreed batch size
-(:func:`~repro.subsystems.base.negotiate_batch_size`) and the executor
-mints sources through ``Subsystem.evaluate_batched`` — ranked pages
-instead of one object per round trip. Any non-batched member drops the
-whole plan to unit access (the unit-fallback contract); access
-*counts* are identical either way, per Section 5's model.
 """
 
 from __future__ import annotations
@@ -50,7 +40,6 @@ from repro.middleware.plan import (
     InternalConjunctionPlan,
     PhysicalPlan,
 )
-from repro.subsystems.base import negotiate_batch_size
 
 __all__ = ["Planner", "PlannerOptions"]
 
@@ -105,7 +94,6 @@ class Planner:
         semantics: FuzzySemantics = STANDARD_FUZZY,
         options: PlannerOptions | None = None,
         cost_model: CostModel | None = None,
-        batch_size: int | None = None,
     ) -> None:
         self._catalog = catalog
         self._semantics = semantics
@@ -113,10 +101,6 @@ class Planner:
         #: Optional (c1, c2) weighting handed to strategy selection —
         #: expensive random access steers monotone queries to NRA.
         self._cost_model = cost_model
-        #: Deployment cap on the negotiated federation batch size
-        #: (``ExecutionContext.batch_size``); None lets the subsystems'
-        #: own hints decide.
-        self._batch_size = batch_size
 
     # ------------------------------------------------------------------
     # Rewrites
@@ -206,7 +190,6 @@ class Planner:
                 atoms=atoms,
                 algorithm=choice.algorithm,
                 aggregation=run_aggregation,
-                batch_size=self._negotiated_batch_size(atoms),
             )
 
         return FullScanPlan(
@@ -218,21 +201,7 @@ class Planner:
             ),
             atoms=atoms,
             aggregation=aggregation,
-            batch_size=self._negotiated_batch_size(atoms),
         )
-
-    def _negotiated_batch_size(self, atoms) -> int | None:
-        """The batch size this query's subsystems agree on (None = unit).
-
-        One subsystem may serve several atoms; capability is a property
-        of the subsystem, so the negotiation runs over the distinct
-        owners.
-        """
-        owners = {
-            id(sub): sub
-            for sub in (self._catalog.subsystem_for(a) for a in atoms)
-        }
-        return negotiate_batch_size(owners.values(), requested=self._batch_size)
 
     def _pick_table_aggregation(self, query: Query, compiled):
         """What to hand the algorithm-selection table.
@@ -297,7 +266,6 @@ class Planner:
                 filter_atoms=tuple(crisp_selective),
                 graded_atoms=graded,
                 aggregation=aggregation,
-                batch_size=self._negotiated_batch_size(atoms),
             )
         return None
 
@@ -346,6 +314,5 @@ class Planner:
                 filter_atoms=tuple(crisp),
                 graded_atoms=graded,
                 aggregation=aggregation,
-                batch_size=self._negotiated_batch_size(atoms),
             )
         return None

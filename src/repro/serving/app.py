@@ -53,7 +53,7 @@ from repro.algorithms.base import TopKResult
 from repro.core.certify import validate_epsilon
 from repro.engine.async_engine import AsyncEngine
 from repro.engine.engine import Engine
-from repro.exceptions import ReproError
+from repro.exceptions import PlanningError, ReproError
 from repro.serving.admission import AdmissionController
 from repro.serving.config import ServingConfig
 from repro.serving.metrics import ServerMetrics
@@ -193,9 +193,14 @@ class ServingApp:
         if raw is None:
             return self.config.default_deadline_ms
         try:
+            if isinstance(raw, bool) or (
+                isinstance(raw, float) and not raw.is_integer()
+            ):
+                # int() would read true as 1 ms and 2.5 as 2 ms; NaN,
+                # Infinity and 1e400 are not integers either.
+                raise ValueError(raw)
             deadline = int(raw)
-        except (TypeError, ValueError, OverflowError):
-            # OverflowError: JSON's Infinity / -Infinity / 1e400.
+        except (TypeError, ValueError):
             raise ServingError(
                 HTTPStatus.BAD_REQUEST,
                 "invalid_deadline",
@@ -209,18 +214,26 @@ class ServingApp:
             )
         return min(deadline, self.config.max_deadline_ms)
 
-    async def _bounded(self, awaitable, deadline_ms: int | None):
+    async def _bounded(
+        self,
+        awaitable,
+        deadline_ms: int | None,
+        remaining_s: float | None = None,
+    ):
         """Await under the deadline; expiry is a 504 envelope.
 
-        The awaited engine call runs on the facade's pool;
+        ``remaining_s`` is what is left of the deadline when the
+        request has already spent part of it (the whole deadline when
+        ``None``). The awaited engine call runs on the facade's pool;
         cancellation here abandons the await, and the pool thread
         winds down on its own — per-request sessions mean that
         orphaned work cannot corrupt any other request's state.
         """
         if deadline_ms is None:
             return await awaitable
+        timeout = deadline_ms / 1e3 if remaining_s is None else remaining_s
         try:
-            return await asyncio.wait_for(awaitable, deadline_ms / 1e3)
+            return await asyncio.wait_for(awaitable, timeout)
         except asyncio.TimeoutError:
             raise ServingError(
                 HTTPStatus.GATEWAY_TIMEOUT,
@@ -426,6 +439,12 @@ class ServingApp:
         orphaned in-flight page could still tighten after the timeout,
         which would be unsound for the smaller item set actually
         returned. Expiring with nothing is the plain 504.
+
+        A query whose plan cannot page (a filtered-conjunct or full-scan
+        plan: the engine refuses the cursor) is answered whole by
+        ``top_k`` under the rest of the budget, in the same admission
+        slot, with the envelope ``/v1/query`` returns without the flag:
+        a 200 when it completes, a 504 when the deadline expires.
         """
         want = self.engine.context.default_k if k is None else k
         if isinstance(want, bool) or not isinstance(want, int) or want < 1:
@@ -460,6 +479,20 @@ class ServingApp:
                 except asyncio.TimeoutError:
                     timed_out = True
                     break
+                except PlanningError:
+                    if pages:
+                        raise
+                    result = await self._bounded(
+                        self.async_engine.top_k(
+                            spec.get("query", spec.get("aggregation")),
+                            k=want,
+                            conjunction=spec["conjunction"],
+                            epsilon=epsilon,
+                        ),
+                        deadline_ms,
+                        remaining_s=max(budget_end - loop.time(), 0.0),
+                    )
+                    return json_response(self._serialise_result(result))
                 pages.append(page)
                 fetched += len(page.items)
         if timed_out and not pages:

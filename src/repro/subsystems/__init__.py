@@ -8,12 +8,10 @@ algorithms under study ever touch.
 """
 
 from repro.subsystems.base import (
-    DEFAULT_BATCH_SIZE,
     DEFAULT_RANKING_CACHE_CAPACITY,
     RankingCache,
     StreamOnlySubsystem,
     Subsystem,
-    negotiate_batch_size,
 )
 from repro.subsystems.qbic import (
     QbicSubsystem,
@@ -27,10 +25,8 @@ from repro.subsystems.text import TextSubsystem, tokenize
 __all__ = [
     "Subsystem",
     "StreamOnlySubsystem",
-    "DEFAULT_BATCH_SIZE",
     "DEFAULT_RANKING_CACHE_CAPACITY",
     "RankingCache",
-    "negotiate_batch_size",
     "RelationalSubsystem",
     "QbicSubsystem",
     "gaussian_similarity",

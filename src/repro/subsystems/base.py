@@ -17,16 +17,13 @@ Capability flags record what each subsystem can do:
 * ``supports_internal_conjunction`` — Section 8: a subsystem may be
   able to evaluate a conjunction itself, under *its own* semantics,
   which may differ from Garlic's.
-* ``supports_batched_access`` — the subsystem can stream its ranked
-  result in *batches* (pages of sorted access, bulk random lookups)
-  instead of strictly "one by one". The paper's protocol is unit-
-  granular; batching is the engineering reality of federating over a
-  network, and it changes only round trips, never the Section 5
-  access counts (a batch of b accesses costs exactly b unit
-  accesses). :meth:`Subsystem.evaluate_batched` is the bulk
-  counterpart of :meth:`Subsystem.evaluate`; for subsystems without
-  the capability it degrades to a unit-access source, which is the
-  **unit-fallback contract** the planner relies on.
+
+:meth:`Subsystem.evaluate` is the middleware's only way to an atom's
+source, and every consumer reads it through the batch protocol
+(``sorted_access_batch`` / ``random_access_many``). A source that
+cannot ship batches inherits the protocol's unit loops, at identical
+Section 5 counts; one that pages over a wire pages inside itself,
+the one place that knows its page size.
 """
 
 from __future__ import annotations
@@ -34,13 +31,11 @@ from __future__ import annotations
 import threading
 from abc import ABC, abstractmethod
 from collections import OrderedDict
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from repro.access.source import (
     MaterializedSource,
-    PagedBatchSource,
     SortedRandomSource,
-    UnbatchedSource,
     graded_population,
     rank_population,
 )
@@ -49,18 +44,11 @@ from repro.core.query import AtomicQuery
 from repro.exceptions import SubsystemCapabilityError
 
 __all__ = [
-    "DEFAULT_BATCH_SIZE",
     "DEFAULT_RANKING_CACHE_CAPACITY",
     "RankingCache",
     "Subsystem",
     "StreamOnlySubsystem",
-    "negotiate_batch_size",
 ]
-
-#: Page size assumed for batch-capable subsystems that state no
-#: preference — large enough that in-memory backends are effectively
-#: unpaged, small enough to model a sane federation message size.
-DEFAULT_BATCH_SIZE = 4096
 
 #: Distinct atomic queries whose materialised rankings a subsystem
 #: retains by default. Federated workloads re-issue a handful of atoms
@@ -230,15 +218,6 @@ class Subsystem(ABC):
     #: Are this subsystem's grades always crisp (0/1)?
     crisp: bool = False
 
-    #: Can this subsystem serve ranked results in batches (mirrors the
-    #: strategy registry's ``batch_aware`` capability, subsystem-side)?
-    supports_batched_access: bool = False
-
-    #: Largest batch this subsystem is willing to serve per exchange;
-    #: ``None`` means no preference (:data:`DEFAULT_BATCH_SIZE` is
-    #: assumed during negotiation).
-    batch_size_hint: int | None = None
-
     #: Capacity of :attr:`ranking_cache`
     #: (:data:`DEFAULT_RANKING_CACHE_CAPACITY` unless a subsystem's
     #: constructor overrides it; ``None`` means unbounded).
@@ -275,39 +254,9 @@ class Subsystem(ABC):
         """The graded result of one atomic query, as a fresh source.
 
         Every object in :meth:`object_ids` is graded (Section 5 model);
-        each call returns an independent source with its own cursor.
+        each call returns an independent source with its own cursor,
+        read by sorted and random access, one by one or in batches.
         """
-
-    def evaluate_batched(
-        self, query: AtomicQuery, batch_size: int | None = None
-    ) -> SortedRandomSource:
-        """The graded result of ``query`` as a *batch-aware* source.
-
-        The bulk counterpart of :meth:`evaluate`, used by the executor
-        once the planner has negotiated a batch size for the whole
-        federation (:func:`negotiate_batch_size`):
-
-        * a batch-capable subsystem returns a source whose
-          ``sorted_access_batch`` / ``random_access_many`` are served
-          natively, paged at ``batch_size`` objects per exchange when
-          one is negotiated (``None`` leaves the source unpaged);
-        * a subsystem without the capability returns its unit source
-          behind :class:`~repro.access.source.UnbatchedSource`, so
-          every batch request decomposes into the one-by-one accesses
-          the subsystem actually performs — the **unit-fallback
-          contract**. Either way the Section 5 access counts are
-          identical; only round trips differ.
-        """
-        if batch_size is not None and batch_size < 1:
-            raise ValueError(
-                f"batch size must be positive, got {batch_size}"
-            )
-        source = self.evaluate(query)
-        if not self.supports_batched_access:
-            return UnbatchedSource(source)
-        if batch_size is not None:
-            return PagedBatchSource(source, batch_size)
-        return source
 
     def evaluate_conjunction(
         self, queries: Sequence[AtomicQuery]
@@ -327,8 +276,9 @@ class Subsystem(ABC):
     #: exact declaration lets the filtered-conjunct executor size its
     #: paged block reads from the statistic — an over-estimate would
     #: over-read and inflate the Section 5 sorted counts relative to
-    #: the unit route. Subsystems with approximate statistics keep the
-    #: default (False) and are served count-exact unit-sized pages.
+    #: the paper's one-by-one protocol. Subsystems with approximate
+    #: statistics keep the default (False) and are read in unit-sized
+    #: pages, count-exact by construction.
     selectivity_is_exact: bool = False
 
     def estimate_selectivity(self, query: AtomicQuery) -> float | None:
@@ -362,9 +312,8 @@ class StreamOnlySubsystem(Subsystem):
 
     Useful both for modelling genuinely stream-only data servers and
     for testing the planner's no-random-access strategy selection (the
-    NRA path) against a known-good graded source. Batch capability is
-    orthogonal and passes through: a stream-only server may still page
-    its sorted stream.
+    NRA path) against a known-good graded source. Sorted batches pass
+    through; bulk random lookups are refused like unit ones.
     """
 
     supports_random_access = False
@@ -373,8 +322,6 @@ class StreamOnlySubsystem(Subsystem):
         self._inner = inner
         self.name = f"{inner.name} (stream-only)"
         self.crisp = inner.crisp
-        self.supports_batched_access = inner.supports_batched_access
-        self.batch_size_hint = inner.batch_size_hint
         self.selectivity_is_exact = inner.selectivity_is_exact
 
     def attributes(self) -> frozenset[str]:
@@ -388,48 +335,5 @@ class StreamOnlySubsystem(Subsystem):
 
         return StreamOnlySource(self._inner.evaluate(query))
 
-    def evaluate_batched(
-        self, query: AtomicQuery, batch_size: int | None = None
-    ) -> SortedRandomSource:
-        from repro.access.source import StreamOnlySource
-
-        return StreamOnlySource(
-            self._inner.evaluate_batched(query, batch_size)
-        )
-
     def estimate_selectivity(self, query: AtomicQuery) -> float | None:
         return self._inner.estimate_selectivity(query)
-
-
-def negotiate_batch_size(
-    subsystems: Iterable[Subsystem], requested: int | None = None
-) -> int | None:
-    """The batch size a federation of subsystems agrees to serve.
-
-    ``None`` — the unit-access route — unless **every** subsystem
-    involved supports batched access (a federation is only as bulk as
-    its least capable member; anything else would split one query's
-    lists across two protocols for no round-trip win). Otherwise the
-    smallest declared :attr:`~Subsystem.batch_size_hint` wins, with
-    :data:`DEFAULT_BATCH_SIZE` standing in for subsystems that state
-    no preference; ``requested`` (a caller/deployment preference, e.g.
-    ``ExecutionContext.batch_size``) caps the result.
-    """
-    if requested is not None and requested < 1:
-        raise ValueError(f"requested batch size must be positive, got {requested}")
-    agreed: int | None = None
-    empty = True
-    for subsystem in subsystems:
-        empty = False
-        if not subsystem.supports_batched_access:
-            return None
-        hint = subsystem.batch_size_hint
-        if hint is not None and (agreed is None or hint < agreed):
-            agreed = hint
-    if empty:
-        return None
-    if agreed is None:
-        agreed = DEFAULT_BATCH_SIZE
-    if requested is not None:
-        agreed = min(agreed, requested)
-    return agreed

@@ -180,12 +180,6 @@ class QbicSubsystem(Subsystem):
 
     supports_internal_conjunction = True
 
-    #: Similarity engines rank the whole collection per query, so
-    #: shipping the ranking in pages is free — the QBIC stand-in joins
-    #: the federation's bulk path (Section 4's sorted access "until
-    #: Garlic tells the subsystem to stop", a page at a time).
-    supports_batched_access = True
-
     def __init__(
         self,
         name: str,

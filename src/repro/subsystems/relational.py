@@ -50,11 +50,6 @@ class RelationalSubsystem(Subsystem):
 
     crisp = True
 
-    #: A relational engine ships result sets in fetch-many pages as a
-    #: matter of course; the crisp ranking (all 1s, then all 0s) batches
-    #: natively, so the federation's bulk path applies end to end.
-    supports_batched_access = True
-
     def __init__(
         self,
         name: str,

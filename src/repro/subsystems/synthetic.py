@@ -46,15 +46,7 @@ class SyntheticSubsystem(Subsystem):
         retains (``None`` = unbounded). Evictions are safe even for
         generated attributes: the drawn grades live in their own
         table, so a re-miss re-sorts the *same* graded set.
-
-    The benchmark substrate speaks the full batched protocol
-    (``supports_batched_access``): its sources are materialised
-    rankings whose batch methods are native slices/lookups, so
-    :meth:`~repro.subsystems.base.Subsystem.evaluate_batched` streams
-    ranked pages at whatever size the federation negotiates.
     """
-
-    supports_batched_access = True
 
     def __init__(
         self,

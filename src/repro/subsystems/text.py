@@ -58,13 +58,7 @@ class TextSubsystem(Subsystem):
         Distinct query strings whose materialised rankings are kept in
         the subsystem's :class:`~repro.subsystems.base.RankingCache`
         (``None`` = unbounded).
-
-    Text engines returned ranked hit *pages* long before 1996; the
-    stand-in declares ``supports_batched_access`` and serves its cosine
-    ranking through the native batch slices of its materialised source.
     """
-
-    supports_batched_access = True
 
     def __init__(
         self,

@@ -6,7 +6,6 @@ from repro.access.cost import CostTracker
 from repro.access.source import (
     InstrumentedSource,
     MaterializedSource,
-    PagedBatchSource,
     SortedRandomSource,
     StreamOnlySource,
     UnbatchedSource,
@@ -210,11 +209,7 @@ class TestFork:
         assert fork.name == src.name
 
     def test_wrappers_fork_through(self):
-        for wrap in (
-            UnbatchedSource,
-            lambda inner: PagedBatchSource(inner, 2),
-            StreamOnlySource,
-        ):
+        for wrap in (UnbatchedSource, StreamOnlySource):
             src = wrap(MaterializedSource("s", self.GRADES))
             src.next_sorted()
             fork = src.fork()
@@ -222,12 +217,6 @@ class TestFork:
             assert fork.position == 0
             assert src.position == 1
             assert fork.next_sorted().obj == "a"
-
-    def test_paged_fork_keeps_page_size(self):
-        src = PagedBatchSource(MaterializedSource("s", self.GRADES), 2)
-        fork = src.fork()
-        assert fork.page_size == 2
-        assert len(fork.sorted_access_batch(10)) == 2  # still paged
 
     def test_stream_only_fork_still_refuses_random_access(self):
         from repro.exceptions import SubsystemCapabilityError

@@ -9,10 +9,11 @@ Every algorithm is run on four backings of the same scoring database:
   with its slice-based batch overrides);
 * ``columnar`` — ``ColumnarScoringDatabase`` sessions (numpy columns,
   shared rank orders, vectorized computation phases downstream);
-* ``federated`` — the same lists served by a batch-capable
+* ``federated`` — the same lists served by a
   :class:`~repro.subsystems.synthetic.SyntheticSubsystem` through
-  ``evaluate_batched`` with a deliberately awkward page size, so every
-  protocol exchange is paged.
+  ``evaluate``, each source shipping a deliberately awkward page of at
+  most 7 objects per exchange (:class:`PagedSource`), so every request
+  for more comes back short.
 
 All four must produce identical top-k answers and identical per-list
 sorted/random access counts; ``IncrementalFagin`` must additionally
@@ -25,6 +26,7 @@ from repro.access import (
     ColumnarScoringDatabase,
     MaterializedSource,
     MiddlewareSession,
+    SortedRandomSource,
     UnbatchedSource,
 )
 from repro.core.query import AtomicQuery
@@ -58,8 +60,45 @@ ALGORITHMS = [
 ]
 
 
+class PagedSource(SortedRandomSource):
+    """At most ``page`` objects per exchange, as a source paging over a
+    wire would ship them; short batches are legal under the protocol."""
+
+    def __init__(self, inner: SortedRandomSource, page: int) -> None:
+        self.inner, self.page, self.name = inner, page, inner.name
+
+    def __len__(self):
+        return len(self.inner)
+
+    @property
+    def position(self):
+        return self.inner.position
+
+    def next_sorted(self):
+        return self.inner.next_sorted()
+
+    def random_access(self, obj):
+        return self.inner.random_access(obj)
+
+    def restart(self):
+        self.inner.restart()
+
+    def sorted_access_batch(self, count):
+        return self.inner.sorted_access_batch(min(count, self.page))
+
+    def random_access_many(self, objs):
+        pages = range(0, len(objs), self.page)
+        return [
+            grade
+            for start in pages
+            for grade in self.inner.random_access_many(
+                objs[start : start + self.page]
+            )
+        ]
+
+
 def federated_session(db) -> MiddlewareSession:
-    """The db's lists behind a batch-capable subsystem, paged at 7."""
+    """The db's lists behind a subsystem, shipped in pages of 7."""
     subsystem = SyntheticSubsystem(
         "fed",
         tables={
@@ -69,8 +108,8 @@ def federated_session(db) -> MiddlewareSession:
     )
     return MiddlewareSession.over_sources(
         [
-            subsystem.evaluate_batched(
-                AtomicQuery(f"attr{i}", None, "~"), batch_size=7
+            PagedSource(
+                subsystem.evaluate(AtomicQuery(f"attr{i}", None, "~")), 7
             )
             for i in range(db.num_lists)
         ],

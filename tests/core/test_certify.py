@@ -26,7 +26,18 @@ class TestValidateEpsilon:
         value = validate_epsilon(1)
         assert isinstance(value, float) and value == 1.0
 
-    @pytest.mark.parametrize("bad", [-0.1, float("nan"), float("inf"), "x", None])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            -0.1,
+            float("nan"),
+            float("inf"),
+            "x",
+            None,
+            pytest.param(10**400, id="int-past-float-range"),
+            pytest.param(-(10**400), id="negative-int-past-float-range"),
+        ],
+    )
     def test_rejects_invalid(self, bad):
         with pytest.raises(ValueError):
             validate_epsilon(bad)

@@ -66,23 +66,6 @@ class TestRegistration:
         assert get_registration("fagin").capabilities.needs_random_access
 
 
-class TestBatchAwareness:
-    def test_batch_aware_strategies_lists_the_rewritten_hot_loops(self):
-        names = reg.batch_aware_strategies()
-        for expected in ("fagin", "fagin-min", "naive", "nra", "threshold"):
-            assert expected in names
-
-    def test_flag_defaults_false(self):
-        from repro.engine.registry import StrategyCapabilities
-
-        assert StrategyCapabilities().batch_aware is False
-
-    def test_batch_unaware_strategies_not_listed(self):
-        # The median construction and B0 still use unit accesses only.
-        names = reg.batch_aware_strategies()
-        assert "median" not in names
-
-
 class TestCapabilityFiltering:
     def test_no_random_access_excludes_ra_strategies(self):
         names = capable_strategies(MINIMUM, 2, random_access=False)

@@ -87,6 +87,12 @@ class TestEpsilonSteering:
         with pytest.raises(ValueError):
             ExecutionContext(epsilon=float("nan"))
 
+    @pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
+    def test_epsilon_past_float_range_is_a_value_error(self, db, sign):
+        # float(10**400) overflows; the builder must still say ValueError.
+        with pytest.raises(ValueError, match="epsilon"):
+            Engine.over(db).query(MINIMUM).epsilon(sign * 10**400)
+
 
 class TestCertifiedApproximation:
     @pytest.mark.parametrize("aggregation", [MINIMUM, ARITHMETIC_MEAN])

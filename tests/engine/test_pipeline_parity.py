@@ -19,7 +19,9 @@ from repro.access.columnar import ColumnarScoringDatabase
 from repro.access.cost import CostModel
 from repro.core.tnorms import MINIMUM
 from repro.engine import Engine, ExecutionContext
+from repro.exceptions import InsufficientObjectsError
 from repro.subsystems.qbic import QbicSubsystem
+from repro.subsystems.relational import RelationalSubsystem
 from repro.workloads.datasets import NAMED_COLORS
 from repro.workloads.skeletons import independent_database
 
@@ -146,3 +148,57 @@ def test_epsilon_steers_every_operation_to_ta(qbic):
     member = engine.run_many([CATALOG_QUERY], k=K)[0]
     assert top.result.algorithm == member.result.algorithm == "TA"
     assert top.result.guarantee == member.result.guarantee
+
+
+#: A k past float range: the chooser's cost estimate (float(k)) used to
+#: overflow on it before any population check ran.
+HUGE_K = 10**400
+
+PAST_N = [pytest.param(N + 1, id="N+1"), pytest.param(HUGE_K, id="10**400")]
+
+
+@pytest.mark.parametrize("k", PAST_N)
+def test_top_past_the_population_raises_insufficient_objects(backing, k):
+    make, spec = backing
+    with pytest.raises(InsufficientObjectsError) as info:
+        make(ExecutionContext()).query(spec).top(k)
+    assert (info.value.k, info.value.available) == (k, N)
+
+
+@pytest.mark.parametrize("k", PAST_N)
+def test_run_many_member_past_the_population_raises(backing, k):
+    make, spec = backing
+    with pytest.raises(InsufficientObjectsError) as info:
+        make(ExecutionContext()).run_many([spec, (spec, k)], k=K)
+    assert (info.value.k, info.value.available) == (k, N)
+
+
+@pytest.mark.parametrize("k", PAST_N)
+@pytest.mark.parametrize(
+    "query, plan_kind",
+    [
+        ('(Color ~ "red") AND (Tint ~ "green")', "AlgorithmPlan"),
+        ('(Artist = "artist-1") AND (Color ~ "red")', "FilteredConjunctPlan"),
+        ('(Color ~ "red") AND NOT (Artist = "artist-1")', "FullScanPlan"),
+    ],
+    ids=["A0", "filtered", "full-scan"],
+)
+def test_every_catalog_plan_kind_refuses_k_past_n(qbic, query, plan_kind, k):
+    """Regression: a filtered-conjunct plan answered k > N with its N
+    objects and a 200; the others raised, or overflowed on 10**400.
+    Now each refuses before any subsystem is asked for a source."""
+    relational = RelationalSubsystem(
+        "rel",
+        {f"img-{i}": {"Artist": f"artist-{i % 17}"} for i in range(N)},
+    )
+    engine = Engine().register(relational).register(qbic)
+    assert type(engine.plan(query)).__name__ == plan_kind
+    misses = [sub.ranking_cache.misses for sub in engine.catalog.subsystems]
+    with pytest.raises(InsufficientObjectsError):
+        engine.query(query).top(k)
+    with pytest.raises(InsufficientObjectsError):
+        engine.run_many([(query, k)])
+    assert [
+        sub.ranking_cache.misses for sub in engine.catalog.subsystems
+    ] == misses
+    assert len(engine.query(query).top(N).items) == N

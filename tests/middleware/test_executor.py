@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.access import SortedRandomSource, UnbatchedSource
 from repro.core.semantics import STANDARD_FUZZY
 from repro.middleware.catalog import Catalog
 from repro.middleware.executor import Executor
@@ -134,33 +135,82 @@ class TestFilteredPlanExecution:
         assert is_valid_top_k(answer.items, truth, 5)
 
 
+class PagedSource(SortedRandomSource):
+    """At most ``page`` objects per exchange, as a source paging over a
+    wire would ship them; counts the exchanges it served."""
+
+    def __init__(self, inner: SortedRandomSource, page: int) -> None:
+        self.inner, self.page, self.name = inner, page, inner.name
+        self.exchanges = 0
+
+    def __len__(self):
+        return len(self.inner)
+
+    @property
+    def position(self):
+        return self.inner.position
+
+    def next_sorted(self):
+        return self.inner.next_sorted()
+
+    def random_access(self, obj):
+        return self.inner.random_access(obj)
+
+    def restart(self):
+        self.inner.restart()
+
+    def sorted_access_batch(self, count):
+        self.exchanges += 1
+        return self.inner.sorted_access_batch(min(count, self.page))
+
+    def random_access_many(self, objs):
+        grades = []
+        for start in range(0, len(objs), self.page):
+            self.exchanges += 1
+            grades += self.inner.random_access_many(
+                objs[start : start + self.page]
+            )
+        return grades
+
+
+def unit_hook(catalog):
+    """An evaluation hook serving every atom one object per access."""
+    return lambda atom: UnbatchedSource(catalog.subsystem_for(atom).evaluate(atom))
+
+
+def beatles_catalog(num_objects, beatles, relational=RelationalSubsystem):
+    """Objects 1..num_objects: the first ``beatles`` match the crisp
+    ``Artist = "Beatles"``, and a synthetic subsystem grades Score."""
+    from repro.subsystems.synthetic import SyntheticSubsystem
+
+    objs = range(1, num_objects + 1)
+    cat = Catalog()
+    cat.register(
+        relational(
+            "rel",
+            {
+                i: {"Artist": "Beatles" if i <= beatles else f"a{i % 3}"}
+                for i in objs
+            },
+        )
+    )
+    cat.register(
+        SyntheticSubsystem(
+            "syn", tables={"Score": {i: i / (num_objects + 1) for i in objs}}
+        )
+    )
+    return cat
+
+
 class TestFilteredBatchedExecution:
-    """The filtered-conjunct strategy on the negotiated bulk transport."""
+    """The filtered-conjunct strategy on the batch protocol."""
 
     @pytest.fixture
     def int_catalog(self):
         """An integer-id population: crisp relation + graded synthetic."""
-        from repro.subsystems.synthetic import SyntheticSubsystem
+        return beatles_catalog(12, beatles=1)
 
-        objs = list(range(1, 13))
-        cat = Catalog()
-        cat.register(
-            RelationalSubsystem(
-                "rel",
-                {
-                    i: {"Artist": "Beatles" if i == 1 else f"a{i % 3}"}
-                    for i in objs
-                },
-            )
-        )
-        cat.register(
-            SyntheticSubsystem(
-                "syn", tables={"Score": {i: i / 20 for i in objs}}
-            )
-        )
-        return cat
-
-    def _filtered_plan(self, cat):
+    def _filtered_plan(self, cat, **options):
         from repro.core.query import And, AtomicQuery
         from repro.middleware.plan import FilteredConjunctPlan
 
@@ -170,16 +220,9 @@ class TestFilteredBatchedExecution:
                 AtomicQuery("Score", None, "~"),
             )
         )
-        plan = Planner(cat).plan(query)
+        plan = Planner(cat, options=PlannerOptions(**options)).plan(query)
         assert isinstance(plan, FilteredConjunctPlan)
         return plan
-
-    def test_planner_negotiates_filtered_batch_size(self, int_catalog):
-        from repro.subsystems import DEFAULT_BATCH_SIZE
-
-        plan = self._filtered_plan(int_catalog)
-        assert plan.batch_size == DEFAULT_BATCH_SIZE
-        assert "batched" in plan.explain()
 
     def test_padding_sorts_int_ids_numerically(self, int_catalog):
         """Regression: phase-3 padding used ``repr`` order, so integer
@@ -190,45 +233,13 @@ class TestFilteredBatchedExecution:
         assert [item.obj for item in answer.items] == [1, 2, 3, 4, 5]
         assert [item.grade for item in answer.items[1:]] == [0.0] * 4
 
-    def test_filtered_routes_through_evaluate_batched(self, int_catalog):
-        """With a negotiated batch size every filtered-plan source is
-        minted through ``evaluate_batched``; the unit lane
-        (batch_size=None) sticks to ``evaluate``. Both lanes must
-        return identical items and identical per-list access counts."""
-        import dataclasses
-
-        calls = {"batched": 0, "unit_mints": 0}
-        for sub in int_catalog.subsystems:
-            original = sub.evaluate_batched
-
-            def spy(query, batch_size=None, _original=original):
-                calls["batched"] += 1
-                return _original(query, batch_size)
-
-            sub.evaluate_batched = spy
-        executor = Executor(int_catalog, STANDARD_FUZZY)
-        plan = self._filtered_plan(int_catalog)
-
-        batched = executor.execute(plan, 3)
-        assert calls["batched"] == 2  # one mint per atom, both subsystems
-
-        unit_plan = dataclasses.replace(plan, batch_size=None)
-        unit = executor.execute(unit_plan, 3)
-        assert calls["batched"] == 2  # the unit lane never touched it
-
-        assert unit.items == batched.items
-        assert unit.result.stats == batched.result.stats
-
     def test_inexact_selectivity_never_over_reads(self):
         """A subsystem whose statistics are estimates (no
         ``selectivity_is_exact`` declaration) must not have them
         trusted for block sizing: a wild over-estimate would charge a
-        whole page of sorted accesses where the unit lane charges
-        |S| + 1. The batched lane falls back to unit-sized probe
-        pages, so counts stay identical."""
-        import dataclasses
-
-        from repro.subsystems.synthetic import SyntheticSubsystem
+        whole page of sorted accesses where one-by-one access charges
+        |S| + 1. The block is read in unit-sized pages instead, so
+        counts equal those of sources served one object at a time."""
 
         class OverEstimating(RelationalSubsystem):
             selectivity_is_exact = False
@@ -237,41 +248,12 @@ class TestFilteredBatchedExecution:
                 exact = super().estimate_selectivity(query)
                 return None if exact is None else min(1.0, exact * 50)
 
-        objs = list(range(1, 13))
-        cat = Catalog()
-        cat.register(
-            OverEstimating(
-                "rel",
-                {
-                    i: {"Artist": "Beatles" if i <= 2 else f"a{i % 3}"}
-                    for i in objs
-                },
-            )
-        )
-        cat.register(
-            SyntheticSubsystem(
-                "syn", tables={"Score": {i: i / 20 for i in objs}}
-            )
-        )
-        from repro.core.query import And, AtomicQuery
-        from repro.middleware.plan import FilteredConjunctPlan
-
-        query = And(
-            (
-                AtomicQuery("Artist", "Beatles", "="),
-                AtomicQuery("Score", None, "~"),
-            )
-        )
-        plan = Planner(
-            cat, options=PlannerOptions(selectivity_threshold=1.0)
-        ).plan(query)
-        assert isinstance(plan, FilteredConjunctPlan)
-        assert plan.batch_size is not None
-        executor = Executor(cat, STANDARD_FUZZY)
-        batched = executor.execute(plan, 3)
-        unit = executor.execute(
-            dataclasses.replace(plan, batch_size=None), 3
-        )
+        cat = beatles_catalog(12, beatles=2, relational=OverEstimating)
+        plan = self._filtered_plan(cat, selectivity_threshold=1.0)
+        batched = Executor(cat, STANDARD_FUZZY).execute(plan, 3)
+        unit = Executor(
+            cat, STANDARD_FUZZY, evaluate_atom=unit_hook(cat)
+        ).execute(plan, 3)
         match_size = batched.result.details["filter_set_size"]
         assert match_size == 2
         assert batched.result.stats.sorted_cost == match_size + 1
@@ -280,39 +262,74 @@ class TestFilteredBatchedExecution:
 
     def test_custom_hook_lane_keeps_counts(self, int_catalog):
         """A caller-supplied evaluation hook may serve data the
-        catalogue's statistics do not describe, so the batched block
-        read must not size pages from them — it probes unit-sized and
-        charges exactly what the hook-free unit lane charges."""
-        import dataclasses
+        catalogue's statistics do not describe, so the block read must
+        not size pages from them — it probes unit-sized and charges
+        exactly what sources served one object at a time charge."""
 
-        def hook(atom, batch_size=None):
-            return int_catalog.subsystem_for(atom).evaluate_batched(
-                atom, batch_size
-            )
+        def hook(atom):
+            return int_catalog.subsystem_for(atom).evaluate(atom)
 
         plan = self._filtered_plan(int_catalog)
         hooked = Executor(int_catalog, STANDARD_FUZZY, evaluate_atom=hook)
-        plain = Executor(int_catalog, STANDARD_FUZZY)
-        via_hook = hooked.execute(plan, 3)
-        unit = plain.execute(dataclasses.replace(plan, batch_size=None), 3)
-        assert via_hook.items == unit.items
-        assert via_hook.result.stats == unit.result.stats
-
-    def test_tiny_page_cap_preserves_counts(self, int_catalog):
-        """A deployment cap far below the block size pages the crisp
-        block in several exchanges without moving the Section 5 counts:
-        |S| + 1 sorted on the filter stream, |S| random per graded
-        conjunct."""
-        plan = Planner(int_catalog, batch_size=2).plan(
-            self._filtered_plan(int_catalog).query
+        unit = Executor(
+            int_catalog, STANDARD_FUZZY, evaluate_atom=unit_hook(int_catalog)
         )
-        assert plan.batch_size == 2
-        executor = Executor(int_catalog, STANDARD_FUZZY)
-        answer = executor.execute(plan, 1)
+        via_hook = hooked.execute(plan, 3)
+        one_by_one = unit.execute(plan, 3)
+        assert via_hook.items == one_by_one.items
+        assert via_hook.result.stats == one_by_one.result.stats
+
+    def test_tiny_page_cap_preserves_counts(self):
+        """Sources shipping two objects per exchange read the crisp
+        block and look up the survivors in several exchanges without
+        moving the Section 5 counts: |S| + 1 sorted on the filter
+        stream, |S| random per graded conjunct."""
+        cat = beatles_catalog(60, beatles=5)
+        paged: list[PagedSource] = []
+
+        def hook(atom):
+            paged.append(PagedSource(cat.subsystem_for(atom).evaluate(atom), 2))
+            return paged[-1]
+
+        plan = self._filtered_plan(cat)
+        answer = Executor(cat, STANDARD_FUZZY, evaluate_atom=hook).execute(
+            plan, 1
+        )
+        reference = Executor(
+            cat, STANDARD_FUZZY, evaluate_atom=unit_hook(cat)
+        ).execute(plan, 1)
         match_size = answer.result.details["filter_set_size"]
-        assert match_size == 1
+        assert match_size == 5
         assert answer.result.stats.sorted_cost == match_size + 1
         assert answer.result.stats.random_cost == match_size
+        assert answer.result.stats == reference.result.stats
+        assert answer.items == reference.items
+        # The five survivors took three lookups of at most two objects.
+        assert [source.exchanges for source in paged] == [6, 3]
+
+    def test_subsystem_paging_its_own_sources_keeps_counts(self):
+        """A subsystem that pages over a wire pages inside its own
+        source. With its exact selectivity the executor asks for the
+        whole block plus the probe item at once; two-object pages
+        answer short, and the reads still total |S| + 1."""
+        sources: list[PagedSource] = []
+
+        class WirePaged(RelationalSubsystem):
+            def evaluate(self, query):
+                sources.append(PagedSource(super().evaluate(query), 2))
+                return sources[-1]
+
+        cat = beatles_catalog(60, beatles=5, relational=WirePaged)
+        plan = self._filtered_plan(cat)
+        answer = Executor(cat, STANDARD_FUZZY).execute(plan, 3)
+        reference = Executor(
+            cat, STANDARD_FUZZY, evaluate_atom=unit_hook(cat)
+        ).execute(plan, 3)
+        assert answer.result.stats.sorted_cost == 5 + 1
+        assert answer.result.stats == reference.result.stats
+        assert answer.items == reference.items
+        # Asks of 6, 4 and 2 objects, each answered with two.
+        assert sources[0].exchanges == 3
 
 
 class TestInternalPlanExecution:

@@ -52,15 +52,6 @@ class TestPlannerRouting:
         assert plan.algorithm.name == "NRA"
         assert "random access" in plan.reason
 
-    def test_sorted_only_subsystem_still_negotiates_batches(
-        self, sorted_only_engine
-    ):
-        # Random access and batching are orthogonal capabilities: the
-        # stream-only wrapper forwards the inner subsystem's batch
-        # support, so the NRA plan still rides the bulk path.
-        plan = sorted_only_engine.plan(QUERY)
-        assert plan.batch_size is not None
-
     def test_executed_answer_matches_full_capability_answer(
         self, sorted_only_engine
     ):
@@ -107,7 +98,7 @@ class TestCleanFailures:
         sub = StreamOnlySubsystem(
             SyntheticSubsystem("streaming", tables=_tables(["b"]))
         )
-        source = sub.evaluate_batched(AtomicQuery("b", None, "~"), 8)
+        source = sub.evaluate(AtomicQuery("b", None, "~"))
         with pytest.raises(SubsystemCapabilityError, match="random access"):
             source.random_access_many([1, 2, 3])
 

@@ -6,6 +6,7 @@ Each test builds requests as :class:`HttpRequest` values and awaits
 unit, the transport is covered by test_server_integration.py.
 """
 
+import argparse
 import asyncio
 import json
 import time
@@ -15,6 +16,7 @@ import pytest
 from repro.core.tnorms import MINIMUM
 from repro.engine import Engine
 from repro.serving import HttpRequest, ServingApp, ServingConfig
+from repro.serving.__main__ import build_engine
 from repro.workloads.skeletons import independent_database
 
 N, M = 300, 3
@@ -231,6 +233,32 @@ class TestErrorEnvelopes:
         assert status == 400
         assert payload["error"]["code"] == "invalid_deadline"
 
+    @pytest.mark.parametrize("raw", ["true", "2.5"])
+    def test_non_integer_deadline_400(self, db, raw):
+        # int() used to read these as 1 ms and 2 ms: a 504 or a 200 by
+        # timing, instead of the client's bad deadline.
+        body = b'{"aggregation": "min", "k": 3, "deadline_ms": %s}' % (
+            raw.encode()
+        )
+        status, payload = self.run_one(
+            db, make_request("POST", "/v1/query", body=body)
+        )
+        assert status == 400
+        assert payload["error"]["code"] == "invalid_deadline"
+
+    @pytest.mark.parametrize("path", ["/v1/query", "/v1/cursor"])
+    @pytest.mark.parametrize("sign", ["", "-"], ids=["positive", "negative"])
+    def test_epsilon_past_float_range_400(self, db, path, sign):
+        # A JSON integer of 401 digits parses, but float() of it
+        # overflows; it is the client's bad epsilon, not a 500.
+        body = b'{"aggregation": "min", "k": 3, "epsilon": %s1%s}' % (
+            sign.encode(),
+            b"0" * 400,
+        )
+        status, payload = self.run_one(db, make_request("POST", path, body=body))
+        assert status == 400
+        assert payload["error"]["code"] == "invalid_epsilon"
+
     @pytest.mark.parametrize("path", ["/v1/query", "/v1/cursor"])
     def test_deeply_nested_json_400(self, db, path):
         status, payload = self.run_one(
@@ -290,6 +318,114 @@ class TestErrorEnvelopes:
                 await drained(app)
 
         assert asyncio.run(scenario()).status == 200
+
+
+#: Two catalog queries whose plans cannot page: the engine refuses a
+#: cursor for each, which ``allow_partial`` requests used to surface.
+UNPAGEABLE_QUERIES = [
+    pytest.param(
+        '(Artist = "artist-1") AND (Color ~ "red")', id="filtered-conjunct"
+    ),
+    pytest.param(
+        '(Color ~ "red") AND NOT (Artist = "artist-1")', id="full-scan"
+    ),
+]
+
+
+def catalog_engine() -> Engine:
+    """The serving CLI's federated demo backing (``--backing catalog``)."""
+    return build_engine(
+        argparse.Namespace(backing="catalog", n=N, seed=0, shards=0)
+    )
+
+
+class TestAllowPartialOnUnpageablePlans:
+    """``allow_partial`` pages through a cursor; a plan that cannot
+    page is answered whole under the deadline instead — a 200 when it
+    completes, a 504 when it expires, never a 400."""
+
+    @pytest.mark.parametrize("query", UNPAGEABLE_QUERIES)
+    def test_answers_like_the_flagless_request(self, query):
+        async def scenario():
+            app = ServingApp(catalog_engine(), ServingConfig())
+            try:
+                plain, partial = [
+                    await app.handle(
+                        make_request("POST", "/v1/query", payload)
+                    )
+                    for payload in (
+                        {"query": query, "k": 5},
+                        {
+                            "query": query,
+                            "k": 5,
+                            "deadline_ms": 5000,
+                            "allow_partial": True,
+                        },
+                    )
+                ]
+                return plain, partial
+            finally:
+                await drained(app)
+
+        plain, partial = asyncio.run(scenario())
+        assert plain.status == 200, parse(plain)
+        assert partial.status == 200, parse(partial)
+        assert parse(partial)["items"] == parse(plain)["items"]
+        assert not parse(partial).get("partial")
+        assert parse(partial)["guarantee"]["kind"] == "exact"
+
+    def test_expired_deadline_is_504(self):
+        from repro.subsystems import QbicSubsystem, RelationalSubsystem
+
+        class SlowRelational(RelationalSubsystem):
+            def evaluate(self, query):
+                time.sleep(0.5)
+                return super().evaluate(query)
+
+        objects = [f"o{i}" for i in range(N)]
+        engine = (
+            Engine()
+            .register(
+                SlowRelational(
+                    "rel",
+                    {o: {"Artist": f"artist-{i % 17}"} for i, o in enumerate(objects)},
+                )
+            )
+            .register(
+                QbicSubsystem(
+                    "img", {"Color": {o: (0.5, 0.5, 0.5) for o in objects}}
+                )
+            )
+        )
+
+        async def scenario():
+            app = ServingApp(engine, ServingConfig())
+            try:
+                response = await app.handle(
+                    make_request(
+                        "POST",
+                        "/v1/query",
+                        {
+                            "query": UNPAGEABLE_QUERIES[0].values[0],
+                            "k": 5,
+                            "deadline_ms": 100,
+                            "allow_partial": True,
+                        },
+                    )
+                )
+                health = await app.handle(make_request("GET", "/healthz"))
+                return response, health
+            finally:
+                await drained(app)
+
+        response, health = asyncio.run(scenario())
+        assert response.status == 504, parse(response)
+        error = parse(response)["error"]
+        assert error["code"] == "deadline_exceeded"
+        # The plain deadline path ran, not the cursor's "before any
+        # page completed": planning never touches the slow subsystem.
+        assert "page" not in error["message"]
+        assert health.status == 200
 
 
 class TestDeadline:

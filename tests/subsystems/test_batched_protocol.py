@@ -1,27 +1,15 @@
-"""The federated batched-access protocol (evaluate_batched + negotiation).
+"""A subsystem's sources under the batch protocol.
 
-Covers the subsystem-side half of the bulk pipeline: capability flags,
-the unit-fallback contract for non-batched subsystems, page capping,
-batch-size negotiation across a federation, and — crucially — that a
-batched source delivers the *same* ranking with the *same* per-item
-access accounting as the unit route.
+``Subsystem.evaluate`` is the middleware's one way to an atom's
+source. Read through its native batch methods, a source must deliver
+the *same* answers with the *same* per-list access accounting as the
+same source read one object at a time behind ``UnbatchedSource``.
 """
 
-import pytest
-
-from repro.access import MiddlewareSession, PagedBatchSource, UnbatchedSource
-from repro.access.source import StreamOnlySource
+from repro.access import MiddlewareSession, UnbatchedSource
 from repro.core.query import AtomicQuery
 from repro.core.tnorms import MINIMUM
-from repro.subsystems import (
-    DEFAULT_BATCH_SIZE,
-    StreamOnlySubsystem,
-    SyntheticSubsystem,
-    negotiate_batch_size,
-)
-from repro.subsystems.qbic import QbicSubsystem
-from repro.subsystems.relational import RelationalSubsystem
-from repro.subsystems.text import TextSubsystem
+from repro.subsystems import SyntheticSubsystem
 
 
 def synthetic(num_objects=40, attrs=("a", "b"), seed=7):
@@ -35,132 +23,11 @@ def synthetic(num_objects=40, attrs=("a", "b"), seed=7):
     return SyntheticSubsystem("syn", tables=tables)
 
 
-class TestCapabilityFlags:
-    def test_all_four_concrete_subsystems_are_batch_capable(self):
-        assert SyntheticSubsystem.supports_batched_access
-        assert RelationalSubsystem.supports_batched_access
-        assert TextSubsystem.supports_batched_access
-        assert QbicSubsystem.supports_batched_access
-
-    def test_base_default_is_unit_only(self):
-        from repro.subsystems.base import Subsystem
-
-        assert Subsystem.supports_batched_access is False
-
-    def test_stream_only_wrapper_forwards_batch_capability(self):
-        wrapped = StreamOnlySubsystem(synthetic())
-        assert wrapped.supports_batched_access
-        assert not wrapped.supports_random_access
-
-
-class TestEvaluateBatched:
-    def test_batched_source_matches_unit_ranking_and_counts(self):
-        sub = synthetic(num_objects=30)
-        query = AtomicQuery("a", None, "~")
-        unit = MiddlewareSession.over_sources(
-            [UnbatchedSource(sub.evaluate(query))]
-        )
-        batched = MiddlewareSession.over_sources(
-            [sub.evaluate_batched(query, 7)]
-        )
-        unit_items = []
-        while not unit.sources[0].exhausted:
-            unit_items.append(unit.sources[0].next_sorted())
-        batched_items = []
-        while True:
-            page = batched.sources[0].sorted_access_batch(12)
-            if not page:
-                break
-            assert len(page) <= 7  # the negotiated page caps every exchange
-            batched_items.extend(page)
-        assert batched_items == unit_items
-        assert unit.tracker.snapshot() == batched.tracker.snapshot()
-
-    def test_unit_fallback_for_non_batched_subsystem(self):
-        class UnitOnly(SyntheticSubsystem):
-            supports_batched_access = False
-
-        sub = UnitOnly("unit", tables={"a": {1: 0.4, 2: 0.9}})
-        source = sub.evaluate_batched(AtomicQuery("a", None, "~"), 10)
-        assert isinstance(source, UnbatchedSource)
-        # The fallback still answers batch requests — by unit loops.
-        assert [i.obj for i in source.sorted_access_batch(5)] == [2, 1]
-
-    def test_no_batch_size_leaves_source_unpaged(self):
-        sub = synthetic(num_objects=25)
-        source = sub.evaluate_batched(AtomicQuery("a", None, "~"))
-        assert not isinstance(source, (PagedBatchSource, UnbatchedSource))
-        assert len(source.sorted_access_batch(25)) == 25
-
-    def test_rejects_nonpositive_batch_size(self):
-        sub = synthetic()
-        with pytest.raises(ValueError, match="batch size"):
-            sub.evaluate_batched(AtomicQuery("a", None, "~"), 0)
-
-    def test_stream_only_batched_source_pages_but_blocks_random(self):
-        from repro.exceptions import SubsystemCapabilityError
-
-        wrapped = StreamOnlySubsystem(synthetic(num_objects=20))
-        source = wrapped.evaluate_batched(AtomicQuery("a", None, "~"), 6)
-        assert isinstance(source, StreamOnlySource)
-        assert len(source.sorted_access_batch(100)) == 6
-        with pytest.raises(SubsystemCapabilityError):
-            source.random_access(1)
-        with pytest.raises(SubsystemCapabilityError):
-            source.random_access_many([1, 2])
-
-
-class TestPagedBatchSource:
-    def test_bulk_random_access_reassembles_pages(self):
-        sub = synthetic(num_objects=30)
-        query = AtomicQuery("a", None, "~")
-        paged = PagedBatchSource(sub.evaluate(query), 4)
-        objs = list(range(1, 31))
-        expected = [sub.evaluate(query).random_access(o) for o in objs]
-        assert paged.random_access_many(objs) == expected
-
-    def test_rejects_bad_page_size(self):
-        sub = synthetic()
-        with pytest.raises(ValueError, match="page size"):
-            PagedBatchSource(sub.evaluate(AtomicQuery("a", None, "~")), 0)
-
-
-class TestNegotiation:
-    def test_all_batched_defaults_to_default_page(self):
-        assert (
-            negotiate_batch_size([synthetic(), synthetic()])
-            == DEFAULT_BATCH_SIZE
-        )
-
-    def test_smallest_hint_wins(self):
-        a, b = synthetic(), synthetic()
-        a.batch_size_hint = 256
-        b.batch_size_hint = 64
-        assert negotiate_batch_size([a, b]) == 64
-
-    def test_requested_caps_the_agreement(self):
-        assert negotiate_batch_size([synthetic()], requested=16) == 16
-
-    def test_any_unit_member_vetoes_batching(self):
-        class UnitOnly(SyntheticSubsystem):
-            supports_batched_access = False
-
-        unit = UnitOnly("unit", tables={"a": {1: 0.5}})
-        assert negotiate_batch_size([synthetic(), unit]) is None
-
-    def test_empty_federation_negotiates_nothing(self):
-        assert negotiate_batch_size([]) is None
-
-    def test_rejects_bad_request(self):
-        with pytest.raises(ValueError, match="requested"):
-            negotiate_batch_size([synthetic()], requested=0)
-
-
 class TestFederatedAnswersThroughBatchedSources:
     def test_topk_parity_unit_vs_batched_sources(self):
         """The acceptance contract: identical answers and per-list
-        counts whether the m sources came from evaluate (unit) or
-        evaluate_batched (paged bulk)."""
+        counts whether the m sources from evaluate are read one object
+        at a time or through their native batch methods."""
         from repro.algorithms.fa import FaginA0
 
         sub = synthetic(num_objects=60, attrs=("a", "b", "c"), seed=11)
@@ -169,7 +36,7 @@ class TestFederatedAnswersThroughBatchedSources:
             [UnbatchedSource(sub.evaluate(atom)) for atom in atoms]
         )
         batched = MiddlewareSession.over_sources(
-            [sub.evaluate_batched(atom, 5) for atom in atoms]
+            [sub.evaluate(atom) for atom in atoms]
         )
         unit_result = FaginA0().top_k(unit, MINIMUM, 8)
         batched_result = FaginA0().top_k(batched, MINIMUM, 8)

@@ -74,16 +74,6 @@ class TestPerSubsystemCaching:
         assert a == b
         assert first.random_access(OBJS[7]) == second.random_access(OBJS[7])
 
-    @pytest.mark.parametrize(
-        "factory,query", SUBSYSTEM_QUERIES, ids=("relational", "text", "qbic")
-    )
-    def test_evaluate_batched_shares_the_cache(self, factory, query):
-        sub = factory()
-        sub.evaluate_batched(query, 8)
-        sub.evaluate_batched(query, 8)
-        assert sub.ranking_cache.misses == 1
-        assert sub.ranking_cache.hits == 1
-
     def test_distinct_queries_miss_independently(self):
         sub = relational()
         sub.evaluate(AtomicQuery("Artist", "Beatles", "="))
