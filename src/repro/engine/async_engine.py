@@ -294,20 +294,41 @@ class AsyncResultCursor:
             cursor = await self._ensure_open()
             return await self._owner._call(cursor.next_k, k)
 
+    async def next_page(self, k: int | None = None):
+        """The next page of up to ``k`` answers (``page_size`` by
+        default), clamped to what the population has left — how
+        ``async for`` and the HTTP cursor page.
+
+        The clamp runs in the same pool call that opens the cursor, so
+        a fresh cursor pages exactly like one that has already served a
+        page. Only an exhausted cursor still raises
+        ``InsufficientObjectsError``.
+        """
+        if k is not None and k < 1:
+            raise ValueError(f"k must be at least 1, got {k}")
+        async with self._fetch_lock:
+            return await self._owner._call(self._clamped_page, k)
+
+    def _clamped_page(self, k: int | None):
+        # Runs on the pool, under the fetch lock.
+        if self._cursor is None:
+            self._cursor = self._opener()
+        cursor = self._cursor
+        if k is None:
+            k = self._page_size or cursor.default_k
+        if cursor.remaining > 0:
+            k = min(k, cursor.remaining)
+        return cursor.next_k(k)
+
     def __aiter__(self) -> "AsyncResultCursor":
         return self
 
     async def __anext__(self):
         async with self._fetch_lock:
             cursor = await self._ensure_open()
-            remaining = cursor.remaining
-            if remaining <= 0 or cursor.closed:
+            if cursor.remaining <= 0 or cursor.closed:
                 raise StopAsyncIteration
-            page = self._page_size
-            if page is None:
-                page = cursor.default_k
-            page = min(page, remaining)
-            return await self._owner._call(cursor.next_k, page)
+            return await self._owner._call(self._clamped_page, None)
 
     # ------------------------------------------------------------------
     # Introspection (safe without await: plain reads of paged state)

@@ -198,11 +198,14 @@ class Engine:
     ) -> "Engine":
         """An engine over a columnar store split into worker processes.
 
-        The store is partitioned into ``shards`` shared-memory shards
-        served by ``processes`` persistent workers (``0`` = inline, no
-        pool — the accounting reference); queries run per shard and
-        merge by threshold exchange into answers and ledgers identical
-        to :meth:`over` on the whole store. See
+        The store is partitioned into ``shards`` strided shared-memory
+        shards served by ``processes`` persistent workers (``0`` =
+        inline, no pool — the accounting reference); queries run per
+        shard and merge by threshold exchange. At ε = 0 the answers
+        equal :meth:`over`'s on the whole store; the summed ledgers are
+        bit-identical across pool widths but not equal to the single
+        store's — the shards together spend about 1.26x its sorted plus
+        random accesses on ``shard-topk``'s mix. See
         :class:`~repro.sharding.engine.ShardedEngine` for the knobs
         and DESIGN.md "Sharded execution" for the protocol.
 
@@ -396,7 +399,10 @@ class Engine:
         if self._sharded is not None:
             plans = [plan_member(spec, k) for spec, k in specs]
             answers = self._sharded.run_many(
-                [(plan.aggregation, k) for plan, (_, k) in zip(plans, specs)],
+                [
+                    (plan.aggregation, k, plan.algorithm.name)
+                    for plan, (_, k) in zip(plans, specs)
+                ],
                 contract=contract,
             )
             details.update(
@@ -415,9 +421,7 @@ class Engine:
 
             def run_one(spec_k: tuple[object, int]) -> object:
                 spec, k = spec_k
-                return self._run(
-                    plan_member(spec, k), k, contract, None, executor
-                )
+                return self._run(plan_member(spec, k), k, contract, executor)
 
             if parallel is None:
                 answers = [run_one(spec_k) for spec_k in specs]
@@ -658,6 +662,12 @@ class Engine:
             return self._sharded.num_objects
         return self._catalog.num_objects
 
+    def _num_lists(self, plan: AlgorithmPlan) -> int:
+        # A sharded plan has neither atoms nor a session to count lists.
+        if self._sharded is not None:
+            return self._sharded.num_lists
+        return plan.num_lists
+
     def _fit_k(self, plan: PhysicalPlan, k: int) -> int:
         """The plan's population N, once ``k`` is known to fit in it.
 
@@ -793,40 +803,37 @@ class Engine:
                         "name (the algorithm runs in worker processes); "
                         f"got {type(strategy).__name__}"
                     )
-                # The call each worker makes per shard: no cost model.
+                # The call each worker would make per shard: no cost model.
                 choice = select_strategy(
-                    aggregation,
-                    self._sharded.num_lists,
-                    random_access=True,
-                    require=strategy,
+                    aggregation, self._sharded.num_lists, random_access=True
                 )
-                shard_plan = AlgorithmPlan(
+                plan: PhysicalPlan = AlgorithmPlan(
                     query=None,
                     reason=f"{choice.reason} (selected by every shard)",
                     algorithm=choice.algorithm,
                     aggregation=aggregation,
                 )
-                return shard_plan, None, None
-            session = self._fresh_session()
-            choice = self._pick(
-                aggregation, session.num_lists, None, self._random_access
-            )
-            plan: PhysicalPlan = AlgorithmPlan(
-                query=None,
-                reason=choice.reason,
-                algorithm=choice.algorithm,
-                aggregation=aggregation,
-                session=session,
-            )
-            if layer is not None:
-                shape = shape_of_aggregation(
-                    aggregation,
-                    session.num_lists,
-                    k,
-                    self._random_access,
-                    layer.source_fingerprint(self._backing),
-                    epsilon=epsilon,
+            else:
+                session = self._fresh_session()
+                choice = self._pick(
+                    aggregation, session.num_lists, None, self._random_access
                 )
+                plan = AlgorithmPlan(
+                    query=None,
+                    reason=choice.reason,
+                    algorithm=choice.algorithm,
+                    aggregation=aggregation,
+                    session=session,
+                )
+                if layer is not None:
+                    shape = shape_of_aggregation(
+                        aggregation,
+                        session.num_lists,
+                        k,
+                        self._random_access,
+                        layer.source_fingerprint(self._backing),
+                        epsilon=epsilon,
+                    )
         else:
             if query is None:
                 raise EngineConfigurationError(
@@ -874,7 +881,7 @@ class Engine:
             assert plan.aggregation is not None
             choice = self._pick(
                 plan.aggregation,
-                plan.num_lists,
+                self._num_lists(plan),
                 strategy,
                 self._random_access_ok(plan.atoms),
             )
@@ -884,22 +891,21 @@ class Engine:
         # ε-steering. Under an approximate contract the auto pick may be
         # A0, whose match-count stop cannot exploit the relaxation (it
         # observes no grades); TA's threshold stop can, so steer to it
-        # and paying ε buys fewer accesses. Forced strategies,
-        # non-random-access workloads (NRA, which also honours ε) and
-        # sharded backings (each shard selects for itself) are left
-        # alone. Steering follows the plan cache, whose shapes are
-        # ε-aware, so exact traffic never sees a steered plan.
+        # and paying ε buys fewer accesses — on a sharded backing, in
+        # every shard's probe. Forced strategies and non-random-access
+        # workloads (NRA, which also honours ε) are left alone.
+        # Steering follows the plan cache, whose shapes are ε-aware, so
+        # exact traffic never sees a steered plan.
         if (
             epsilon > 0.0
             and strategy is None
-            and self._sharded is None
             and isinstance(plan, AlgorithmPlan)
             and plan.aggregation is not None
             and plan.aggregation.monotone
             and self._random_access_ok(plan.atoms)
         ):
             choice = self._pick(
-                plan.aggregation, plan.num_lists, "threshold", True
+                plan.aggregation, self._num_lists(plan), "threshold", True
             )
             plan = _dc_replace(
                 plan,
@@ -933,16 +939,19 @@ class Engine:
         plan: PhysicalPlan,
         k: int,
         contract: QualityContract,
-        strategy: "str | TopKAlgorithm | None",
         executor: Executor | None = None,
     ):
-        """The backing's run step: the shard merge (which forwards a
-        forced strategy by name to the workers), the algorithm over the
-        plan's session, or the executor."""
+        """The backing's run step: the shard merge (which forwards the
+        planned algorithm by registry name to the workers), the
+        algorithm over the plan's session, or the executor."""
         if self._sharded is not None:
             assert isinstance(plan, AlgorithmPlan)
+            assert plan.algorithm is not None
             return self._sharded.top_k(
-                plan.aggregation, k, strategy=strategy, contract=contract
+                plan.aggregation,
+                k,
+                strategy=plan.algorithm.name,
+                contract=contract,
             )
         if self._backing is not None:
             assert isinstance(plan, AlgorithmPlan)
@@ -987,7 +996,7 @@ class Engine:
             plan = layer.choose(
                 shape, plan, num_objects, k, self.context.cost_model
             )
-        answer = self._run(plan, k, contract, strategy)
+        answer = self._run(plan, k, contract)
         result = answer.result if isinstance(answer, QueryAnswer) else answer
         self._record_query(result.stats, result.guarantee)
         # Only runs the ledger can name feed it: auto-selected, or forced

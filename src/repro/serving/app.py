@@ -629,10 +629,10 @@ class ServingApp:
                     "answers_fetched": session.cursor.answers_fetched,
                 }
             )
-        if remaining is not None and k is not None:
-            k = min(k, remaining)
         async with self.admission.admit():
-            page = await self._bounded(session.cursor.next_k(k), deadline_ms)
+            page = await self._bounded(
+                session.cursor.next_page(k), deadline_ms
+            )
         session.pages_served += 1
         remaining = session.cursor.remaining
         envelope = {

@@ -2,12 +2,13 @@
 
 The first component that scales past one interpreter. A
 :class:`~repro.access.columnar.ColumnarScoringDatabase` is partitioned
-into S shards whose float64 columns live in shared-memory segments
-(:mod:`~repro.sharding.shm`); a persistent pool of worker processes
-runs exact per-shard top-k probes (:mod:`~repro.sharding.worker`); and
-:class:`~repro.sharding.engine.ShardedEngine` merges them by threshold
-exchange into answers — and access ledgers — identical to the
-single-store run. See DESIGN.md, "Sharded execution".
+into S strided shards whose float64 columns live in shared-memory
+segments (:mod:`~repro.sharding.shm`); a persistent pool of worker
+processes runs per-shard top-k probes (:mod:`~repro.sharding.worker`);
+and :class:`~repro.sharding.engine.ShardedEngine` merges them by
+threshold exchange into the single store's answers at ε = 0, with
+access ledgers identical across pool widths. See DESIGN.md, "Sharded
+execution".
 
 Most callers never import this package directly:
 ``Engine.over_shards(store, shards=8, processes=4)`` builds and owns a
@@ -22,22 +23,16 @@ __all__ = [
     "ShardSpec",
     "ShardedEngine",
     "partition_columnar",
-    "shard_bounds",
 ]
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sharding.engine import ShardedEngine
-    from repro.sharding.partition import (
-        ShardSpec,
-        partition_columnar,
-        shard_bounds,
-    )
+    from repro.sharding.partition import ShardSpec, partition_columnar
 
 _EXPORTS = {
     "ShardedEngine": ("repro.sharding.engine", "ShardedEngine"),
     "ShardSpec": ("repro.sharding.partition", "ShardSpec"),
     "partition_columnar": ("repro.sharding.partition", "partition_columnar"),
-    "shard_bounds": ("repro.sharding.partition", "shard_bounds"),
 }
 
 

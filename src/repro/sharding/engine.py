@@ -1,40 +1,55 @@
 """The sharded coordinator: process pools + threshold-exchange merge.
 
 :class:`ShardedEngine` is the multi-process counterpart of running one
-exact top-k algorithm over the whole store. It partitions a columnar
-store into S shared-memory shards (:mod:`repro.sharding.partition`),
+top-k algorithm over the whole store. It partitions a columnar store
+into S strided shared-memory shards (:mod:`repro.sharding.partition`),
 keeps P single-worker process pools warm over them, and answers each
-query with the classic distributed-TA *threshold exchange*:
+query with a threshold exchange — the first phase of Cao & Wang's
+uniform-threshold protocol (PODC 2004) closed by an exact test:
 
-1. **Probe.** Every shard returns its exact local top-k plus its
-   frontier θ_s — the k-th local grade. Local exactness means every
-   *unreturned* object of shard s grades ≤ θ_s.
-2. **Exchange.** The coordinator pools all returned candidates and
-   computes τ, the k-th best pooled grade. Because the pool contains
-   each shard's k best, τ is ≥ every θ_s and ≤ the true global k-th
-   grade τ*.
-3. **Re-probe.** Only shards with θ_s ≥ τ (and objects left) can hide
-   a candidate that still matters; each is re-probed at doubled depth.
-   A shard with θ_s < τ hides only objects graded strictly below
-   τ ≤ τ*, which can never displace a pooled candidate — it is done.
-4. **Merge.** At termination every object graded ≥ τ* is pooled, so
+1. **Probe.** Every shard returns its local top-k' under the query's
+   ε, with k' = min(k, ⌈k/S⌉ + ⌈√(k/S)⌉ + 1): a share of k plus a
+   margin, the size at which one round settles almost every query on
+   a strided split. L_s is shard s's last returned item.
+2. **Exchange.** The coordinator pools every returned candidate and
+   finds P_k, the pooled k-th item in the library's total order
+   ``(-grade, tie_break_key)``.
+3. **Retire or re-probe.** A shard retires when it is exhausted or
+   when L_s ranks at or after P_k — the shard that supplied P_k
+   included. An exact probe hides only objects graded at or below
+   L_s, so a retired shard hides nothing that outranks the pooled
+   top k. Every other shard is re-probed at min(n_s, k, 2·k').
+4. **Merge.** When every shard has retired,
    :func:`~repro.algorithms.base.top_k_of` over the pool — the same
    selection with the same tie-break the single store uses — returns
-   the exact global answer.
+   the global answer.
 
-Termination: a re-probed shard's depth doubles each round, so it
-reaches "whole shard returned" (``exhausted``) in O(log n_s) rounds;
-with k0 = k the first τ already dominates every frontier, so a second
-round happens only on grade ties at the threshold.
+Termination: a probe that returned k items cannot rank its last item
+before P_k (the pool holds those k items), so k' never needs to pass k
+and a merge takes O(log k) rounds. In practice one round settles
+almost every query: 1000 queries of the ``shard-topk`` benchmark take
+1025 rounds.
+
+**ε lives in the probes.** Under an ε-approximate contract each probe
+runs its shard with the algorithm's own (1+ε) stop, and the retirement
+test stays exact. A relaxed probe hides only objects graded at most
+(1+ε)·grade(L_s), and a retired shard has grade(L_s) ≤ τ, the answer's
+k-th grade — so nothing outside the answer grades above (1+ε)·τ, which
+is Fagin–Lotem–Naor's θ-approximation with θ = 1+ε. Relaxing the merge
+as well would compound to (1+ε)². The result is certified approximate
+only when a final probe actually ran relaxed.
 
 **Accounting.** Probes are pure functions of (shard, aggregation, k',
-strategy); a re-probe re-runs the local algorithm from scratch and is
-charged in full (a restart is a re-issued subquery). The result's
+strategy, ε); a re-probe re-runs the local algorithm from scratch and
+is charged in full (a restart is a re-issued subquery). The result's
 :class:`~repro.access.cost.AccessStats` sums every probe executed —
 a deterministic quantity, bit-identical across pool widths 1/2/4/8
 and equal to the inline (``processes=0``) reference, because nothing
 about the merge depends on which process ran a probe or when it
-finished. Parallelism changes wall-clock, never the ledger.
+finished. Parallelism changes wall-clock, never the ledger. Workers
+keep no per-merge state, so a re-probe cannot resume; it is rare
+enough that resuming would save little (DESIGN.md, "Sharded
+execution").
 
 **Pool shape.** ``ProcessPoolExecutor`` cannot route a task to a
 chosen worker, but warm attach wants shard s to always land on the
@@ -57,12 +72,13 @@ batching is transport, never accounting.
 
 from __future__ import annotations
 
-import heapq
+import math
 import threading
 from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from typing import Iterable
 
 from repro.access.cost import AccessStats
+from repro.access.source import tie_break_key
 from repro.algorithms.base import TopKResult, top_k_of
 from repro.core.aggregation import AggregationFunction
 from repro.core.certify import EXACT_GUARANTEE, Guarantee, QualityContract
@@ -79,7 +95,7 @@ DEFAULT_START_METHOD = "spawn"
 
 
 class ShardedEngine:
-    """Exact top-k over S shared-memory shards in P worker processes.
+    """Top-k over S shared-memory shards in P worker processes.
 
     Parameters
     ----------
@@ -305,17 +321,18 @@ class ShardedEngine:
     ) -> TopKResult:
         """The global top-k, merged by threshold exchange.
 
-        ``strategy`` names a registry strategy to force *per shard*
-        (the merge is strategy-agnostic — it only needs local
-        exactness); ``None`` lets each shard auto-select.
+        ``strategy`` names a registry strategy to run *per shard* (the
+        merge is strategy-agnostic — it only needs each probe's
+        certificate); ``None`` lets each shard auto-select.
 
-        ``contract`` relaxes the *merge*, never the shards: local
-        probes stay exact, but under ε > 0 a shard is dropped from
-        re-probing as soon as its frontier θ_s < (1+ε)·τ. Every object
-        it then hides grades ≤ θ_s < (1+ε)·τ ≤ (1+ε)·g_k, which is
-        exactly the θ-approximate certificate — so ε-stopping composes
-        across shards without any shard knowing about ε. At ε = 0 the
-        comparison is the verbatim exact test (bit-identical merge).
+        ``contract`` relaxes the *shards*, never the merge: every probe
+        runs its local algorithm under the contract's ε (TA and NRA
+        stop at (1+ε)·θ_s ≥ their threshold; algorithms without a
+        relaxed stop run exact), while retirement stays the exact
+        total-order test. A retired relaxed shard hides only objects
+        graded ≤ (1+ε)·θ_s ≤ (1+ε)·τ, the θ-approximate certificate
+        against the answer's k-th grade τ. The result is certified
+        approximate exactly when a final probe ran relaxed.
         """
         self._require_open()
         merge = self._start_merge(aggregation, k, strategy, contract)
@@ -329,12 +346,14 @@ class ShardedEngine:
 
     def run_many(
         self,
-        specs: Iterable[tuple["AggregationFunction | str", int]],
+        specs: Iterable[tuple],
         *,
-        strategy: str | None = None,
         contract: QualityContract | None = None,
     ) -> list[TopKResult]:
         """Run a batch of ``(aggregation, k)`` queries across the pool.
+
+        A spec may carry a third element, the registry strategy that
+        member's shards run (each shard auto-selects without one).
 
         The whole batch merges round-synchronously: every in-flight
         query's probe requests for the current round are shipped in
@@ -345,18 +364,18 @@ class ShardedEngine:
         each with the same deterministic ledger it would have alone:
         batching changes the transport, never which probes run.
         """
-        requests = list(specs)
+        requests = [(*spec, None)[:3] for spec in specs]
         if not requests:
             return []
         self._require_open()
         if self._processes == 0 or len(requests) == 1:
             return [
-                self.top_k(agg, k, strategy=strategy, contract=contract)
-                for agg, k in requests
+                self.top_k(agg, k, strategy=member, contract=contract)
+                for agg, k, member in requests
             ]
         merges = [
-            self._start_merge(agg, k, strategy, contract)
-            for agg, k in requests
+            self._start_merge(agg, k, member, contract)
+            for agg, k, member in requests
         ]
         active = [i for i, merge in enumerate(merges) if merge.pending]
         while active:
@@ -409,15 +428,15 @@ class ShardedEngine:
         """Execute one transport round of probes.
 
         ``tagged`` is an iterable of ``(tag, (shard, spec, wire, k,
-        strategy))`` — the tag routes each result back to its owner
-        (the query index in ``run_many``; ignored by ``top_k``).
+        strategy, epsilon))`` — the tag routes each result back to its
+        owner (the query index in ``run_many``; ignored by ``top_k``).
         Pooled mode ships ONE task per pool carrying every probe
         pinned to it; inline mode runs them directly. Yields
         ``(tag, shard, ProbeResult)``.
         """
         if not self._pools:
-            for tag, (s, spec, wire, asked, strategy) in tagged:
-                yield tag, s, _worker.run_probe(spec, wire, asked, strategy)
+            for tag, request in tagged:
+                yield tag, request[0], _worker.run_probe(*request[1:])
             return
         by_pool: dict[int, list] = {}
         for tag, request in tagged:
@@ -456,6 +475,20 @@ class ShardedEngine:
         )
 
 
+def _first_probe_size(k: int, num_shards: int) -> int:
+    """min(k, ⌈k/S⌉ + ⌈√(k/S)⌉ + 1), in integer arithmetic.
+
+    ⌈√(k/S)⌉ is the least r with r² ≥ k/S, i.e. with r² ≥ ⌈k/S⌉.
+    """
+    share = -(-k // num_shards)
+    return min(k, share + math.isqrt(share - 1) + 2)
+
+
+def _rank_key(obj, grade: float) -> tuple:
+    """An item's place in the library's total order (smaller first)."""
+    return (-grade, tie_break_key(obj))
+
+
 class _QueryMerge:
     """One query's threshold-exchange merge, transport-agnostic.
 
@@ -484,8 +517,7 @@ class _QueryMerge:
         "reprobes",
         "rounds",
         "pending",
-        "tau",
-        "relaxed_drops",
+        "answer",
     )
 
     def __init__(
@@ -501,25 +533,29 @@ class _QueryMerge:
         self.k = k
         self.strategy = strategy
         self.epsilon = 0.0 if contract is None else contract.epsilon
-        self.asked = [min(k, spec.num_objects) for spec in engine._specs]
+        first = _first_probe_size(k, engine.num_shards)
+        self.asked = [min(first, spec.num_objects) for spec in engine._specs]
         self.results: dict[int, _worker.ProbeResult] = {}
         self.stats = AccessStats(
             (0,) * engine._num_lists, (0,) * engine._num_lists
         )
         self.probes = self.reprobes = self.rounds = 0
         self.pending = list(range(engine.num_shards))
-        self.tau: float | None = None
-        #: Shards the ε-relaxed test retired that the exact test would
-        #: have re-probed. Zero means the merge ran to exact completion
-        #: and the result honestly carries the ``exact`` guarantee even
-        #: under an approximate contract.
-        self.relaxed_drops = 0
+        self.answer: tuple = ()
 
     def requests(self):
-        """This round's probe requests: ``(shard, spec, wire, k', strategy)``."""
+        """This round's probe requests:
+        ``(shard, spec, wire, k', strategy, epsilon)``."""
         self.rounds += 1
         return [
-            (s, self._engine._specs[s], self.wire, self.asked[s], self.strategy)
+            (
+                s,
+                self._engine._specs[s],
+                self.wire,
+                self.asked[s],
+                self.strategy,
+                self.epsilon,
+            )
             for s in self.pending
         ]
 
@@ -532,54 +568,33 @@ class _QueryMerge:
     def advance(self) -> bool:
         """Exchange thresholds; returns True when a re-probe round is due."""
         self.probes += len(self.pending)
-        pool_items = [
-            pair for probe in self.results.values() for pair in probe.items
-        ]
-        # τ: the k-th best pooled grade. Fewer than k pooled items can
-        # only happen while some shard is still deepening (the engine
-        # checked k <= N up front), in which case every unexhausted
-        # shard must deepen — model that as τ = -inf.
-        if len(pool_items) >= self.k:
-            tau = heapq.nlargest(self.k, (g for _, g in pool_items))[-1]
-        else:
-            tau = None
-        self.tau = tau
-        # The ε-relaxed retirement bar. At ε = 0 the comparison below
-        # is the verbatim exact test (no 1.0·τ float round-trip), so
-        # the exact merge is bit-identical to the pre-contract code.
-        # Under ε > 0 a shard with θ_s < (1+ε)·τ hides only objects
-        # graded below (1+ε)·τ ≤ (1+ε)·g_k — the θ-approximate
-        # certificate — so it needs no re-probe.
-        bar = (
-            tau
-            if tau is None or self.epsilon == 0.0
-            else (1.0 + self.epsilon) * tau
+        self.answer = top_k_of(
+            [pair for probe in self.results.values() for pair in probe.items],
+            self.k,
         )
-        pending = []
-        for s in range(self._engine.num_shards):
-            probe = self.results[s]
-            if probe.exhausted:
-                continue
-            if bar is None or probe.frontier >= bar:
-                pending.append(s)
-            elif probe.frontier >= tau:
-                # Retired by the slack alone: the exact merge would
-                # have deepened this shard, so the answer is certified
-                # approximate, not exact.
-                self.relaxed_drops += 1
-        self.pending = pending
+        # Fewer than k pooled items can only happen while some shard is
+        # still deepening (the engine checked k <= N up front): then
+        # every unexhausted shard must deepen.
+        if len(self.answer) < self.k:
+            kth = None
+        else:
+            last = self.answer[-1]
+            kth = _rank_key(last.obj, last.grade)
+        self.pending = [
+            s
+            for s, probe in sorted(self.results.items())
+            if not probe.exhausted
+            and (kth is None or _rank_key(*probe.items[-1]) < kth)
+        ]
         for s in self.pending:
-            spec = self._engine._specs[s]
-            self.asked[s] = min(spec.num_objects, max(2 * self.asked[s], self.k))
+            self.asked[s] = min(
+                self._engine._specs[s].num_objects, self.k, 2 * self.asked[s]
+            )
         self.reprobes += len(self.pending)
         return bool(self.pending)
 
     def finish(self) -> TopKResult:
         engine = self._engine
-        items = top_k_of(
-            [pair for probe in self.results.values() for pair in probe.items],
-            self.k,
-        )
         with engine._lock:
             engine._counters["queries"] += 1
             engine._counters["probes"] += self.probes
@@ -596,18 +611,21 @@ class _QueryMerge:
             "per_shard_asked": tuple(self.asked),
             "threshold_exchange": True,
         }
-        if self.relaxed_drops:
+        relaxed = sum(probe.relaxed for probe in self.results.values())
+        if relaxed:
+            # A retired shard's relaxed probe may hide objects up to
+            # (1+ε) times the answer's k-th grade τ.
             guarantee = Guarantee(
-                "approximate", self.epsilon, threshold=self.tau
+                "approximate",
+                self.epsilon,
+                threshold=(1.0 + self.epsilon) * self.answer[-1].grade,
             )
             details["epsilon"] = self.epsilon
-            details["relaxed_drops"] = self.relaxed_drops
+            details["relaxed_probes"] = relaxed
         else:
-            # Either an exact contract, or the slack never fired: the
-            # merge ran to exact completion and says so.
             guarantee = EXACT_GUARANTEE
         return TopKResult(
-            items,
+            self.answer,
             self.stats,
             f"sharded-{inner}",
             details=details,

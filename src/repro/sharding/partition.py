@@ -1,16 +1,24 @@
 """Partitioning a columnar store into shared-memory shards.
 
 **The partitioning invariant.** Shards split the *object* axis, never
-the list axis: shard ``s`` receives a contiguous slice of the interned
-object range, carrying all m grade columns restricted to that slice.
-Because :func:`~repro.access.columnar.rank_orders` sorts by the total
-order ``(-grade, tie_break_key)``, a shard's local rank order is
-exactly the restriction of the global order to its objects — so a
-shard is itself a complete, self-consistent
-:class:`~repro.access.columnar.ColumnarScoringDatabase` over its
-sub-population, and any exact top-k algorithm run against it returns
-the true local top-k with the same tie-break the global store uses.
+the list axis: each object lands in exactly one shard, carrying all m
+grade columns. Because :func:`~repro.access.columnar.rank_orders`
+sorts by the total order ``(-grade, tie_break_key)``, a shard's local
+rank order is exactly the restriction of the global order to its
+objects, whatever the membership — so a shard is itself a complete,
+self-consistent :class:`~repro.access.columnar.ColumnarScoringDatabase`
+over its sub-population, and any exact top-k algorithm run against it
+returns a true local top-k under the tie-break the global store uses.
 That is the property the threshold-exchange merge builds on.
+
+**Strided membership.** Shard ``s`` of S holds the interned positions
+``s, s+S, s+2S, …``. The interned order is not neutral: a store built
+with ``from_scoring_database`` interns its objects in list 0's ranking,
+so contiguous slices would hand shard 0 the best list-0 grades and the
+last shard the worst — and shard 0 would hold most queries' global
+top-k, which defeats probes of size near k/S. A strided split gives
+every shard a sample of the whole grade range, and shard sizes differ
+by at most one.
 
 **Segment layout.** One segment per shard::
 
@@ -39,7 +47,7 @@ from repro.sharding.shm import attach_segment, create_segment
 if HAVE_NUMPY:
     import numpy as _np
 
-__all__ = ["ShardSpec", "attach_store", "partition_columnar", "shard_bounds"]
+__all__ = ["ShardSpec", "attach_store", "partition_columnar"]
 
 _ALIGN = 64
 
@@ -52,30 +60,6 @@ class ShardSpec:
     token: tuple
     num_objects: int
     num_lists: int
-
-
-def shard_bounds(num_objects: int, num_shards: int) -> list[tuple[int, int]]:
-    """Balanced contiguous ``[start, end)`` slices of the object range.
-
-    Sizes differ by at most one (the first ``N mod S`` shards take the
-    extra object), every shard is non-empty, and the slices cover the
-    range exactly — the partitioning invariant's arithmetic half.
-    """
-    if num_shards < 1:
-        raise ValueError(f"need at least one shard, got {num_shards}")
-    if num_shards > num_objects:
-        raise ValueError(
-            f"cannot split {num_objects} objects into {num_shards} "
-            "non-empty shards"
-        )
-    base, extra = divmod(num_objects, num_shards)
-    bounds = []
-    start = 0
-    for s in range(num_shards):
-        end = start + base + (1 if s < extra else 0)
-        bounds.append((start, end))
-        start = end
-    return bounds
 
 
 def _aligned(offset: int) -> int:
@@ -100,7 +84,13 @@ def partition_columnar(
             "sharded execution requires numpy (shared-memory segments "
             "hold raw float64/int64 columns)"
         )
-    bounds = shard_bounds(store.num_objects, num_shards)
+    if num_shards < 1:
+        raise ValueError(f"need at least one shard, got {num_shards}")
+    if num_shards > store.num_objects:
+        raise ValueError(
+            f"cannot split {store.num_objects} objects into {num_shards} "
+            "non-empty shards"
+        )
     objects = store.interned_objects
     matrix = store.grades_matrix()  # (m, N) float64, ground truth
     m = store.num_lists
@@ -108,10 +98,10 @@ def partition_columnar(
     specs: list[ShardSpec] = []
     segments: list = []
     try:
-        for s, (start, end) in enumerate(bounds):
-            shard_objects = objects[start:end]
-            shard_matrix = _np.ascontiguousarray(matrix[:, start:end])
-            n = end - start
+        for s in range(num_shards):
+            shard_objects = objects[s::num_shards]
+            shard_matrix = _np.ascontiguousarray(matrix[:, s::num_shards])
+            n = len(shard_objects)
             orders = rank_orders(shard_objects, list(shard_matrix))
 
             header_probe = pickle.dumps(

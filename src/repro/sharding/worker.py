@@ -5,7 +5,8 @@ so the ``spawn`` start method can re-import them by qualified name —
 no closures, no bound methods, no engine state crosses the process
 boundary. What does cross is small and picklable: a
 :class:`~repro.sharding.partition.ShardSpec` (an attach recipe), an
-aggregation (by wire name, or a picklable instance), and ints.
+aggregation (by wire name, or a picklable instance), a strategy name,
+k' and ε.
 
 **Warm attach.** The first probe against a shard attaches its segment
 and wraps it as a columnar store; the ``(segment, store)`` pair is
@@ -13,23 +14,27 @@ cached in a module global keyed by token, so every later probe — the
 steady state — pays only the query itself. Pool initializers call
 :func:`_bootstrap` to prewarm the cache before the first real query.
 
-**Probe contract.** :func:`run_probe` runs one exact top-k' against
-one shard and returns a :class:`ProbeResult` of plain data:
+**Probe contract.** :func:`run_probe` runs one top-k' against one
+shard, under the query's ε, and returns a :class:`ProbeResult` of
+plain data:
 
-* ``items`` — the shard's true local top-k' as ``(obj, grade)`` pairs
-  in the global answer order (descending grade, library tie-break);
-* ``frontier`` — the k'-th (last returned) grade. Exactness of the
-  local algorithm guarantees every *unreturned* shard object grades
-  at or below the frontier, which is the inequality the coordinator's
-  threshold exchange reasons with;
-* ``exhausted`` — the probe returned the whole shard, so the frontier
-  hides nothing;
+* ``items`` — the shard's local top-k' as ``(obj, grade)`` pairs in
+  the global answer order (descending grade, library tie-break), each
+  with its true grade;
+* ``exhausted`` — the probe returned the whole shard, so it hides
+  nothing;
+* ``relaxed`` — the local algorithm stopped under its (1+ε) rule
+  (Fagin–Lotem–Naor's θ-approximation), so an unreturned shard object
+  may grade up to (1+ε) times the last returned grade. Otherwise the
+  probe is exact: every unreturned object grades at or below it. These
+  are the inequalities the coordinator's threshold exchange reasons
+  with;
 * the probe's own per-list access counts, so the coordinator can sum
   an exact Section 5 ledger.
 
 A probe is a pure function of ``(shard bytes, aggregation, k',
-strategy)`` — re-probing at larger k' re-runs the local algorithm from
-scratch and is charged again, the library's usual "a restart is a
+strategy, ε)`` — re-probing at larger k' re-runs the local algorithm
+from scratch and is charged again, the library's usual "a restart is a
 re-issued subquery" rule. That purity is what makes the merged ledger
 bit-identical across pool widths and against the inline reference.
 """
@@ -78,15 +83,15 @@ _ATTACHED: dict[tuple, tuple] = {}
 
 @dataclass(frozen=True, slots=True)
 class ProbeResult:
-    """One shard's exact local top-k', as plain picklable data."""
+    """One shard's local top-k', as plain picklable data."""
 
     shard: int
     asked: int
     items: tuple  # ((obj, grade), ...) in global answer order
     sorted_by_list: tuple
     random_by_list: tuple
-    frontier: float
     exhausted: bool
+    relaxed: bool
     algorithm: str
 
 
@@ -139,24 +144,25 @@ def run_probe(
     aggregation,
     k: int,
     strategy: str | None = None,
+    epsilon: float = 0.0,
 ) -> ProbeResult:
-    """Exact local top-``k`` of one shard, plus frontier and ledger."""
+    """Local top-``k`` of one shard under ``epsilon``, plus its ledger."""
     store = _attached_store(spec)
     agg = _resolve_aggregation(aggregation)
     k = min(k, store.num_objects)
     choice = select_strategy(
         agg, store.num_lists, random_access=True, require=strategy
     )
-    result = choice.algorithm.top_k(store.session(), agg, k)
-    items = tuple((item.obj, item.grade) for item in result.items)
+    result = choice.algorithm.top_k(store.session(), agg, k, epsilon)
+    exhausted = k >= store.num_objects
     return ProbeResult(
         shard=spec.index,
         asked=k,
-        items=items,
+        items=tuple((item.obj, item.grade) for item in result.items),
         sorted_by_list=result.stats.sorted_by_list,
         random_by_list=result.stats.random_by_list,
-        frontier=items[-1][1] if items else 0.0,
-        exhausted=k >= store.num_objects,
+        exhausted=exhausted,
+        relaxed=not exhausted and result.guarantee.kind == "approximate",
         algorithm=result.algorithm,
     )
 
@@ -164,11 +170,11 @@ def run_probe(
 def run_probe_batch(requests) -> tuple:
     """Many probes in one task: the coordinator's transport batch.
 
-    ``requests`` is a sequence of ``(spec, aggregation, k, strategy)``
-    tuples; results come back in the same order. One submit per pool
-    per merge round amortises the coordinator's per-task cost (pickle,
-    queue feeder, pipe wakeup) — which otherwise rivals a small probe
-    itself — across every probe pinned to this worker. The probes are
-    exactly :func:`run_probe`, so the ledger is unchanged.
+    ``requests`` is a sequence of ``(spec, aggregation, k, strategy,
+    epsilon)`` tuples; results come back in the same order. One submit
+    per pool per merge round amortises the coordinator's per-task cost
+    (pickle, queue feeder, pipe wakeup) — which otherwise rivals a
+    small probe itself — across every probe pinned to this worker. The
+    probes are exactly :func:`run_probe`, so the ledger is unchanged.
     """
     return tuple(run_probe(*request) for request in requests)

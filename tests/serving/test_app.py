@@ -716,6 +716,61 @@ class TestCursor:
         assert parse(responses[2])["error"]["code"] == "too_many_cursors"
 
 
+class TestCursorPastThePopulation:
+    """A page larger than what is left answers with what is left, on a
+    fresh cursor exactly as on one that has served a page (a fresh
+    cursor used to answer 400 ``InsufficientObjectsError``)."""
+
+    SPECS = {
+        "source": {"aggregation": "min"},
+        "catalog": {"query": 'Color ~ "red"'},
+    }
+
+    def make(self, spec, db) -> ServingApp:
+        engine = Engine.over(db) if spec == "source" else catalog_engine()
+        return ServingApp(engine, ServingConfig())
+
+    def page_all(self, spec, db, page_size, k):
+        async def scenario():
+            app = self.make(spec, db)
+            try:
+                opened = await app.handle(
+                    make_request(
+                        "POST",
+                        "/v1/cursor",
+                        {**self.SPECS[spec], "page_size": page_size},
+                    )
+                )
+                cursor_id = parse(opened)["cursor_id"]
+                return await app.handle(
+                    make_request(
+                        "GET",
+                        f"/v1/cursor/{cursor_id}/next",
+                        query={} if k is None else {"k": str(k)},
+                    )
+                )
+            finally:
+                await drained(app)
+
+        return asyncio.run(scenario())
+
+    @pytest.mark.parametrize("spec", ["source", "catalog"])
+    def test_fresh_cursor_clamps_k(self, spec, db):
+        response = self.page_all(spec, db, page_size=None, k=N + 100)
+        assert response.status == 200, response.body
+        page = parse(response)
+        assert len(page["items"]) == N
+        assert page["remaining"] == 0 and page["done"]
+
+    @pytest.mark.parametrize("spec", ["source", "catalog"])
+    def test_first_page_clamps_page_size(self, spec, db):
+        response = self.page_all(spec, db, page_size=N + 100, k=None)
+        assert response.status == 200, response.body
+        page = parse(response)
+        assert len(page["items"]) == N
+        assert page["remaining"] == 0 and page["done"]
+
+
 class TestControlPlane:
     def test_healthz_ok(self, db):
         async def scenario():

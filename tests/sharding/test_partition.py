@@ -1,4 +1,4 @@
-"""Partitioning invariants: contiguous object split, local order =
+"""Partitioning invariants: strided object split, local order =
 restriction of the global order, self-describing attach, backends.
 """
 
@@ -15,7 +15,6 @@ from repro.sharding.partition import (
     ShardSpec,
     attach_store,
     partition_columnar,
-    shard_bounds,
 )
 from repro.workloads.skeletons import independent_database
 
@@ -41,68 +40,105 @@ def read_attached(spec, fn):
         segment.close()
 
 
+def release(segments) -> None:
+    for segment in segments:
+        segment.close()
+        segment.unlink()
+
+
+def shard_sizes(num_objects: int, num_shards: int) -> list[int]:
+    store = columnar(m=1, n=num_objects, seed=num_objects)
+    specs, segments = partition_columnar(store, num_shards)
+    release(segments)
+    return [spec.num_objects for spec in specs]
+
+
 class TestShardBounds:
+    """Shard counts and sizes: 1 <= S <= N, sizes differ by at most
+    one, every shard is non-empty and the shards cover the store."""
+
     def test_balanced_cover(self):
-        bounds = shard_bounds(10, 3)
-        assert bounds == [(0, 4), (4, 7), (7, 10)]
+        assert shard_sizes(10, 3) == [4, 3, 3]
 
     def test_exact_division(self):
-        assert shard_bounds(9, 3) == [(0, 3), (3, 6), (6, 9)]
+        assert shard_sizes(9, 3) == [3, 3, 3]
 
     def test_single_shard_is_identity(self):
-        assert shard_bounds(7, 1) == [(0, 7)]
+        store = columnar(m=2, n=7, seed=3)
+        specs, segments = partition_columnar(store, 1)
+        try:
+            objects, matrix = read_attached(
+                specs[0],
+                lambda s: (list(s.interned_objects), s.grades_matrix().copy()),
+            )
+            assert objects == list(store.interned_objects)
+            np.testing.assert_array_equal(matrix, store.grades_matrix())
+        finally:
+            release(segments)
 
     def test_every_shard_nonempty(self):
-        for n in range(1, 20):
+        for n in range(1, 10):
             for s in range(1, n + 1):
-                bounds = shard_bounds(n, s)
-                assert all(end > start for start, end in bounds)
-                assert bounds[0][0] == 0 and bounds[-1][1] == n
+                sizes = shard_sizes(n, s)
+                assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+                assert sum(sizes) == n
 
     def test_more_shards_than_objects_refused(self):
         with pytest.raises(ValueError, match="non-empty"):
-            shard_bounds(3, 4)
+            partition_columnar(columnar(m=1, n=3, seed=1), 4)
 
     def test_zero_shards_refused(self):
         with pytest.raises(ValueError, match="at least one"):
-            shard_bounds(3, 0)
+            partition_columnar(columnar(m=1, n=3, seed=1), 0)
 
 
 class TestPartitionInvariant:
-    def test_shards_cover_objects_contiguously(self):
+    def test_every_object_lands_in_exactly_one_shard(self):
         store = columnar()
         specs, segments = partition_columnar(store, 4)
         try:
-            rebuilt = []
-            for spec in specs:
-                rebuilt.extend(
-                    read_attached(spec, lambda s: list(s.interned_objects))
-                )
-            assert rebuilt == list(store.interned_objects)
+            members = [
+                read_attached(spec, lambda s: list(s.interned_objects))
+                for spec in specs
+            ]
+            objects = list(store.interned_objects)
+            assert members == [objects[s::4] for s in range(4)]
+            assert sorted(o for shard in members for o in shard) == sorted(
+                objects
+            )
         finally:
-            for segment in segments:
-                segment.close()
-                segment.unlink()
+            release(segments)
 
     def test_shard_grades_match_global_store(self):
         store = columnar(m=2, n=50, seed=9)
         specs, segments = partition_columnar(store, 3)
         try:
             matrix = store.grades_matrix()
-            offset = 0
-            for spec in specs:
+            for s, spec in enumerate(specs):
                 shard_matrix = read_attached(
                     spec, lambda s: s.grades_matrix().copy()
                 )
-                np.testing.assert_array_equal(
-                    shard_matrix,
-                    matrix[:, offset : offset + spec.num_objects],
-                )
-                offset += spec.num_objects
+                np.testing.assert_array_equal(shard_matrix, matrix[:, s::3])
         finally:
-            for segment in segments:
-                segment.close()
-                segment.unlink()
+            release(segments)
+
+    def test_every_shard_spans_list_zero(self):
+        """A store built from a scoring database interns its objects in
+        list 0's ranking; a strided split still gives every shard both
+        top and bottom list-0 grades (contiguous slices gave the last
+        shard nothing above about 0.25)."""
+        store = ColumnarScoringDatabase.from_scoring_database(
+            independent_database(3, 400, seed=15)
+        )
+        specs, segments = partition_columnar(store, 4)
+        try:
+            for spec in specs:
+                column = read_attached(
+                    spec, lambda s: s.grades_matrix()[0].copy()
+                )
+                assert column.max() > 0.9 and column.min() < 0.1
+        finally:
+            release(segments)
 
     def test_local_order_is_restriction_of_global(self):
         """Shard s's ranking of list i equals the global ranking of
@@ -174,9 +210,7 @@ class TestBackends:
                 lambda s: (s.num_objects, list(s.interned_objects)),
             )
             assert count == specs[1].num_objects
-            assert objects == list(store.interned_objects)[
-                specs[0].num_objects :
-            ]
+            assert objects == list(store.interned_objects)[1::2]
         finally:
             for segment in segments:
                 segment.close()

@@ -1,4 +1,4 @@
-"""ε-aware threshold-exchange merge: exact parity at ε=0, certified
+"""ε in the threshold-exchange merge: exact parity at ε=0, certified
 approximation and probe savings at ε>0, across shard widths."""
 
 from __future__ import annotations
@@ -86,17 +86,22 @@ class TestEpsilonRelaxedMerge:
         assert relaxed.stats.sum_cost <= exact.stats.sum_cost
 
     def test_guarantee_is_honest(self):
-        """The merge reports approximate only when the slack fired."""
+        """The merge reports approximate only when a final probe ran
+        relaxed (A0', the auto pick for min, never does)."""
         with ShardedEngine(columnar(), shards=4, processes=0) as sharded:
-            relaxed = sharded.top_k(
-                MINIMUM, K, contract=QualityContract.approximate(0.5)
-            )
-            if relaxed.details.get("relaxed_drops"):
-                assert relaxed.guarantee.kind == "approximate"
-                assert relaxed.guarantee.epsilon == 0.5
-                assert relaxed.guarantee.threshold is not None
-            else:
-                assert relaxed.guarantee.kind == "exact"
+            for strategy in (None, "threshold"):
+                relaxed = sharded.top_k(
+                    MINIMUM,
+                    K,
+                    strategy=strategy,
+                    contract=QualityContract.approximate(0.5),
+                )
+                if relaxed.details.get("relaxed_probes"):
+                    assert relaxed.guarantee.kind == "approximate"
+                    assert relaxed.guarantee.epsilon == 0.5
+                    assert relaxed.guarantee.threshold is not None
+                else:
+                    assert relaxed.guarantee.kind == "exact"
 
     def test_engine_facade_threads_context_epsilon(self):
         engine = Engine.over_shards(
