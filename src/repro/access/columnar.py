@@ -23,11 +23,12 @@ single access is charged.
   (:func:`rank_orders`).
 
 Sessions are minted in O(m): each source is a cursor over the shared,
-pre-built ranking tuple and grade map (``MaterializedSource.trusted``),
-so repeated runs — the benchmark regime — pay for accesses, not for
-re-sorting. Access-count semantics are untouched: the sources speak
-the same sorted/random (and batched) protocol through the same
-instrumented wrappers.
+pre-built ranking columns (the objects and their grades as two
+parallel tuples in rank order) and grade map
+(``MaterializedSource.trusted``), so repeated runs — the benchmark
+regime — pay for accesses, not for re-sorting. Access-count semantics
+are untouched: the sources speak the same sorted/random (and batched)
+protocol through the same instrumented wrappers.
 
 The numpy columns additionally feed the *computation* phase:
 :meth:`ColumnarScoringDatabase.grades_matrix` gathers any subset of
@@ -44,9 +45,9 @@ ground truth concurrently. All mutable state — sorted cursors, cost
 trackers — lives in the per-query :class:`MiddlewareSession` objects
 :meth:`session` mints, which are single-consumer and must not be
 shared between threads. The only writes after construction are the
-lazy, idempotent memoisations of :meth:`ranking` / :meth:`_grade_map`,
-which are double-checked under an internal lock; once warm, minting a
-session is lock-free O(m).
+lazy, idempotent memoisations of each list's ranking columns and grade
+map (:meth:`_shared`), which are double-checked under an internal
+lock; once warm, minting a session is lock-free O(m).
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from repro.access.source import (
     descending_order,
     tie_break_key,
 )
-from repro.access.types import GradedItem, ObjectId, mint_items
+from repro.access.types import GradedItem, ObjectId, RankedColumns, mint_items
 from repro.core.aggregation import AggregationFunction
 from repro.core.graded_set import GradedSet
 from repro.core.kernels import HAVE_NUMPY, evaluate_columns
@@ -206,8 +207,9 @@ class ColumnarScoringDatabase:
         # and double-checked under the lock, so concurrent first mints
         # neither duplicate work nor observe partial state.
         self._mint_lock = threading.Lock()
-        self._rankings: list[tuple[GradedItem, ...] | None] = [None] * len(columns)
-        self._grade_maps: list[dict[ObjectId, float] | None] = [None] * len(columns)
+        self._shared_lists: list[
+            tuple[RankedColumns, dict[ObjectId, float]] | None
+        ] = [None] * len(columns)
 
     def _rank_orders(self):
         return rank_orders(self._objects, self._columns)
@@ -248,8 +250,7 @@ class ColumnarScoringDatabase:
                 if isinstance(arr, _np.ndarray):
                     arr.flags.writeable = False
         self._mint_lock = threading.Lock()
-        self._rankings = [None] * len(self._columns)
-        self._grade_maps = [None] * len(self._columns)
+        self._shared_lists = [None] * len(self._columns)
         return self
 
     @classmethod
@@ -312,34 +313,30 @@ class ColumnarScoringDatabase:
         return column.tolist()
 
     def ranking(self, list_index: int) -> tuple[GradedItem, ...]:
-        """List ``i`` sorted for sorted access; built once, then shared."""
-        cached = self._rankings[list_index]
+        """List ``i`` sorted for sorted access, as freshly minted items
+        over the shared ranking columns."""
+        objects, grades = self._shared(list_index)[0]
+        return mint_items(objects, grades, range(len(objects)))
+
+    def _shared(
+        self, list_index: int
+    ) -> tuple[RankedColumns, dict[ObjectId, float]]:
+        """List ``i``'s ranking columns and grade map; built once, then
+        shared by every session. Both hold the same float objects."""
+        cached = self._shared_lists[list_index]
         if cached is None:
             with self._mint_lock:
-                cached = self._rankings[list_index]
+                cached = self._shared_lists[list_index]
                 if cached is None:
                     # The column was validated at construction.
-                    cached = mint_items(
-                        self._objects,
-                        self._as_floats(self._columns[list_index]),
-                        self._order_indices(list_index),
-                    )
-                    self._rankings[list_index] = cached
-        return cached
-
-    def _order_indices(self, list_index: int) -> list[int]:
-        order = self._orders[list_index]
-        return order.tolist()
-
-    def _grade_map(self, list_index: int) -> dict[ObjectId, float]:
-        cached = self._grade_maps[list_index]
-        if cached is None:
-            with self._mint_lock:
-                cached = self._grade_maps[list_index]
-                if cached is None:
                     grades = self._as_floats(self._columns[list_index])
-                    cached = dict(zip(self._objects, grades))
-                    self._grade_maps[list_index] = cached
+                    order = self._orders[list_index].tolist()
+                    columns = (
+                        tuple(map(self._objects.__getitem__, order)),
+                        tuple(map(grades.__getitem__, order)),
+                    )
+                    cached = (columns, dict(zip(self._objects, grades)))
+                    self._shared_lists[list_index] = cached
         return cached
 
     # ------------------------------------------------------------------
@@ -380,17 +377,15 @@ class ColumnarScoringDatabase:
     def session(self) -> MiddlewareSession:
         """A fresh instrumented session, minted without re-sorting.
 
-        Every source shares the database's pre-built ranking tuple and
-        grade map; only the per-session cursor and cost tracker are
+        Every source shares the database's pre-built ranking columns
+        and grade map; only the per-session cursor and cost tracker are
         new, so minting is O(m) instead of O(N * m). Minting is safe
         from any thread (lock-free once the shared ranking is warm);
         the returned session itself is single-consumer — give each
         concurrent query its own.
         """
         raw = [
-            MaterializedSource.trusted(
-                f"list-{i}", self.ranking(i), self._grade_map(i)
-            )
+            MaterializedSource.trusted(f"list-{i}", *self._shared(i))
             for i in range(self.num_lists)
         ]
         return MiddlewareSession.over_sources(raw, num_objects=self.num_objects)

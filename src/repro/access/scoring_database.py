@@ -22,8 +22,13 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from repro.access.session import MiddlewareSession
-from repro.access.source import MaterializedSource, rank_items
-from repro.access.types import GradedItem, ObjectId
+from repro.access.source import (
+    MaterializedSource,
+    graded_population,
+    rank_items,
+    rank_population,
+)
+from repro.access.types import GradedItem, ObjectId, RankedColumns, mint_items
 from repro.core.aggregation import AggregationFunction
 from repro.core.graded_set import GradedSet
 from repro.core.grades import validate_grade
@@ -158,7 +163,7 @@ class ScoringDatabase:
             raise ValueError("a scoring database needs at least one object")
         self._lists = normalised
         self._objects = domain
-        self._rankings: list[tuple[GradedItem, ...] | None] = [None] * len(lists)
+        self._rankings: list[RankedColumns | None] = [None] * len(lists)
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -216,10 +221,17 @@ class ScoringDatabase:
         return GradedSet(self._lists[list_index])
 
     def ranking(self, list_index: int) -> tuple[GradedItem, ...]:
-        """List ``i`` sorted for sorted access (deterministic tie-break)."""
+        """List ``i`` sorted for sorted access (deterministic tie-break),
+        as freshly minted items over the cached ranking columns."""
+        objects, grades = self._ranked_columns(list_index)
+        return mint_items(objects, grades, range(len(objects)))
+
+    def _ranked_columns(self, list_index: int) -> RankedColumns:
+        """List ``i``'s ``(objects, grades)`` ranking columns, ranked on
+        first use and shared by every later session."""
         cached = self._rankings[list_index]
         if cached is None:
-            cached = rank_items(self._lists[list_index])
+            cached = rank_population(*graded_population(self._lists[list_index]))[0]
             self._rankings[list_index] = cached
         return cached
 
@@ -230,10 +242,7 @@ class ScoringDatabase:
     def skeleton(self) -> Skeleton:
         """The skeleton this database's rankings realise."""
         return Skeleton(
-            tuple(
-                tuple(item.obj for item in self.ranking(i))
-                for i in range(self.num_lists)
-            )
+            tuple(self._ranked_columns(i)[0] for i in range(self.num_lists))
         )
 
     def consistent_with(self, skeleton: Skeleton) -> bool:
@@ -259,9 +268,15 @@ class ScoringDatabase:
     # ------------------------------------------------------------------
 
     def session(self) -> MiddlewareSession:
-        """A fresh instrumented session over this database's lists."""
+        """A fresh instrumented session over this database's lists.
+
+        Each source is an O(1) cursor over the list's cached ranking
+        columns, with the list's own mapping as its grade map.
+        """
         raw = [
-            MaterializedSource(f"list-{i}", self.ranking(i))
+            MaterializedSource.trusted(
+                f"list-{i}", self._ranked_columns(i), self._lists[i]
+            )
             for i in range(self.num_lists)
         ]
         return MiddlewareSession.over_sources(raw, num_objects=self.num_objects)

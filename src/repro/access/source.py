@@ -17,6 +17,11 @@ grades *only* through it, so the access accounting is airtight by
 construction. :class:`MaterializedSource` backs it with an in-memory
 ranking (scoring databases, test fixtures); subsystem adapters in
 :mod:`repro.subsystems` provide lazily-evaluated implementations.
+
+A ranking is held as :data:`~repro.access.types.RankedColumns` — the
+objects and their grades as two parallel tuples in rank order — and a
+batch of sorted accesses is delivered as slices of both: the "one by
+one, along with their grades" of Section 4, read b at a time.
 """
 
 from __future__ import annotations
@@ -25,7 +30,13 @@ from abc import ABC, abstractmethod
 from typing import Iterable, Mapping, Sequence
 
 from repro.access.cost import CostTracker
-from repro.access.types import GradedItem, ObjectId, mint_items
+from repro.access.types import (
+    GradedItem,
+    ObjectId,
+    RankedColumns,
+    mint_item,
+    mint_items,
+)
 from repro.core.grades import validate_grade
 from repro.core.kernels import HAVE_NUMPY
 from repro.exceptions import ExhaustedSourceError, UnknownObjectError
@@ -141,21 +152,25 @@ def descending_order(column):
 
 def rank_population(
     objects: Sequence[ObjectId], grades: Sequence[object]
-) -> tuple[tuple[GradedItem, ...], dict[ObjectId, float]]:
+) -> tuple[RankedColumns, dict[ObjectId, float]]:
     """Rank a population's grades for sorted and random access.
 
     ``objects`` lists the population in :func:`tie_break_order` and
     ``grades[j]`` is ``objects[j]``'s grade. One bulk validation
     (:func:`checked_grades`), one stable descending argsort
-    (:func:`descending_order`), one :class:`GradedItem` minted per
-    object; the grade map holds the same float objects as the items.
-    Returns ``(ranking, grade_map)``.
+    (:func:`descending_order`), and both columns gathered in that
+    order; the grades column and the grade map hold the same float
+    objects. Returns ``((objects, grades), grade_map)``.
     """
     floats, column = checked_grades(objects, grades)
     order = descending_order(column)
     if HAVE_NUMPY:
         order = order.tolist()
-    return mint_items(objects, floats, order), dict(zip(objects, floats))
+    columns = (
+        tuple(map(objects.__getitem__, order)),
+        tuple(map(floats.__getitem__, order)),
+    )
+    return columns, dict(zip(objects, floats))
 
 
 def rank_items(
@@ -167,7 +182,8 @@ def rank_items(
     :func:`tie_break_key` — one concrete choice of the "skeleton" a
     tied graded set is consistent with (Section 5 allows any).
     """
-    return rank_population(*graded_population(grades))[0]
+    (objects, ranked), _ = rank_population(*graded_population(grades))
+    return mint_items(objects, ranked, range(len(objects)))
 
 
 class SortedRandomSource(ABC):
@@ -238,24 +254,29 @@ class SortedRandomSource(ABC):
     # slice/lookup fast paths.
     # ------------------------------------------------------------------
 
-    def sorted_access_batch(self, count: int) -> Sequence[GradedItem]:
+    def sorted_access_batch(self, count: int) -> RankedColumns:
         """Deliver up to ``count`` further objects under sorted access.
 
-        May return fewer than ``count`` items: a source that pages over
-        a wire ships at most one page per call. Exhaustion is signalled
-        by an empty batch, never by :class:`ExhaustedSourceError`.
+        Returns ``(objects, grades)``: two parallel tuples in rank
+        order, ``grades[r]`` being ``objects[r]``'s grade. May deliver
+        fewer than ``count`` objects: a source that pages over a wire
+        ships at most one page per call. Exhaustion is signalled by
+        empty columns, never by :class:`ExhaustedSourceError`.
         """
         if count < 0:
             raise ValueError(f"batch size must be non-negative, got {count}")
-        out: list[GradedItem] = []
+        objects: list[ObjectId] = []
+        grades: list[float] = []
         for _ in range(count):
             if self.exhausted:
                 break
             try:
-                out.append(self.next_sorted())
+                item = self.next_sorted()
             except ExhaustedSourceError:  # pragma: no cover - guarded above
                 break
-        return out
+            objects.append(item.obj)
+            grades.append(item.grade)
+        return tuple(objects), tuple(grades)
 
     def random_access_many(self, objs: Sequence[ObjectId]) -> list[float]:
         """The grades of ``objs``, in order, under this source's subquery.
@@ -280,6 +301,10 @@ class SortedRandomSource(ABC):
 class MaterializedSource(SortedRandomSource):
     """A source backed by a fully materialised ranking.
 
+    The ranking is kept as :data:`~repro.access.types.RankedColumns`
+    beside a grade map for random access; batches are slices of the
+    two columns, and :meth:`next_sorted` mints one item per delivery.
+
     Parameters
     ----------
     name:
@@ -299,54 +324,57 @@ class MaterializedSource(SortedRandomSource):
         if isinstance(ranking, Sequence) and all(
             isinstance(it, GradedItem) for it in ranking
         ):
-            items = tuple(ranking)
-            for earlier, later in zip(items, items[1:]):
+            for earlier, later in zip(ranking, ranking[1:]):
                 if later.grade > earlier.grade:
                     raise ValueError(
                         f"ranking for {name!r} is not sorted: "
                         f"{earlier!r} precedes {later!r}"
                     )
-            grades = {it.obj: it.grade for it in items}
+            objects = tuple(it.obj for it in ranking)
+            grades = tuple(it.grade for it in ranking)
+            grade_map = dict(zip(objects, grades))
         else:
-            items, grades = rank_population(
+            (objects, grades), grade_map = rank_population(
                 *graded_population(ranking)  # type: ignore[arg-type]
             )
-        self._items = items
-        self._grades = grades
-        if len(self._grades) != len(items):
+        if len(grade_map) != len(objects):
             raise ValueError(f"ranking for {name!r} contains duplicate objects")
+        self._objects = objects
+        self._grades = grades
+        self._grade_map = grade_map
         self._cursor = 0
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self._objects)
 
     @property
     def position(self) -> int:
         return self._cursor
 
     def next_sorted(self) -> GradedItem:
-        if self._cursor >= len(self._items):
+        cursor = self._cursor
+        if cursor >= len(self._objects):
             raise ExhaustedSourceError(self.name)
-        item = self._items[self._cursor]
-        self._cursor += 1
-        return item
+        self._cursor = cursor + 1
+        return mint_item(self._objects[cursor], self._grades[cursor])
 
     def random_access(self, obj: ObjectId) -> float:
         try:
-            return self._grades[obj]
+            return self._grade_map[obj]
         except KeyError:
             raise UnknownObjectError(obj, self.name) from None
 
-    def sorted_access_batch(self, count: int) -> Sequence[GradedItem]:
+    def sorted_access_batch(self, count: int) -> RankedColumns:
         if count < 0:
             raise ValueError(f"batch size must be non-negative, got {count}")
         start = self._cursor
-        batch = self._items[start : start + count]
-        self._cursor = start + len(batch)
-        return batch
+        stop = start + count
+        objects = self._objects[start:stop]
+        self._cursor = start + len(objects)
+        return objects, self._grades[start:stop]
 
     def random_access_many(self, objs: Sequence[ObjectId]) -> list[float]:
-        grades = self._grades
+        grades = self._grade_map
         try:
             return [grades[obj] for obj in objs]
         except KeyError:
@@ -360,36 +388,45 @@ class MaterializedSource(SortedRandomSource):
 
     def fork(self) -> "MaterializedSource":
         """A fresh cursor sharing this source's (immutable) ranking."""
-        return MaterializedSource.trusted(self.name, self._items, self._grades)
+        return MaterializedSource.trusted(self.name, self.columns(), self._grade_map)
 
     @classmethod
     def trusted(
         cls,
         name: str,
-        items: tuple[GradedItem, ...],
-        grades: Mapping[ObjectId, float],
+        columns: RankedColumns,
+        grade_map: Mapping[ObjectId, float],
     ) -> "MaterializedSource":
         """A source over pre-validated shared state, minted in O(1).
 
-        The columnar backend calls this with a ranking tuple and grade
-        map it built (and validated) once per database, so minting a
+        The stores and the ranking caches call this with the columns
+        and grade map they built (and validated) once, so minting a
         fresh session does not re-sort, re-validate, or rebuild the
-        grade dictionary. Callers guarantee ``items`` is sorted
-        non-increasing and ``grades`` matches it.
+        grade dictionary. Callers guarantee ``columns`` is
+        ``(objects, grades)`` with grades non-increasing, and that
+        ``grade_map`` matches it.
         """
         source = cls.__new__(cls)
         source.name = name
-        source._items = items
-        source._grades = grades
+        source._objects, source._grades = columns
+        source._grade_map = grade_map
         source._cursor = 0
         return source
 
-    def ranking(self) -> tuple[GradedItem, ...]:
-        """The full ranking (for tests and ground-truth computation).
+    def columns(self) -> RankedColumns:
+        """The shared ``(objects, grades)`` columns of the ranking.
 
         Not part of the access interface — algorithms must not use it.
         """
-        return self._items
+        return self._objects, self._grades
+
+    def ranking(self) -> tuple[GradedItem, ...]:
+        """The full ranking as freshly minted items (for tests and
+        ground-truth computation).
+
+        Not part of the access interface — algorithms must not use it.
+        """
+        return mint_items(self._objects, self._grades, range(len(self._objects)))
 
 
 class StreamOnlySource(SortedRandomSource):
@@ -416,7 +453,7 @@ class StreamOnlySource(SortedRandomSource):
     def next_sorted(self) -> GradedItem:
         return self._inner.next_sorted()
 
-    def sorted_access_batch(self, count: int) -> Sequence[GradedItem]:
+    def sorted_access_batch(self, count: int) -> RankedColumns:
         return self._inner.sorted_access_batch(count)
 
     def random_access(self, obj: ObjectId) -> float:
@@ -473,12 +510,13 @@ class InstrumentedSource(SortedRandomSource):
         self._tracker.charge_random(self._list_index)
         return grade
 
-    def sorted_access_batch(self, count: int) -> Sequence[GradedItem]:
+    def sorted_access_batch(self, count: int) -> RankedColumns:
         batch = self._inner.sorted_access_batch(count)
-        if batch:
+        delivered = len(batch[0])
+        if delivered:
             # One bulk charge — the tracker decomposes a batch of b
             # sorted accesses into b unit accesses (same cost model).
-            self._tracker.charge_sorted(self._list_index, len(batch))
+            self._tracker.charge_sorted(self._list_index, delivered)
         return batch
 
     def random_access_many(self, objs: Sequence[ObjectId]) -> list[float]:

@@ -9,7 +9,7 @@ from repro.core.grades import validate_grade
 
 ObjectId = Hashable
 
-__all__ = ["ObjectId", "GradedItem", "mint_items"]
+__all__ = ["ObjectId", "GradedItem", "RankedColumns", "mint_item", "mint_items"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -42,11 +42,28 @@ class GradedItem:
         return f"({self.obj!r}, {self.grade:.4g})"
 
 
+#: A ranking as two parallel tuples in rank order: ``(objects, grades)``,
+#: ``grades[r]`` being ``objects[r]``'s grade, non-increasing. This is
+#: how rankings are shared (ranking caches, stores, sources) and what
+#: ``sorted_access_batch`` delivers: a tuple holding only atoms (str,
+#: int, float) is untracked by the cyclic garbage collector, where a
+#: tuple of N items is N + 1 objects it must traverse.
+RankedColumns = tuple[tuple[ObjectId, ...], tuple[float, ...]]
+
 _new = object.__new__
 # The slot descriptors store a field directly, past the frozen
 # dataclass's ``__setattr__`` guard and its ``__post_init__`` check.
 _set_obj = GradedItem.obj.__set__  # type: ignore[attr-defined]
 _set_grade = GradedItem.grade.__set__  # type: ignore[attr-defined]
+
+
+def mint_item(obj: ObjectId, grade: float) -> GradedItem:
+    """``GradedItem(obj, grade)`` for a grade already validated as a
+    float in [0, 1] — minted without re-running the per-item check."""
+    item = _new(GradedItem)
+    _set_obj(item, obj)
+    _set_grade(item, grade)
+    return item
 
 
 def mint_items(

@@ -127,18 +127,16 @@ def run_sorted_phase(
         if rounds >= 1:
             progressed = False
             for i in range(m):
-                batch = sources[i].sorted_access_batch(rounds)
-                if not batch:
+                objects, grades = sources[i].sorted_access_batch(rounds)
+                if not objects:
                     continue
                 progressed = True
-                order = state.order_by_list[i]
-                for item in batch:
-                    obj = item.obj
-                    order.append(obj)
+                state.order_by_list[i].extend(objects)
+                for obj, grade in zip(objects, grades):
                     by_list = seen.get(obj)
                     if by_list is None:
                         by_list = seen[obj] = {}
-                    by_list[i] = item.grade
+                    by_list[i] = grade
                     delivered = sorted_lists.get(obj, 0) + 1
                     sorted_lists[obj] = delivered
                     if delivered == m:
@@ -298,15 +296,14 @@ class FaginA0(TopKAlgorithm):
             rounds = -(-(k - matched) // m)
             progressed = 0
             for i in range(m):
-                batch = sources[i].sorted_access_batch(rounds)
-                if not batch:
+                objects, grades = sources[i].sorted_access_batch(rounds)
+                if not objects:
                     continue
-                if len(batch) > progressed:
-                    progressed = len(batch)
+                if len(objects) > progressed:
+                    progressed = len(objects)
                 grades_i = grades_by_list[i]
-                for item in batch:
-                    obj = item.obj
-                    grades_i[obj] = item.grade
+                for obj, grade in zip(objects, grades):
+                    grades_i[obj] = grade
                     seen_in = counts.get(obj, 0) + 1
                     counts[obj] = seen_in
                     if seen_in == m:

@@ -56,12 +56,13 @@ class NaiveAlgorithm(TopKAlgorithm):
             objs: list = []
             grades: list[float] = []
             while True:
-                batch = source.sorted_access_batch(self.SCAN_BATCH)
-                if not batch:
+                batch_objects, batch_grades = source.sorted_access_batch(
+                    self.SCAN_BATCH
+                )
+                if not batch_objects:
                     break
-                for item in batch:
-                    objs.append(item.obj)
-                    grades.append(item.grade)
+                objs.extend(batch_objects)
+                grades.extend(batch_grades)
             deliveries.append((objs, grades))
 
         m = session.num_lists

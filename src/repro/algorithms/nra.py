@@ -117,26 +117,26 @@ class NoRandomAccessAlgorithm(TopKAlgorithm):
                 chunk = 1
             progressed = 0
             for i in range(m):
-                batch = sources[i].sorted_access_batch(chunk)
-                if not batch:
+                objects, grades = sources[i].sorted_access_batch(chunk)
+                if not objects:
                     continue
-                progressed = max(progressed, len(batch))
-                bottoms[i] = batch[-1].grade
-                for item in batch:
-                    by_list = seen.get(item.obj)
+                progressed = max(progressed, len(objects))
+                bottoms[i] = grades[-1]
+                for obj, grade in zip(objects, grades):
+                    by_list = seen.get(obj)
                     if by_list is None:
-                        by_list = seen[item.obj] = {}
-                        candidates.append(item.obj)
-                    by_list[i] = item.grade
-                    if len(by_list) == m and item.obj not in exact:
-                        grade = aggregation.evaluate_trusted(
+                        by_list = seen[obj] = {}
+                        candidates.append(obj)
+                    by_list[i] = grade
+                    if len(by_list) == m and obj not in exact:
+                        overall = aggregation.evaluate_trusted(
                             [by_list[j] for j in range(m)]
                         )
-                        exact[item.obj] = grade
+                        exact[obj] = overall
                         if len(best) < k:
-                            heapq.heappush(best, grade)
-                        elif grade > best[0]:
-                            heapq.heapreplace(best, grade)
+                            heapq.heappush(best, overall)
+                        elif overall > best[0]:
+                            heapq.heapreplace(best, overall)
             rounds += progressed or 1
 
             if not progressed:

@@ -113,7 +113,7 @@ class ThresholdAlgorithm(TopKAlgorithm):
             else:
                 chunk = 1
             batches = [sources[i].sorted_access_batch(chunk) for i in range(m)]
-            delivered = max(len(b) for b in batches)
+            delivered = max(len(objects) for objects, _ in batches)
             if delivered == 0:
                 # Every list exhausted: all objects seen and graded. The
                 # exhaustion probe performed no sorted accesses, so it is
@@ -127,14 +127,14 @@ class ThresholdAlgorithm(TopKAlgorithm):
             pending: dict[object, tuple[int, float]] = {}
             for r in range(delivered):
                 for i in range(m):
-                    batch = batches[i]
-                    if r >= len(batch):
+                    batch_objects, batch_grades = batches[i]
+                    if r >= len(batch_objects):
                         continue
-                    item = batch[r]
-                    bottoms[i] = item.grade
-                    obj = item.obj
+                    grade = batch_grades[r]
+                    bottoms[i] = grade
+                    obj = batch_objects[r]
                     if obj not in scored and obj not in pending:
-                        pending[obj] = (i, item.grade)
+                        pending[obj] = (i, grade)
             if pending:
                 # Bulk random access, grouped per target list: every new
                 # object is looked up in each list other than the one

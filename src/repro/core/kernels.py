@@ -16,15 +16,17 @@ Design constraints:
   algorithm already fetched through the instrumented sources; nothing
   here touches a source, so the Section 5 accounting is unchanged by
   construction.
-* **Bit-for-bit parity where floats allow it.** Each kernel mirrors
-  the exact operation order of its scalar counterpart — reductions
-  over the list axis are sequential left-folds (numpy's ``reduce``
-  over axis 0 applies rows in order), so min/max/product/Łukasiewicz/
-  arithmetic-and-weighted-arithmetic/median/harmonic kernels reproduce
-  the scalar ``evaluate`` path to the last bit. The geometric-mean
-  family is the documented exception: ``x ** (1/m)`` goes through
-  numpy's vectorised ``pow``, which may differ from libm's by one ulp
-  (the property tests pin a 1e-12 relative tolerance there).
+* **Bit-for-bit parity.** Each kernel mirrors the exact operation
+  order of its scalar counterpart — reductions over the list axis are
+  sequential left-folds (numpy's ``reduce`` over axis 0 applies rows
+  in order), so every kernel reproduces the scalar ``evaluate`` path
+  to the last bit. The geometric-mean family folds its products in
+  numpy but takes each power with libm's ``pow`` per element, the
+  call the scalar ``aggregate`` makes through Python's float ``**``:
+  numpy's vectorised ``pow`` differs from it in the last bit on a few
+  percent of inputs, and an object's grade must not depend on which
+  path scored it (TA switches to the kernel by batch size; shards and
+  ``true_top_k`` score in bulk).
 * **Pure-Python fallback.** Without numpy (``HAVE_NUMPY`` false) or
   without a registered kernel, :func:`evaluate_columns` falls back to
   the scalar ``evaluate_trusted`` fold — same answers, no new
@@ -39,6 +41,8 @@ own ``aggregate_columns`` and win over the registry.
 
 from __future__ import annotations
 
+import math
+from itertools import repeat
 from typing import TYPE_CHECKING, Callable, Sequence
 
 try:  # pragma: no cover - exercised implicitly by every import
@@ -163,7 +167,7 @@ def evaluate_columns(
 
 # ----------------------------------------------------------------------
 # The standard kernels. Each mirrors its scalar fold's operation order;
-# comments note the only places (pow) where numpy may differ by an ulp.
+# powers go through libm, per element (see _libm_pow).
 # ----------------------------------------------------------------------
 
 
@@ -202,10 +206,22 @@ def _arithmetic_mean_kernel(matrix: "np.ndarray") -> "np.ndarray":
     return _np.add.reduce(matrix, axis=0) / matrix.shape[0]
 
 
+def _libm_pow(bases: "np.ndarray", exponent: float) -> "np.ndarray":
+    """``bases ** exponent`` by libm's ``pow`` per element, as Python's
+    float ``**`` and ``math.pow`` compute it — numpy's vectorised pow
+    may differ in the last bit."""
+    return _np.fromiter(
+        map(math.pow, bases.tolist(), repeat(exponent)),
+        _np.float64,
+        count=len(bases),
+    )
+
+
 def _geometric_mean_kernel(matrix: "np.ndarray") -> "np.ndarray":
-    # The product fold is exact; the final ** (1/m) is numpy's pow,
-    # which may differ from libm by one ulp (documented tolerance).
-    return _np.multiply.reduce(matrix, axis=0) ** (1.0 / matrix.shape[0])
+    # The product fold is exact; the root is libm's, as in the scalar.
+    return _libm_pow(
+        _np.multiply.reduce(matrix, axis=0), 1.0 / matrix.shape[0]
+    )
 
 
 def _harmonic_mean_kernel(matrix: "np.ndarray") -> "np.ndarray":
@@ -248,13 +264,13 @@ def _weighted_geometric_factory(aggregation):
 
     def kernel(matrix: "np.ndarray") -> "np.ndarray":
         # Scalar skips w == 0 terms and returns 0 on a zero grade with
-        # positive weight; row ** w reproduces both (0 ** w is exactly
-        # 0.0 for w > 0), with the pow-ulp caveat of the geometric mean.
+        # positive weight; g ** w per element reproduces both (0 ** w is
+        # exactly 0.0 for w > 0), and the product folds in list order.
         acc = None
         for w, row in zip(weights, matrix):
             if w == 0.0:
                 continue
-            term = row**w
+            term = _libm_pow(row, w)
             acc = term if acc is None else acc * term
         if acc is None:  # pragma: no cover - all-zero weights are rejected
             return _np.ones(matrix.shape[1])

@@ -280,14 +280,14 @@ class Executor:
             else 0
         )
         while not source.exhausted:
-            page = source.sorted_access_batch(
+            objects, grades = source.sorted_access_batch(
                 max(expected - len(matches), 0) + 1
             )
-            if not page:
+            if not objects:
                 break
-            for item in page:
-                if item.grade >= 1.0:
-                    matches.add(item.obj)
+            for obj, grade in zip(objects, grades):
+                if grade >= 1.0:
+                    matches.add(obj)
                 else:
                     return matches  # block ended inside this page
         return matches

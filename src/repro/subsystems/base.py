@@ -39,7 +39,7 @@ from repro.access.source import (
     graded_population,
     rank_population,
 )
-from repro.access.types import GradedItem, ObjectId
+from repro.access.types import ObjectId, RankedColumns
 from repro.core.query import AtomicQuery
 from repro.exceptions import SubsystemCapabilityError
 
@@ -64,9 +64,14 @@ class RankingCache:
     the descending sort (and the grade map for random access) can be
     paid once and shared by every later session —
     :meth:`~repro.access.source.MaterializedSource.trusted` mints an
-    O(1) cursor over the cached tuple. Eviction is safe by the same
-    determinism: a re-miss only re-pays the sort, it cannot change the
-    graded set. ``hits`` / ``misses`` are surfaced for tests and
+    O(1) cursor over the cached entry. An entry is the ranking as two
+    parallel tuples, objects and grades in rank order
+    (:data:`~repro.access.types.RankedColumns`), beside its grade map:
+    tuples and dicts of atoms that the cyclic garbage collector stops
+    tracking, where a tuple of one item per object would keep N
+    objects in every collection's traversal. Eviction is safe by the
+    same determinism: a re-miss only re-pays the sort, it cannot change
+    the graded set. ``hits`` / ``misses`` are surfaced for tests and
     capacity tuning; ``capacity=None`` means unbounded.
 
     The cache is **thread-safe with single-flight misses**: the LRU
@@ -89,7 +94,7 @@ class RankingCache:
         self.hits = 0
         self.misses = 0
         self._entries: OrderedDict[
-            object, tuple[tuple[GradedItem, ...], Mapping[ObjectId, float]]
+            object, tuple[RankedColumns, Mapping[ObjectId, float]]
         ] = OrderedDict()
         self._lock = threading.Lock()
         #: In-flight builds: key -> the lock its first requester holds.
@@ -137,8 +142,8 @@ class RankingCache:
         try:
             hash(key)
         except TypeError:  # unhashable target: serve uncached
-            ranking, grade_map = _ranked(build_grades(), population)
-            return MaterializedSource.trusted(name, ranking, grade_map)
+            columns, grade_map = _ranked(build_grades(), population)
+            return MaterializedSource.trusted(name, columns, grade_map)
         # Single-flight: exactly one designated builder per key at a
         # time. Waiters block on the builder's lock, then *re-check* —
         # never build off a captured lock reference — so a failed build
@@ -148,8 +153,8 @@ class RankingCache:
             with self._lock:
                 entry = self._hit(key)
                 if entry is not None:
-                    ranking, grade_map = entry
-                    return MaterializedSource.trusted(name, ranking, grade_map)
+                    columns, grade_map = entry
+                    return MaterializedSource.trusted(name, columns, grade_map)
                 build_lock = self._building.get(key)
                 if build_lock is None:
                     build_lock = threading.Lock()
@@ -174,8 +179,8 @@ class RankingCache:
             with self._lock:
                 self._building.pop(key, None)
             build_lock.release()
-        ranking, grade_map = entry
-        return MaterializedSource.trusted(name, ranking, grade_map)
+        columns, grade_map = entry
+        return MaterializedSource.trusted(name, columns, grade_map)
 
     def clear(self) -> None:
         """Drop every entry (counters are kept — they describe traffic)."""
@@ -196,8 +201,8 @@ class RankingCache:
 def _ranked(
     grades: Mapping[ObjectId, float] | Sequence[float],
     population: Sequence[ObjectId] | None,
-) -> tuple[tuple[GradedItem, ...], Mapping[ObjectId, float]]:
-    """``(ranking, grade_map)`` for a built graded set (see
+) -> tuple[RankedColumns, Mapping[ObjectId, float]]:
+    """``((objects, grades), grade_map)`` for a built graded set (see
     :meth:`RankingCache.source` for the two shapes it comes in)."""
     if population is None:
         return rank_population(*graded_population(grades))  # type: ignore[arg-type]

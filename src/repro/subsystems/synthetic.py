@@ -121,7 +121,7 @@ class SyntheticSubsystem(Subsystem):
         # The shared RankingCache plays ColumnarScoringDatabase's
         # share-the-ranking trick on the subsystem side: the descending
         # sort is paid once per distinct query and every later session
-        # is an O(1) cursor over the cached tuple.
+        # is an O(1) cursor over the cached columns.
         self.validate_query(query)
         population = self._populations.get(
             query.attribute, self._generated_population

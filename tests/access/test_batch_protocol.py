@@ -59,25 +59,28 @@ class TestSortedAccessBatch:
     def test_batch_equals_unit_sequence(self, source):
         reference = MaterializedSource("ref", GRADES)
         expected = [reference.next_sorted() for _ in range(5)]
-        got = list(source.sorted_access_batch(2))
-        got += list(source.sorted_access_batch(3))
-        assert got == expected
+        head_objects, head_grades = source.sorted_access_batch(2)
+        tail_objects, tail_grades = source.sorted_access_batch(3)
+        assert head_objects + tail_objects == tuple(it.obj for it in expected)
+        assert head_grades + tail_grades == tuple(it.grade for it in expected)
 
     def test_advances_position(self, source):
         source.sorted_access_batch(3)
         assert source.position == 3
 
     def test_short_batch_at_exhaustion(self, source):
-        assert len(source.sorted_access_batch(4)) == 4
-        assert len(source.sorted_access_batch(10)) == 1
+        objects, grades = source.sorted_access_batch(4)
+        assert len(objects) == len(grades) == 4
+        objects, grades = source.sorted_access_batch(10)
+        assert (objects, grades) == (("e",), (0.1,))
         assert source.exhausted
 
     def test_empty_batch_after_exhaustion(self, source):
         source.sorted_access_batch(99)
-        assert list(source.sorted_access_batch(5)) == []
+        assert source.sorted_access_batch(5) == ((), ())
 
     def test_zero_count(self, source):
-        assert list(source.sorted_access_batch(0)) == []
+        assert source.sorted_access_batch(0) == ((), ())
         assert source.position == 0
 
     def test_negative_count_rejected(self, source):
@@ -151,7 +154,7 @@ class TestInstrumentedCharging:
 class TestStreamOnly:
     def test_sorted_batches_pass_through(self):
         source = StreamOnlySource(MaterializedSource("s", GRADES))
-        assert len(source.sorted_access_batch(2)) == 2
+        assert source.sorted_access_batch(2) == (("a", "b"), (0.9, 0.7))
 
     def test_random_access_many_still_refused(self):
         source = StreamOnlySource(MaterializedSource("s", GRADES))
@@ -162,12 +165,15 @@ class TestStreamOnly:
 class TestTrustedMint:
     def test_trusted_source_behaves_like_validated(self):
         items = rank_items(GRADES)
-        grades = {it.obj: it.grade for it in items}
-        trusted = MaterializedSource.trusted("t", items, grades)
-        plain = MaterializedSource("p", GRADES)
-        assert list(trusted.sorted_access_batch(5)) == list(
-            plain.sorted_access_batch(5)
+        columns = (
+            tuple(it.obj for it in items),
+            tuple(it.grade for it in items),
         )
+        grades = {it.obj: it.grade for it in items}
+        trusted = MaterializedSource.trusted("t", columns, grades)
+        plain = MaterializedSource("p", GRADES)
+        assert trusted.sorted_access_batch(5) == plain.sorted_access_batch(5)
+        assert trusted.sorted_access_batch(5) == ((), ())
         assert trusted.random_access("d") == plain.random_access("d")
         assert len(trusted) == len(plain)
 
@@ -198,8 +204,9 @@ class TestUnbatchedWrapper:
         source = InstrumentedSource(
             UnbatchedSource(MaterializedSource("s", GRADES)), tracker, 0
         )
-        batch = source.sorted_access_batch(3)
-        assert [it.obj for it in batch] == ["a", "b", "c"]
+        objects, grades = source.sorted_access_batch(3)
+        assert objects == ("a", "b", "c")
+        assert grades == (0.9, 0.7, 0.5)
         assert tracker.snapshot().sorted_by_list == (3,)
 
     def test_item_identity_with_batched_path(self):

@@ -1,5 +1,7 @@
 """Tests for the columnar scoring-database backend."""
 
+import gc
+
 import pytest
 
 from repro.access.columnar import ColumnarScoringDatabase
@@ -99,8 +101,15 @@ class TestSessions:
     def test_session_minted_without_resorting_shares_rankings(self, col_db):
         first = col_db.ranking(0)
         session = col_db.session()
-        # The session's sources slice the very same ranking tuple.
-        assert session.sources[0].sorted_access_batch(3) == first[:3]
+        assert session.sources[0].sorted_access_batch(3) == (
+            tuple(it.obj for it in first[:3]),
+            tuple(it.grade for it in first[:3]),
+        )
+        # Every session's sources slice the very same column tuples.
+        objects, grades = session.sources[0]._inner.columns()
+        again_objects, again_grades = col_db.session().sources[0]._inner.columns()
+        assert again_objects is objects
+        assert again_grades is grades
 
     def test_sessions_have_independent_cursors(self, col_db):
         s1, s2 = col_db.session(), col_db.session()
@@ -127,3 +136,35 @@ class TestSessions:
 
         result = Engine.over(col_db).query(MINIMUM).top(5)
         assert result.k == 5
+
+
+class TestCollectorLoad:
+    """The shared per-list columns and grade maps hold only atoms, so
+    once a collection has seen them the cyclic garbage collector stops
+    tracking them (a tuple of N items would stay N + 1 tracked
+    objects)."""
+
+    @pytest.mark.parametrize("key", [int, str], ids=("int", "str"))
+    def test_shared_columns_are_untracked_after_first_session(self, key):
+        rng = random.Random(8)
+        store = ColumnarScoringDatabase(
+            [{key(o): rng.random() for o in range(300)} for _ in range(3)]
+        )
+        session = store.session()
+        gc.collect()
+        for source in session.sources:
+            objects, grades = source._inner.columns()
+            assert len(objects) == len(grades) == 300
+            assert not gc.is_tracked(objects)
+            assert not gc.is_tracked(grades)
+            assert not gc.is_tracked(source._inner._grade_map)
+
+    def test_row_store_columns_are_untracked_after_first_session(self):
+        store = independent_database(3, 300, seed=4)
+        session = store.session()
+        gc.collect()
+        for source in session.sources:
+            objects, grades = source._inner.columns()
+            assert not gc.is_tracked(objects)
+            assert not gc.is_tracked(grades)
+            assert not gc.is_tracked(source._inner._grade_map)

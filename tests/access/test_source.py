@@ -205,7 +205,11 @@ class TestFork:
     def test_fork_shares_the_ranking(self):
         src = MaterializedSource("s", self.GRADES)
         fork = src.fork()
-        assert fork.ranking() is src.ranking()
+        objects, grades = src.columns()
+        fork_objects, fork_grades = fork.columns()
+        assert fork_objects is objects
+        assert fork_grades is grades
+        assert fork.ranking() == src.ranking()
         assert fork.name == src.name
 
     def test_wrappers_fork_through(self):

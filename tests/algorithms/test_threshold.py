@@ -1,12 +1,15 @@
 """Tests for the Threshold Algorithm extension (E15 ablation)."""
 
+import random
+
 import pytest
 
+from repro.access.columnar import ColumnarScoringDatabase
 from repro.algorithms.base import is_valid_top_k
 from repro.algorithms.fa import FaginA0
 from repro.algorithms.threshold import ThresholdAlgorithm
 from repro.core.aggregation import FunctionAggregation
-from repro.core.means import ARITHMETIC_MEAN
+from repro.core.means import ARITHMETIC_MEAN, GEOMETRIC_MEAN
 from repro.core.tnorms import ALGEBRAIC_PRODUCT, MINIMUM
 from repro.workloads.skeletons import independent_database
 
@@ -48,6 +51,27 @@ class TestCorrectness:
         bad = FunctionAggregation(lambda *g: 0.5, "flat", monotone=False)
         with pytest.raises(ValueError, match="monotone"):
             ThresholdAlgorithm().top_k(tiny_db.session(), bad, 1)
+
+
+def tied_store() -> ColumnarScoringDatabase:
+    """Grades rounded to 0.1: tie-heavy, and products whose geometric
+    mean numpy's pow and libm's pow round differently."""
+    rng = random.Random(1)
+    return ColumnarScoringDatabase(
+        [{o: round(rng.random(), 1) for o in range(200)} for _ in range(3)]
+    )
+
+
+class TestOneGradePerObject:
+    @pytest.mark.parametrize("k", [7, 50, 200])
+    def test_geometric_mean_grades_do_not_depend_on_the_batch(self, k):
+        # TA scores small batches by the scalar fold and large ones by
+        # the kernel; either way an object gets the ground-truth grade.
+        store = tied_store()
+        result = ThresholdAlgorithm().top_k(store.session(), GEOMETRIC_MEAN, k)
+        assert [(it.obj, it.grade) for it in result.items] == [
+            (it.obj, it.grade) for it in store.true_top_k(GEOMETRIC_MEAN, k)
+        ]
 
 
 class TestStoppingBehaviour:

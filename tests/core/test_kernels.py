@@ -4,17 +4,18 @@ The tentpole contract of the kernel layer: for every registered
 aggregation, scoring a grade matrix through
 ``AggregationFunction.evaluate_columns`` must agree with calling the
 scalar ``evaluate_trusted`` fold column by column — bit for bit for
-the fold-order-preserving kernels (min, max, product, Łukasiewicz,
-arithmetic/weighted-arithmetic mean, harmonic mean, median), and
-within 1e-12 relative tolerance for the geometric family, whose final
-``x ** (1/m)`` goes through numpy's vectorised pow (documented ulp
-divergence from libm).
+every kernel (min, max, product, Łukasiewicz, the arithmetic,
+weighted-arithmetic, geometric, weighted-geometric and harmonic means,
+median). The geometric family folds its products in numpy and takes
+each power with libm's ``pow``, as the scalar fold does; numpy's
+vectorised pow would differ in the last bit on a few percent of
+inputs.
 """
 
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.aggregation import (
@@ -43,8 +44,7 @@ from repro.core.tnorms import (
     MINIMUM,
 )
 
-#: (aggregation, bit_exact) — bit_exact pins == parity; the geometric
-#: family gets the documented 1e-12 relative tolerance instead.
+#: (aggregation, bit_exact) — bit_exact pins == parity.
 KERNELED = [
     (MINIMUM, True),
     (MAXIMUM, True),
@@ -54,7 +54,7 @@ KERNELED = [
     (ARITHMETIC_MEAN, True),
     (HARMONIC_MEAN, True),
     (MEDIAN, True),
-    (GEOMETRIC_MEAN, False),
+    (GEOMETRIC_MEAN, True),
 ]
 
 grades = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -83,6 +83,9 @@ def scalar_scores(aggregation, rows):
     "aggregation,bit_exact", KERNELED, ids=lambda a: getattr(a, "name", str(a))
 )
 @given(rows=matrices())
+# numpy's vectorised pow rounds this geometric mean one ulp away from
+# libm's (…617 against …618).
+@example(rows=[[0.8], [0.8], [0.9]])
 @settings(max_examples=60, deadline=None)
 def test_kernel_matches_scalar_fold(aggregation, bit_exact, rows):
     expected = scalar_scores(aggregation, rows)
@@ -117,8 +120,7 @@ def test_weighted_kernels_match_scalar_fold(rows, raw_weights):
     geometric = WeightedGeometricMean(raw_weights)
     expected = scalar_scores(geometric, rows)
     for got, want in zip(geometric.evaluate_columns(rows), expected):
-        # pow-ulp tolerance, as for the unweighted geometric mean.
-        assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12)
+        assert got == want
 
 
 @pytest.mark.skipif(not HAVE_NUMPY, reason="kernels require numpy")

@@ -6,13 +6,14 @@ from __future__ import annotations
 
 import asyncio
 import multiprocessing
+import random
 
 import pytest
 
 np = pytest.importorskip("numpy")
 
 from repro.access import ColumnarScoringDatabase
-from repro.core.means import ARITHMETIC_MEAN
+from repro.core.means import ARITHMETIC_MEAN, GEOMETRIC_MEAN
 from repro.core.tconorms import MAXIMUM
 from repro.core.tnorms import MINIMUM
 from repro.engine.async_engine import AsyncEngine
@@ -121,6 +122,27 @@ class TestCountParity:
             by_instance = sharded.top_k(MINIMUM, 5)
         assert answers_of(by_name) == answers_of(by_instance)
         assert ledger_of(by_name) == ledger_of(by_instance)
+
+
+class TestOneGradePerObject:
+    """Shards score in bulk and the single store object by object in
+    TA's small batches; both must give each object one grade."""
+
+    @pytest.mark.parametrize("shards", [2, 4, 8])
+    @pytest.mark.parametrize("k", [7, 50, 200])
+    def test_geometric_mean_ta_matches_the_single_store(self, k, shards):
+        rng = random.Random(1)
+        store = ColumnarScoringDatabase(
+            [{o: round(rng.random(), 1) for o in range(200)} for _ in range(3)]
+        )
+        single = Engine.over(store).query(GEOMETRIC_MEAN).strategy("threshold")
+        expected = answers_of(single.top(k))
+        assert expected == [
+            (it.obj, it.grade) for it in store.true_top_k(GEOMETRIC_MEAN, k)
+        ]
+        with Engine.over_shards(store, shards=shards, processes=0) as engine:
+            result = engine.query(GEOMETRIC_MEAN).strategy("threshold").top(k)
+        assert answers_of(result) == expected
 
 
 class TestMergeBookkeeping:

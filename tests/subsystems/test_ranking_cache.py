@@ -9,8 +9,12 @@ observable. Repeated federated queries (``run_many`` batches issued
 again and again) must hit across the board.
 """
 
+import gc
+import random
+
 import pytest
 
+from repro.access.source import rank_items
 from repro.core.query import AtomicQuery
 from repro.engine import Engine
 from repro.subsystems import (
@@ -251,3 +255,62 @@ class TestFailedBuilds:
         cache.clear()
         assert len(cache) == 0
         assert cache._building == {}
+
+
+def tracked_growth(action) -> int:
+    """How many more objects the cyclic garbage collector tracks after
+    ``action()``, each side counted after a full collection. Automatic
+    collection is paused in between and restored afterwards."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        before = len(gc.get_objects())
+        action()
+        gc.collect()
+        return len(gc.get_objects()) - before
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+class TestCollectorLoad:
+    """An entry is two column tuples and a grade map of atoms (str,
+    int, float), which the cyclic garbage collector stops tracking;
+    a tuple of one item per object would keep N objects in every
+    full collection."""
+
+    @pytest.mark.parametrize(
+        "population",
+        [tuple(range(500)), tuple(f"o{i}" for i in range(500))],
+        ids=("int", "str"),
+    )
+    def test_entry_columns_and_grade_map_are_untracked(self, population):
+        rng = random.Random(5)
+        grades = [rng.random() for _ in population]
+        cache = RankingCache()
+        query = AtomicQuery("Color", "red", "~")
+        source = cache.source("img", query, lambda: grades, population)
+        assert source.ranking() == rank_items(dict(zip(population, grades)))
+        gc.collect()
+        (objects, ranked), grade_map = cache._entries[
+            (query.attribute, query.op, query.target)
+        ]
+        assert len(objects) == len(ranked) == len(grade_map) == len(population)
+        assert not gc.is_tracked(objects)
+        assert not gc.is_tracked(ranked)
+        assert not gc.is_tracked(grade_map)
+
+    def test_a_miss_adds_almost_no_tracked_objects(self):
+        population = tuple(range(3000))
+        rng = random.Random(6)
+        grades = [rng.random() for _ in population]
+        cache = RankingCache()
+        query = AtomicQuery("Color", "red", "~")
+
+        def miss():
+            cache.source("img", query, lambda: grades, population)
+
+        growth = tracked_growth(miss)
+        assert cache.misses == 1
+        assert growth < 50
