@@ -12,9 +12,13 @@ algorithm as the engine strategy, and :func:`engine_top_k` below is the
 same path for one-off representative runs — so the harness times the
 execution path users actually hit.
 
-Run with::
+The files are named ``bench_e*.py``, which pytest does not collect
+from a bare directory, so name them. Run with::
 
-    pytest benchmarks/ --benchmark-only
+    PYTHONPATH=src python -m pytest benchmarks/bench_e*.py -q --benchmark-disable
+
+(``--benchmark-only`` in place of ``--benchmark-disable`` times the
+representative runs.)
 """
 
 from __future__ import annotations

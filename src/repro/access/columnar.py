@@ -1,11 +1,11 @@
 """Columnar scoring databases: the in-memory fast path.
 
 :class:`~repro.access.scoring_database.ScoringDatabase` stores each of
-the m graded sets as a ``dict[ObjectId, float]`` and mints every
-session by handing a full ranking to ``MaterializedSource``, whose
-constructor re-validates all N items and rebuilds an N-entry grade
-dictionary — O(N * m) of pure Python overhead *per session*, before a
-single access is charged.
+the m graded sets as a ``dict[ObjectId, float]``; it ranks each list
+once and mints sessions over those ranking columns with the list's own
+mapping as the grade map, but its grades stay boxed Python floats
+keyed by arbitrary objects, so bulk ground truth is one Python call
+per object.
 
 :class:`ColumnarScoringDatabase` stores the same formal object
 (Section 5's function from list index to graded set) in columnar form:

@@ -110,6 +110,18 @@ class AccessStats:
             tuple(a + b for a, b in zip(self.random_by_list, other.random_by_list)),
         )
 
+    def __sub__(self, other: "AccessStats") -> "AccessStats":
+        """The accesses made between snapshot ``other`` and this one."""
+        if self.num_lists != other.num_lists:
+            raise ValueError(
+                f"cannot subtract stats over {other.num_lists} lists from "
+                f"stats over {self.num_lists} lists"
+            )
+        return AccessStats(
+            tuple(a - b for a, b in zip(self.sorted_by_list, other.sorted_by_list)),
+            tuple(a - b for a, b in zip(self.random_by_list, other.random_by_list)),
+        )
+
     def __repr__(self) -> str:
         return (
             f"AccessStats(S={self.sorted_cost}, R={self.random_cost}, "

@@ -128,22 +128,11 @@ class TopKAlgorithm(ABC):
             result = self._run_certified(session, aggregation, k, contract)
         else:
             result = self._run(session, aggregation, k)
-        after = session.tracker.snapshot()
         # Re-derive this run's stats from the tracker delta so that
         # algorithms cannot under-report by snapshotting early.
-        delta = AccessStats(
-            tuple(
-                a - b
-                for a, b in zip(after.sorted_by_list, before.sorted_by_list)
-            ),
-            tuple(
-                a - b
-                for a, b in zip(after.random_by_list, before.random_by_list)
-            ),
-        )
         return TopKResult(
             result.items,
-            delta,
+            session.tracker.snapshot() - before,
             result.algorithm,
             result.details,
             result.guarantee or EXACT_GUARANTEE,

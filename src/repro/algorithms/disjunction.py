@@ -27,7 +27,6 @@ from repro.access.session import MiddlewareSession
 from repro.algorithms.base import TopKAlgorithm, TopKResult, top_k_of
 from repro.core.aggregation import AggregationFunction
 from repro.core.tconorms import MaximumTConorm
-from repro.exceptions import ExhaustedSourceError
 
 __all__ = ["DisjunctionB0"]
 
@@ -58,14 +57,19 @@ class DisjunctionB0(TopKAlgorithm):
             )
         best_seen: dict[object, float] = {}
         for source in session.sources:
-            for _ in range(k):
-                try:
-                    item = source.next_sorted()
-                except ExhaustedSourceError:
+            # X^i_k through the batch protocol; a source paging over a
+            # wire may ship less than asked, so ask again until k
+            # objects arrive or the list runs out.
+            wanted = k
+            while wanted > 0:
+                objects, grades = source.sorted_access_batch(wanted)
+                if not objects:
                     break
-                current = best_seen.get(item.obj)
-                if current is None or item.grade > current:
-                    best_seen[item.obj] = item.grade
+                wanted -= len(objects)
+                for obj, grade in zip(objects, grades):
+                    current = best_seen.get(obj)
+                    if current is None or grade > current:
+                        best_seen[obj] = grade
         return TopKResult(
             items=top_k_of(best_seen, k),
             stats=session.tracker.snapshot(),

@@ -36,51 +36,52 @@ from repro.access.session import MiddlewareSession
 from repro.access.types import ObjectId
 from repro.algorithms.base import TopKAlgorithm, TopKResult, top_k_of
 from repro.core.aggregation import AggregationFunction
-from repro.core.certify import EXACT, QualityContract
-from repro.exceptions import ExhaustedSourceError, InsufficientObjectsError
+from repro.exceptions import InsufficientObjectsError
 
 __all__ = ["SortedPhaseState", "run_sorted_phase", "FaginA0", "IncrementalFagin"]
 
 
 @dataclass(slots=True)
 class SortedPhaseState:
-    """Everything the sorted-access phase of A0 discovers.
+    """Everything A0's sorted access phase discovers.
 
-    Shared by A0 itself, A0-prime (:mod:`repro.algorithms.fa_min`) and
-    the variants (:mod:`repro.algorithms.fa_variants`), which differ
-    only in how they use this state afterwards.
+    The one state of A0, A0-prime (:mod:`repro.algorithms.fa_min`), the
+    variants (:mod:`repro.algorithms.fa_variants`) and
+    :class:`IncrementalFagin`, which differ only in how they use it
+    once the phase stops.
 
     Attributes
     ----------
-    seen:
-        For each object seen under sorted access, the grades discovered
-        so far, keyed by list index. A later random phase may fill in
-        the missing grades in place (:func:`complete_random_phase`), so
-        membership of list ``i`` in ``seen[obj]`` means the grade is
-        *known*, not that list i's prefix delivered the object.
+    grades:
+        One map per list, object -> grade. It receives the sorted
+        deliveries, and the random phase (:func:`fill_missing_grades`)
+        fills in the missing grades in place, so ``obj in grades[i]``
+        means the grade is *known*, not that list i's prefix delivered
+        the object.
     order_by_list:
         X^i_T in delivery order — ``order_by_list[i][r]`` is the object
         at rank ``r + 1`` of list i.
+    deliveries:
+        How many lists have delivered each object under *sorted*
+        access, in first-seen order; its keys are the seen objects.
+        This is the match criterion — it must stay separate from
+        ``grades`` because a matched object needs ``mu_i(x) >= b_i``
+        in every list (it was inside every prefix), which grades
+        merely known from random access do not establish. Without it,
+        a resumed phase would count an object random-filled by a
+        previous batch as matched on its first sorted delivery and
+        stop too early.
     matched:
         L — the objects output by *every* list under sorted access (at
         least k of them once the phase ends).
-    sorted_lists:
-        How many distinct lists have delivered each object under
-        *sorted* access. This is the match criterion — it must stay
-        separate from ``seen`` because a matched object needs
-        ``mu_i(x) >= b_i`` in every list (it was inside every prefix),
-        which grades merely known from random access do not establish.
-        Without it, a resumed phase would count an object random-filled
-        by a previous batch as matched on its first sorted delivery and
-        stop too early.
     depth:
         T — the uniform number of sorted accesses made to each list.
     """
 
-    seen: dict[ObjectId, dict[int, float]] = field(default_factory=dict)
+    grades: list[dict[ObjectId, float]] = field(default_factory=list)
     order_by_list: list[list[ObjectId]] = field(default_factory=list)
+    deliveries: dict[ObjectId, int] = field(default_factory=dict)
     matched: set[ObjectId] = field(default_factory=set)
-    sorted_lists: dict[ObjectId, int] = field(default_factory=dict)
     depth: int = 0
 
 
@@ -105,12 +106,15 @@ def run_sorted_phase(
     if state is None:
         state = SortedPhaseState()
     m = session.num_lists
-    if not state.order_by_list:
+    if not state.grades:
+        state.grades = [{} for _ in range(m)]
         state.order_by_list = [[] for _ in range(m)]
     sources = session.sources
-    seen = state.seen
+    grades_by_list = state.grades
+    order_by_list = state.order_by_list
+    deliveries = state.deliveries
     matched = state.matched
-    sorted_lists = state.sorted_lists
+    depth = state.depth
 
     while len(matched) < k:
         # Each sorted access completes at most one object, so a round of
@@ -119,106 +123,87 @@ def run_sorted_phase(
         # the phase can stop. Those provably-consumed rounds are fetched
         # in one batch per list — identical access counts, a fraction of
         # the per-access overhead. With ``stop_mid_round`` the stop can
-        # land inside the last such round, so one round is held back and
-        # replayed access by access.
+        # land inside the last such round, so that round is held back
+        # and read one access per list, checking after each list.
         rounds = -(-(k - len(matched)) // m)
-        if stop_mid_round:
+        check_each_list = stop_mid_round and rounds == 1
+        if stop_mid_round and rounds > 1:
             rounds -= 1
-        if rounds >= 1:
-            progressed = False
-            for i in range(m):
-                objects, grades = sources[i].sorted_access_batch(rounds)
-                if not objects:
-                    continue
-                progressed = True
-                state.order_by_list[i].extend(objects)
-                for obj, grade in zip(objects, grades):
-                    by_list = seen.get(obj)
-                    if by_list is None:
-                        by_list = seen[obj] = {}
-                    by_list[i] = grade
-                    delivered = sorted_lists.get(obj, 0) + 1
-                    sorted_lists[obj] = delivered
-                    if delivered == m:
-                        matched.add(obj)
-        else:
-            # One unit-step round with the mid-round stop check.
-            progressed = False
-            for i, source in enumerate(sources):
-                if source.exhausted:
-                    continue
-                try:
-                    item = source.next_sorted()
-                except ExhaustedSourceError:  # pragma: no cover - guarded above
-                    continue
-                progressed = True
-                state.order_by_list[i].append(item.obj)
-                by_list = seen.setdefault(item.obj, {})
-                by_list[i] = item.grade
-                delivered = sorted_lists.get(item.obj, 0) + 1
-                sorted_lists[item.obj] = delivered
+        progressed = 0
+        for i in range(m):
+            objects, grades = sources[i].sorted_access_batch(rounds)
+            if not objects:
+                continue
+            if len(objects) > progressed:
+                progressed = len(objects)
+            order_by_list[i].extend(objects)
+            grades_i = grades_by_list[i]
+            for obj, grade in zip(objects, grades):
+                grades_i[obj] = grade
+                delivered = deliveries.get(obj, 0) + 1
+                deliveries[obj] = delivered
                 if delivered == m:
-                    matched.add(item.obj)
-                    if stop_mid_round and len(matched) >= k:
-                        break
-        state.depth = max(len(lst) for lst in state.order_by_list)
+                    matched.add(obj)
+            if check_each_list and len(matched) >= k:
+                break
+        depth += progressed
+        state.depth = depth
         if not progressed:
             # All lists exhausted: every object has been seen in every
-            # list, so |matched| = N. If that is still below k the
-            # caller asked for more answers than objects exist.
-            if len(matched) < k:
-                raise InsufficientObjectsError(k, len(matched))
-            break
+            # list, so |matched| = N < k — the caller asked for more
+            # answers than objects exist.
+            raise InsufficientObjectsError(k, len(matched))
     return state
-
-
-def complete_random_phase(
-    session: MiddlewareSession, state: SortedPhaseState
-) -> None:
-    """A0's random access phase: fill in every missing grade.
-
-    "For each object x that has been seen, do random access to each
-    subsystem j to find mu_Aj(x)." Grades already known from sorted
-    access are not re-fetched ("if x in X^j_T, then mu_Aj(x) has
-    already been determined, so random access is not needed").
-    """
-    fill_missing_grades(session, state.seen)
 
 
 def fill_missing_grades(
     session: MiddlewareSession,
-    by_object: dict[ObjectId, dict[int, float]],
+    state: SortedPhaseState,
     objs: "list[ObjectId] | None" = None,
     skip_list: int | None = None,
 ) -> None:
-    """Bulk random access for every missing (object, list) pair.
+    """A0's random access phase: fill in every missing grade.
 
-    ``by_object`` maps each object to its known grades keyed by list
-    index; missing pairs are grouped per list and fetched with one
-    ``random_access_many`` call each — the same pairs a unit loop
-    fetches, charged identically. ``objs`` restricts the scan (A0'
+    "For each object x that has been seen, do random access to each
+    subsystem j to find mu_Aj(x)." Grades already known are not
+    re-fetched ("if x in X^j_T, then mu_Aj(x) has already been
+    determined, so random access is not needed"). Missing pairs are
+    grouped per list and fetched with one ``random_access_many`` call
+    each — the same pairs a unit loop fetches, charged identically; a
+    list whose map already holds every seen object is skipped without
+    a scan. ``objs`` restricts the phase to those seen objects (A0'
     completes only its candidates); ``skip_list`` is a list known to
     need no lookups (A0''s i0, which delivered every candidate).
     """
-    m = session.num_lists
-    missing_by_list: list[list[ObjectId]] = [[] for _ in range(m)]
-    entries = (
-        by_object.items()
-        if objs is None
-        else ((obj, by_object[obj]) for obj in objs)
-    )
-    for obj, by_list in entries:
-        if len(by_list) == m:
+    deliveries = state.deliveries
+    for j, grades_j in enumerate(state.grades):
+        if j == skip_list or len(grades_j) == len(deliveries):
             continue
-        for j in range(m):
-            if j != skip_list and j not in by_list:
-                missing_by_list[j].append(obj)
-    for j, missing in enumerate(missing_by_list):
-        if not missing:
-            continue
-        grades = session.sources[j].random_access_many(missing)
-        for obj, grade in zip(missing, grades):
-            by_object[obj][j] = grade
+        missing = [
+            obj
+            for obj in (deliveries if objs is None else objs)
+            if obj not in grades_j
+        ]
+        if missing:
+            fetched = session.sources[j].random_access_many(missing)
+            grades_j.update(zip(missing, fetched))
+
+
+def score_objects(
+    aggregation: AggregationFunction,
+    state: SortedPhaseState,
+    objs: "list[ObjectId]",
+) -> list[tuple[ObjectId, float]]:
+    """A0's computation phase: ``(obj, mu_Q(obj))`` for each of ``objs``.
+
+    Every grade came through the access layer, so the objects are
+    scored in one bulk sweep — the vectorized kernel when the
+    aggregation has one (one numpy reduction instead of one Python
+    call per object), the trusted scalar fold otherwise. Either way no
+    per-argument re-validation.
+    """
+    rows = [[grades_i[obj] for obj in objs] for grades_i in state.grades]
+    return list(zip(objs, aggregation.evaluate_columns(rows)))
 
 
 class FaginA0(TopKAlgorithm):
@@ -233,11 +218,9 @@ class FaginA0(TopKAlgorithm):
     Result ``details``: ``T`` (sorted depth), ``matches`` (|L|),
     ``seen`` (number of distinct objects accessed).
 
-    A0 routes its termination through the contract's
-    :class:`~repro.core.certify.StoppingRule` like TA and NRA do, but
-    the rule cannot soundly relax it: A0's stop observes *match
-    counts*, never grades, and any certificate about the k-th grade
-    needs k certified grades — which A0 only has once it has matched k
+    A0 takes no quality contract: its stop observes *match counts*,
+    never grades, and any certificate about the k-th grade needs k
+    certified grades — which A0 only has once it has matched k
     objects, i.e. once it has already stopped. Under every contract A0
     therefore runs to exact completion and honestly delivers the
     ``exact`` guarantee (stronger than asked). Callers who want real
@@ -245,7 +228,6 @@ class FaginA0(TopKAlgorithm):
     """
 
     name = "A0"
-    supports_contracts = True
 
     def __init__(self, trust_caller: bool = False) -> None:
         self._trust_caller = trust_caller
@@ -256,94 +238,24 @@ class FaginA0(TopKAlgorithm):
         aggregation: AggregationFunction,
         k: int,
     ) -> TopKResult:
-        return self._run_certified(session, aggregation, k, EXACT)
-
-    def _run_certified(
-        self,
-        session: MiddlewareSession,
-        aggregation: AggregationFunction,
-        k: int,
-        contract: QualityContract,
-    ) -> TopKResult:
         if not aggregation.monotone and not self._trust_caller:
             raise ValueError(
                 f"A0 is only guaranteed correct for monotone queries "
                 f"(Theorem 4.2); {aggregation.name!r} is declared "
                 "non-monotone. Pass trust_caller=True to override."
             )
-        # A fused, batch-consuming form of the three phases. Same
-        # accesses in the same per-list quantities as the shared
-        # run_sorted_phase/complete_random_phase pair (which A0', the
-        # variants and IncrementalFagin still use — they need the full
-        # SortedPhaseState), but with flat per-list grade maps and an
-        # incrementally tracked match count instead of per-object dicts
-        # and set rebuilds.
-        m = session.num_lists
-        sources = session.sources
-        # The pluggable termination test. For A0 it is the exact
-        # match-count stop under *every* ε (see the class docstring) —
-        # the routing keeps the termination contract uniform across
-        # algorithms without pretending a relaxation exists.
-        rule = contract.stopping_rule()
-        grades_by_list: list[dict[ObjectId, float]] = [{} for _ in range(m)]
-        counts: dict[ObjectId, int] = {}
-        matched = 0
-        depth = 0
-
-        # Sorted access phase, in provably-consumed chunks (see
-        # run_sorted_phase for the bound).
-        while not rule.sorted_phase_done(matched, k):
-            rounds = -(-(k - matched) // m)
-            progressed = 0
-            for i in range(m):
-                objects, grades = sources[i].sorted_access_batch(rounds)
-                if not objects:
-                    continue
-                if len(objects) > progressed:
-                    progressed = len(objects)
-                grades_i = grades_by_list[i]
-                for obj, grade in zip(objects, grades):
-                    grades_i[obj] = grade
-                    seen_in = counts.get(obj, 0) + 1
-                    counts[obj] = seen_in
-                    if seen_in == m:
-                        matched += 1
-            depth += progressed
-            if not progressed:
-                if matched < k:
-                    raise InsufficientObjectsError(k, matched)
-                break
-
-        # Random access phase: per-list bulk lookups of every seen
-        # object the list's prefix did not deliver.
-        for j in range(m):
-            grades_j = grades_by_list[j]
-            if len(grades_j) == len(counts):
-                continue
-            missing = [obj for obj in counts if obj not in grades_j]
-            for obj, grade in zip(missing, sources[j].random_access_many(missing)):
-                grades_j[obj] = grade
-
-        # Computation phase: every grade came through the access layer,
-        # so score all seen objects in bulk — the vectorized kernel
-        # when the aggregation has one (one numpy reduction instead of
-        # one Python call per object), the trusted scalar fold
-        # otherwise. Either way no per-argument re-validation.
-        objs = list(counts)
-        rows = [[grades[obj] for obj in objs] for grades in grades_by_list]
-        scores = aggregation.evaluate_columns(rows)
+        state = run_sorted_phase(session, k)
+        fill_missing_grades(session, state)
+        scored = score_objects(aggregation, state, list(state.deliveries))
         return TopKResult(
-            items=top_k_of(list(zip(objs, scores)), k),
+            items=top_k_of(scored, k),
             stats=session.tracker.snapshot(),
             algorithm=self.name,
             details={
-                "T": depth,
-                "matches": matched,
-                "seen": len(counts),
+                "T": state.depth,
+                "matches": len(state.matched),
+                "seen": len(state.deliveries),
             },
-            # Always exact: the match-count stop admits no sound
-            # grade-relaxation, so A0 over-delivers on any contract.
-            guarantee=None,
         )
 
 
@@ -396,13 +308,11 @@ class IncrementalFagin:
         sorted-phase state the cursor already keeps.
         """
         state = self._state
-        m = self._session.num_lists
         if not state.order_by_list:
-            return [1.0] * m
-        seen = state.seen
+            return [1.0] * self._session.num_lists
         return [
-            seen[order[-1]][i] if order else 1.0
-            for i, order in enumerate(state.order_by_list)
+            grades_i[order[-1]] if order else 1.0
+            for grades_i, order in zip(state.grades, state.order_by_list)
         ]
 
     def unseen_upper(self) -> float:
@@ -447,35 +357,26 @@ class IncrementalFagin:
             raise InsufficientObjectsError(
                 total_needed, self._session.num_objects
             )
-        before = self._session.tracker.snapshot()
-        run_sorted_phase(self._session, total_needed, state=self._state)
-        complete_random_phase(self._session, self._state)
-        m = self._session.num_lists
+        session, state = self._session, self._state
+        before = session.tracker.snapshot()
+        run_sorted_phase(session, total_needed, state=state)
+        fill_missing_grades(session, state)
         scores = self._scores
-        seen = self._state.seen
-        fresh = [obj for obj in seen if obj not in scores]
+        fresh = [obj for obj in state.deliveries if obj not in scores]
         if fresh:
             # Bulk-score only the objects this batch completed; earlier
             # batches' aggregates are memoised and must not be re-derived.
-            rows = [[seen[obj][j] for obj in fresh] for j in range(m)]
-            scores.update(zip(fresh, self._aggregation.evaluate_columns(rows)))
+            scores.update(score_objects(self._aggregation, state, fresh))
         excluded = set(self._returned)
         items = top_k_of(
             [(obj, g) for obj, g in scores.items() if obj not in excluded], k
         )
         self._returned.extend(item.obj for item in items)
-        after = self._session.tracker.snapshot()
-        from repro.access.cost import AccessStats
-
-        delta = AccessStats(
-            tuple(a - b for a, b in zip(after.sorted_by_list, before.sorted_by_list)),
-            tuple(a - b for a, b in zip(after.random_by_list, before.random_by_list)),
-        )
         return TopKResult(
             items=items,
-            stats=delta,
+            stats=session.tracker.snapshot() - before,
             algorithm="A0-incremental",
-            details={"T": self._state.depth, "batch_start": len(excluded)},
+            details={"T": state.depth, "batch_start": len(excluded)},
         )
 
 

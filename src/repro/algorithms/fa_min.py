@@ -21,7 +21,11 @@ from __future__ import annotations
 from repro.access.session import MiddlewareSession
 from repro.access.source import tie_break_key
 from repro.algorithms.base import TopKAlgorithm, TopKResult, top_k_of
-from repro.algorithms.fa import fill_missing_grades, run_sorted_phase
+from repro.algorithms.fa import (
+    fill_missing_grades,
+    run_sorted_phase,
+    score_objects,
+)
 from repro.core.aggregation import AggregationFunction
 from repro.core.tnorms import MinimumTNorm
 
@@ -51,35 +55,30 @@ class FaginA0Min(TopKAlgorithm):
             )
         # Sorted access phase: identical to A0's.
         state = run_sorted_phase(session, k)
-        m = session.num_lists
+        grades = state.grades
 
         # Random access phase (A0' version). Every member of L has been
         # seen in all m lists, so its overall min-grade is known without
         # any random access; pick x0 minimising it. The min-grades are
         # memoised so the x0 scan evaluates each matched object once.
         overall = {
-            obj: min(state.seen[obj].values()) for obj in state.matched
+            obj: min(grades_i[obj] for grades_i in grades)
+            for obj in state.matched
         }
         x0 = min(
             state.matched, key=lambda obj: (overall[obj], tie_break_key(obj))
         )
         g0 = overall[x0]
-        by_list_x0 = state.seen[x0]
-        i0 = next(j for j in range(m) if by_list_x0[j] == g0)
+        i0 = next(j for j, grades_j in enumerate(grades) if grades_j[x0] == g0)
 
+        grades_i0 = grades[i0]
         candidates = [
-            obj
-            for obj in state.order_by_list[i0]
-            if state.seen[obj][i0] >= g0
+            obj for obj in state.order_by_list[i0] if grades_i0[obj] >= g0
         ]
-        fill_missing_grades(session, state.seen, objs=candidates, skip_list=i0)
+        fill_missing_grades(session, state, objs=candidates, skip_list=i0)
 
         # Computation phase, restricted to the candidates.
-        evaluate = aggregation.evaluate_trusted
-        scored = {
-            obj: evaluate([state.seen[obj][j] for j in range(m)])
-            for obj in candidates
-        }
+        scored = score_objects(aggregation, state, candidates)
         return TopKResult(
             items=top_k_of(scored, k),
             stats=session.tracker.snapshot(),

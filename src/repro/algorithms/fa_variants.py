@@ -28,7 +28,11 @@ from __future__ import annotations
 
 from repro.access.session import MiddlewareSession
 from repro.algorithms.base import TopKAlgorithm, TopKResult, top_k_of
-from repro.algorithms.fa import run_sorted_phase
+from repro.algorithms.fa import (
+    fill_missing_grades,
+    run_sorted_phase,
+    score_objects,
+)
 from repro.core.aggregation import AggregationFunction
 
 __all__ = ["EarlyStopFagin", "ShrunkenFagin"]
@@ -51,15 +55,8 @@ class EarlyStopFagin(TopKAlgorithm):
                 f"{aggregation.name!r} is declared non-monotone"
             )
         state = run_sorted_phase(session, k, stop_mid_round=True)
-        m = session.num_lists
-        for obj, by_list in state.seen.items():
-            for j in range(m):
-                if j not in by_list:
-                    by_list[j] = session.sources[j].random_access(obj)
-        scored = {
-            obj: aggregation(*(by_list[j] for j in range(m)))
-            for obj, by_list in state.seen.items()
-        }
+        fill_missing_grades(session, state)
+        scored = score_objects(aggregation, state, list(state.deliveries))
         return TopKResult(
             items=top_k_of(scored, k),
             stats=session.tracker.snapshot(),
@@ -116,19 +113,15 @@ class ShrunkenFagin(TopKAlgorithm):
             max(rank_in_list[i][obj] for obj in keep) for i in range(m)
         ]
 
-        surviving: set[object] = set()
-        for i in range(m):
-            surviving.update(state.order_by_list[i][: depths[i]])
-
-        for obj in surviving:
-            by_list = state.seen[obj]
-            for j in range(m):
-                if j not in by_list:
-                    by_list[j] = session.sources[j].random_access(obj)
-        scored = {
-            obj: aggregation(*(state.seen[obj][j] for j in range(m)))
-            for obj in surviving
-        }
+        surviving = list(
+            dict.fromkeys(
+                obj
+                for order, depth in zip(state.order_by_list, depths)
+                for obj in order[:depth]
+            )
+        )
+        fill_missing_grades(session, state, objs=surviving)
+        scored = score_objects(aggregation, state, surviving)
         return TopKResult(
             items=top_k_of(scored, k),
             stats=session.tracker.snapshot(),

@@ -90,24 +90,22 @@ class MedianTopK(TopKAlgorithm):
             )
         r = median_subset_size(m)
         inner = FaginA0()
-        candidates: set[object] = set()
+        # The union of the answer sets, in first-seen order.
+        candidates: dict[object, None] = {}
         runs = 0
         for subset in itertools.combinations(range(m), r):
             sub = session.subsession(subset, restart=True)
             result = inner.top_k(sub, MINIMUM, k)
-            candidates.update(result.objects())
+            candidates.update(dict.fromkeys(result.objects()))
             runs += 1
 
-        # Complete every candidate's grades by random access, then rank
-        # by the true median. (Random accesses here are charged like
-        # any other; the paper's O(sqrt(Nk)) bound absorbs the O(k)
-        # completions.)
-        grades: dict[object, list[float]] = {}
-        for obj in candidates:
-            grades[obj] = [
-                session.sources[j].random_access(obj) for j in range(m)
-            ]
-        scored = {obj: aggregation(*gs) for obj, gs in grades.items()}
+        # Complete every candidate's grades by random access — one bulk
+        # lookup per list — then rank by the true median. (Random
+        # accesses here are charged like any other; the paper's
+        # O(sqrt(Nk)) bound absorbs the O(k) completions.)
+        objs = list(candidates)
+        rows = [source.random_access_many(objs) for source in session.sources]
+        scored = list(zip(objs, aggregation.evaluate_columns(rows)))
         return TopKResult(
             items=top_k_of(scored, k),
             stats=session.tracker.snapshot(),

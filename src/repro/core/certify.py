@@ -167,13 +167,6 @@ class StoppingRule:
     * TA stops when ``kth_best >= tau`` → :meth:`met`.
     * NRA keeps a candidate alive while ``upper > kth_best`` →
       :meth:`still_viable` (the logical dual of :meth:`met`).
-    * FA's sorted phase stops when ``matched >= k`` →
-      :meth:`sorted_phase_done`. This one observes *match counts*,
-      never grades, so there is no sound grade-relaxation of it: any
-      certificate about the k-th grade needs k certified grades, which
-      FA only has once it has already stopped. The rule therefore
-      returns the exact test under every ε (and FA's delivered
-      guarantee stays ``exact``).
 
     At ``epsilon == 0`` each method takes an explicit exact branch so
     the float comparisons are bit-identical to the historical checks
@@ -211,11 +204,6 @@ class StoppingRule:
         if self.epsilon == 0.0:
             return kth_best
         return self._relaxation * kth_best
-
-    def sorted_phase_done(self, matched: int, k: int) -> bool:
-        """FA's match-count stop — exact under every ε (see class
-        docstring)."""
-        return matched >= k
 
     def guarantee(self, threshold: float | None = None) -> "Guarantee":
         """The guarantee a run stopping under this rule delivers."""

@@ -17,7 +17,8 @@ Every algorithm is run on four backings of the same scoring database:
 
 All four must produce identical top-k answers and identical per-list
 sorted/random access counts; ``IncrementalFagin`` must additionally
-resume identically batch after batch.
+resume identically batch after batch, and its first batch must be A0's
+run on a fresh session of the same store.
 """
 
 import pytest
@@ -31,14 +32,17 @@ from repro.access import (
 )
 from repro.core.query import AtomicQuery
 from repro.subsystems.synthetic import SyntheticSubsystem
+from repro.algorithms.disjunction import DisjunctionB0
 from repro.algorithms.fa import FaginA0, IncrementalFagin
 from repro.algorithms.fa_min import FaginA0Min
 from repro.algorithms.fa_variants import EarlyStopFagin, ShrunkenFagin
+from repro.algorithms.median import MedianTopK
 from repro.algorithms.naive import NaiveAlgorithm
 from repro.algorithms.nra import NoRandomAccessAlgorithm
 from repro.algorithms.threshold import ThresholdAlgorithm
 from repro.core.aggregation import AggregationFunction
-from repro.core.means import ARITHMETIC_MEAN
+from repro.core.means import ARITHMETIC_MEAN, MEDIAN
+from repro.core.tconorms import MAXIMUM
 from repro.core.tnorms import MINIMUM
 from repro.workloads.correlated import correlated_database
 from repro.workloads.skeletons import independent_database
@@ -57,6 +61,8 @@ ALGORITHMS = [
     ("naive", NaiveAlgorithm, (MINIMUM, ARITHMETIC_MEAN)),
     ("early-stop", EarlyStopFagin, (MINIMUM,)),
     ("shrunken", ShrunkenFagin, (MINIMUM,)),
+    ("b0", DisjunctionB0, (MAXIMUM,)),
+    ("median", MedianTopK, (MEDIAN,)),
 ]
 
 
@@ -140,6 +146,8 @@ def sessions_for(db_factory):
     "algo_name,algo_cls,aggregations", ALGORITHMS, ids=lambda a: str(a)
 )
 def test_three_paths_agree(db_name, algo_name, algo_cls, aggregations):
+    if algo_cls is MedianTopK and DATABASES[db_name]().num_lists < 3:
+        pytest.skip("the median construction needs at least 3 lists")
     for aggregation in aggregations:
         for k in (1, 5, 20):
             results = {
@@ -253,3 +261,20 @@ def test_incremental_fagin_resumes_identically(db_name):
             )
     for path in ("row", "columnar", "federated"):
         assert cursors[path].returned == cursors["unit"].returned
+
+
+@pytest.mark.parametrize("db_name", DATABASES)
+@pytest.mark.parametrize("aggregation", (MINIMUM, ARITHMETIC_MEAN),
+                         ids=lambda a: a.name)
+def test_first_cursor_page_is_a0(db_name, aggregation):
+    """A cursor's first page is A0 itself: same answers, same per-list
+    sorted and random counts and the same depth T, on every backing."""
+    for k in (1, 5, 20):
+        pages = sessions_for(DATABASES[db_name])
+        runs = sessions_for(DATABASES[db_name])
+        for path, session in pages.items():
+            page = IncrementalFagin(session, aggregation).next_batch(k)
+            a0 = FaginA0().top_k(runs[path], aggregation, k)
+            assert page.items == a0.items, f"{db_name}/{path}/k={k}"
+            assert page.stats == a0.stats, f"{db_name}/{path}/k={k}"
+            assert page.details["T"] == a0.details["T"], f"{db_name}/{path}/k={k}"

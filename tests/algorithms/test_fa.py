@@ -31,7 +31,9 @@ class TestSortedPhase:
         session = tiny_db.session()
         state = run_sorted_phase(session, 1)
         for obj in state.matched:
-            assert set(state.seen[obj]) == {0, 1}
+            known_in = {i for i, grades in enumerate(state.grades) if obj in grades}
+            assert known_in == {0, 1}
+            assert state.deliveries[obj] == 2
 
     def test_exhaustion_when_k_equals_n(self, tiny_db):
         session = tiny_db.session()

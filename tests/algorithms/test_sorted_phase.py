@@ -28,7 +28,8 @@ class TestResumption:
 
         assert state.depth == fresh.depth
         assert state.matched == fresh.matched
-        assert state.seen == fresh.seen
+        assert state.grades == fresh.grades
+        assert state.deliveries == fresh.deliveries
 
     def test_no_op_when_target_already_met(self, db2):
         session = db2.session()
@@ -47,7 +48,9 @@ class TestInvariants:
     def test_matched_objects_seen_everywhere(self, db3):
         state = run_sorted_phase(db3.session(), 6)
         for obj in state.matched:
-            assert set(state.seen[obj]) == {0, 1, 2}
+            known_in = {i for i, grades in enumerate(state.grades) if obj in grades}
+            assert known_in == {0, 1, 2}
+            assert state.deliveries[obj] == 3
 
     def test_order_by_list_matches_rankings(self, db2):
         state = run_sorted_phase(db2.session(), 4)
@@ -57,8 +60,9 @@ class TestInvariants:
 
     def test_seen_grades_are_true_grades(self, db2):
         state = run_sorted_phase(db2.session(), 4)
-        for obj, by_list in state.seen.items():
-            for i, grade in by_list.items():
+        for i, grades in enumerate(state.grades):
+            assert set(grades) <= set(state.deliveries)
+            for obj, grade in grades.items():
                 assert grade == db2.grade(i, obj)
 
     def test_mid_round_stop_saves_at_most_m_minus_one(self, db3):
@@ -68,6 +72,28 @@ class TestInvariants:
         full_cost = 3 * full_state.depth
         early_cost = session.tracker.snapshot().sorted_cost
         assert full_cost - 2 <= early_cost <= full_cost
+
+    def test_mid_round_stop_lands_on_the_kth_match(self, db3):
+        rankings = [[item.obj for item in db3.ranking(i)] for i in range(3)]
+        for k in range(1, 16):
+            # Reference: read the lists round-robin, one access at a
+            # time, and stop at the access that completes the k-th match.
+            deliveries, matches, accesses, depth = {}, 0, 0, 0
+            while matches < k:
+                for order in rankings:
+                    obj = order[depth]
+                    accesses += 1
+                    deliveries[obj] = deliveries.get(obj, 0) + 1
+                    if deliveries[obj] == 3:
+                        matches += 1
+                        if matches == k:
+                            break
+                depth += 1
+            session = db3.session()
+            state = run_sorted_phase(session, k, stop_mid_round=True)
+            assert session.tracker.snapshot().sorted_cost == accesses
+            assert len(state.matched) == k
+            assert state.depth == depth
 
     def test_depth_matches_skeleton_match_depth(self):
         for seed in range(10):

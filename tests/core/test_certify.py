@@ -128,12 +128,24 @@ class TestStoppingRule:
     def test_limit_scales(self):
         assert StoppingRule(0.5).limit(0.4) == pytest.approx(0.6)
 
-    def test_sorted_phase_done_never_relaxes(self):
-        # FA's match-count stop observes no grades: same test at any ε.
-        for eps in (0.0, 0.5, 10.0):
-            rule = StoppingRule(eps)
-            assert rule.sorted_phase_done(3, 3)
-            assert not rule.sorted_phase_done(2, 3)
+    def test_fagin_match_count_stop_never_relaxes(self):
+        # A0's stop observes match counts, never grades: under ε = 0.5
+        # it reads exactly what the exact run reads, returns the same
+        # answers and certifies them as exact.
+        from repro.algorithms.fa import FaginA0
+        from repro.core.means import ARITHMETIC_MEAN
+        from repro.core.tnorms import MINIMUM
+        from repro.workloads.skeletons import independent_database
+
+        db = independent_database(3, 200, seed=5)
+        for aggregation in (MINIMUM, ARITHMETIC_MEAN):
+            for k in (1, 10):
+                exact = FaginA0().top_k(db.session(), aggregation, k)
+                relaxed = FaginA0().top_k(db.session(), aggregation, k, 0.5)
+                assert relaxed.items == exact.items
+                assert relaxed.stats == exact.stats
+                assert relaxed.details == exact.details
+                assert relaxed.guarantee is EXACT_GUARANTEE
 
     def test_guarantee_exact(self):
         assert StoppingRule(0.0).guarantee() is EXACT_GUARANTEE
