@@ -109,10 +109,15 @@ partial re-measure never silently drops the rest of the trajectory.
 
 Each measurement is the median of ``--repeats`` runs of *mint session
 + run algorithm* (minting is part of the path: the pre-batching code
-re-sorted/re-validated per session). Every config asserts that the
-lanes return identical answers with identical per-list sorted and
-random access counts — batches and kernels are implementation detail;
-the paper cost model is unchanged.
+re-sorted/re-validated per session). The gated ratios — legacy,
+columnar and scalar on the plain, ``fed-`` and ``filtered-`` configs —
+are timed in alternating rounds on one pinned CPU (``paired_ms``), and
+each ``speedup`` / ``kernel_speedup`` is the median of the per-round
+ratios, so drift in the host's speed between rounds cancels out of
+every pair. Every config asserts that the lanes return identical
+answers with identical per-list sorted and random access counts —
+batches and kernels are implementation detail; the paper cost model
+is unchanged.
 
 Output goes to ``BENCH_topk.json``. Modes:
 
@@ -135,6 +140,7 @@ the baseline was committed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -576,6 +582,52 @@ def median_ms(run, repeats: int) -> float:
     return statistics.median(samples)
 
 
+@contextlib.contextmanager
+def one_cpu():
+    """Pin this thread to one CPU, restoring its mask on exit.
+
+    Only the gated ratio lanes run pinned: the par- and shard- lanes
+    measure thread pools and worker processes, which need every CPU.
+    """
+    if not hasattr(os, "sched_setaffinity"):
+        yield
+        return
+    allowed = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(allowed)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, allowed)
+
+
+def paired_ms(lanes, repeats: int) -> list[list[float]]:
+    """Per-lane samples in ms, the lanes timed in alternating rounds.
+
+    Each round times every lane once, in order on even rounds and in
+    reverse on odd ones, on one pinned CPU. A ratio of two lanes is
+    then taken per round, between runs moments apart: a host whose
+    speed drifts within a minute moves both sides of a pair alike,
+    where timing one lane's repeats and then the other's compares two
+    different machines.
+    """
+    samples: list[list[float]] = [[] for _ in lanes]
+    with one_cpu():
+        for round_index in range(repeats):
+            order = list(range(len(lanes)))
+            if round_index % 2:
+                order.reverse()
+            for lane in order:
+                start = time.perf_counter()
+                lanes[lane]()
+                samples[lane].append((time.perf_counter() - start) * 1e3)
+    return samples
+
+
+def pair_ratio(numerator: list[float], denominator: list[float]) -> float:
+    """The median per-round ratio of two lanes' samples."""
+    return statistics.median(n / d for n, d in zip(numerator, denominator))
+
+
 def bench_config(entry, repeats: int) -> dict:
     name = entry["name"]
     workload = entry["workload"]
@@ -619,24 +671,10 @@ def bench_config(entry, repeats: int) -> dict:
                 f"{name}/{algo_name}: access counts diverge — "
                 f"legacy {ref_stats!r} vs columnar {col.stats!r}"
             )
-        legacy_ms = median_ms(
-            lambda: prepr_run(legacy_session(db), aggregation, k), repeats
-        )
-        columnar_ms = median_ms(
+        lanes = [
+            lambda: prepr_run(legacy_session(db), aggregation, k),
             lambda: algorithm.top_k(columnar.session(), aggregation, k),
-            repeats,
-        )
-        results[algo_name] = {
-            "legacy_ms": round(legacy_ms, 3),
-            "columnar_ms": round(columnar_ms, 3),
-            "speedup": round(legacy_ms / columnar_ms, 2),
-            "sorted_by_list": list(ref_stats.sorted_by_list),
-            "random_by_list": list(ref_stats.random_by_list),
-            "sorted": ref_stats.sorted_cost,
-            "random": ref_stats.random_cost,
-            "counts_match": True,
-        }
-        kernel_note = ""
+        ]
         if agg_name != "min":
             # Third lane: same algorithms, kernels hidden — what the
             # vectorized computation phase alone is worth. The scalar
@@ -646,21 +684,36 @@ def bench_config(entry, repeats: int) -> dict:
                 raise AssertionError(
                     f"{name}/{algo_name}: scalar lane diverges from kernels"
                 )
-            scalar_ms = median_ms(
+            lanes.append(
                 lambda: algorithm.top_k(
                     columnar.session(), scalar_aggregation, k
-                ),
-                repeats,
+                )
             )
-            results[algo_name]["scalar_ms"] = round(scalar_ms, 3)
-            results[algo_name]["kernel_speedup"] = round(
-                scalar_ms / columnar_ms, 2
+        samples = paired_ms(lanes, repeats)
+        legacy_ms, columnar_ms = map(statistics.median, samples[:2])
+        speedup = pair_ratio(samples[0], samples[1])
+        results[algo_name] = {
+            "legacy_ms": round(legacy_ms, 3),
+            "columnar_ms": round(columnar_ms, 3),
+            "speedup": round(speedup, 2),
+            "sorted_by_list": list(ref_stats.sorted_by_list),
+            "random_by_list": list(ref_stats.random_by_list),
+            "sorted": ref_stats.sorted_cost,
+            "random": ref_stats.random_cost,
+            "counts_match": True,
+        }
+        kernel_note = ""
+        if len(samples) == 3:
+            kernel_speedup = pair_ratio(samples[2], samples[1])
+            results[algo_name]["scalar_ms"] = round(
+                statistics.median(samples[2]), 3
             )
-            kernel_note = f"   kernel {scalar_ms / columnar_ms:4.2f}x"
+            results[algo_name]["kernel_speedup"] = round(kernel_speedup, 2)
+            kernel_note = f"   kernel {kernel_speedup:4.2f}x"
         print(
             f"  {algo_name:<10} legacy {legacy_ms:8.2f} ms   "
             f"columnar {columnar_ms:8.2f} ms   "
-            f"{legacy_ms / columnar_ms:5.2f}x   "
+            f"{speedup:5.2f}x   "
             f"S={ref_stats.sorted_cost} R={ref_stats.random_cost}"
             f"{kernel_note}"
         )
@@ -748,18 +801,22 @@ def bench_federated(entry, repeats: int) -> dict:
             f"unit {ref_stats!r} vs batched {answer.result.stats!r}"
         )
 
-    legacy_ms = median_ms(
-        lambda: _prepr_fagin(
-            federated_unit_session(engine, atoms), MINIMUM, k
-        ),
+    samples = paired_ms(
+        [
+            lambda: _prepr_fagin(
+                federated_unit_session(engine, atoms), MINIMUM, k
+            ),
+            run_batched,
+        ],
         repeats,
     )
-    batched_ms = median_ms(run_batched, repeats)
+    legacy_ms, batched_ms = map(statistics.median, samples)
+    speedup = pair_ratio(*samples)
     results = {
         "fagin": {
             "legacy_ms": round(legacy_ms, 3),
             "columnar_ms": round(batched_ms, 3),
-            "speedup": round(legacy_ms / batched_ms, 2),
+            "speedup": round(speedup, 2),
             "sorted_by_list": list(ref_stats.sorted_by_list),
             "random_by_list": list(ref_stats.random_by_list),
             "sorted": ref_stats.sorted_cost,
@@ -770,7 +827,7 @@ def bench_federated(entry, repeats: int) -> dict:
     print(
         f"  {'fagin':<10} unit   {legacy_ms:8.2f} ms   "
         f"batched  {batched_ms:8.2f} ms   "
-        f"{legacy_ms / batched_ms:5.2f}x   "
+        f"{speedup:5.2f}x   "
         f"S={ref_stats.sorted_cost} R={ref_stats.random_cost}"
     )
     return {
@@ -1412,20 +1469,27 @@ def bench_filtered(entry, repeats: int) -> dict:
     if scalar.items != batched.items or scalar.result.stats != batched.result.stats:
         raise AssertionError(f"{name}: scalar lane diverges from kernels")
 
-    legacy_ms = median_ms(
-        lambda: _prepr_filtered(catalog, plan, k, scalar_plan.aggregation),
+    samples = paired_ms(
+        [
+            lambda: _prepr_filtered(
+                catalog, plan, k, scalar_plan.aggregation
+            ),
+            lambda: executor.execute(plan, k),
+            lambda: executor.execute(scalar_plan, k),
+        ],
         repeats,
     )
-    columnar_ms = median_ms(lambda: executor.execute(plan, k), repeats)
-    scalar_ms = median_ms(lambda: executor.execute(scalar_plan, k), repeats)
+    legacy_ms, columnar_ms, scalar_ms = map(statistics.median, samples)
+    speedup = pair_ratio(samples[0], samples[1])
+    kernel_speedup = pair_ratio(samples[2], samples[1])
     stats = batched.result.stats
     results = {
         "filtered": {
             "legacy_ms": round(legacy_ms, 3),
             "columnar_ms": round(columnar_ms, 3),
-            "speedup": round(legacy_ms / columnar_ms, 2),
+            "speedup": round(speedup, 2),
             "scalar_ms": round(scalar_ms, 3),
-            "kernel_speedup": round(scalar_ms / columnar_ms, 2),
+            "kernel_speedup": round(kernel_speedup, 2),
             "sorted_by_list": list(stats.sorted_by_list),
             "random_by_list": list(stats.random_by_list),
             "sorted": stats.sorted_cost,
@@ -1436,9 +1500,9 @@ def bench_filtered(entry, repeats: int) -> dict:
     print(
         f"  {'filtered':<10} legacy {legacy_ms:8.2f} ms   "
         f"batched  {columnar_ms:8.2f} ms   "
-        f"{legacy_ms / columnar_ms:5.2f}x   "
+        f"{speedup:5.2f}x   "
         f"S={stats.sorted_cost} R={stats.random_cost}   "
-        f"kernel {scalar_ms / columnar_ms:4.2f}x   "
+        f"kernel {kernel_speedup:4.2f}x   "
         f"(|S|={batched.result.details['filter_set_size']})"
     )
     return {
@@ -1690,7 +1754,11 @@ def main(argv=None) -> int:
         "--quick", action="store_true", help="CI subset of the configs"
     )
     parser.add_argument(
-        "--repeats", type=int, default=5, help="runs per median (default 5)"
+        "--repeats",
+        type=int,
+        default=9,
+        help="runs per median and rounds per paired ratio (default 9, "
+        "as CI runs it)",
     )
     parser.add_argument(
         "--out", default="BENCH_topk.json", help="output JSON path"

@@ -87,8 +87,3 @@ class MiddlewareSession:
             for src in chosen:
                 src.restart()
         return MiddlewareSession(chosen, self.tracker, self.num_objects)
-
-    def restart_all(self) -> None:
-        """Reset every source's sorted cursor (fresh algorithm run)."""
-        for src in self.sources:
-            src.restart()

@@ -222,25 +222,6 @@ class SortedRandomSource(ABC):
         after a restart are charged again (they are real accesses).
         """
 
-    def fork(self) -> "SortedRandomSource":
-        """An independent cursor over the same graded set, at the top.
-
-        Like :meth:`restart`, a fork models re-issuing the subquery —
-        its accesses are fresh and charged to whichever session
-        instruments it — but it leaves *this* source's cursor
-        untouched, so several plans (or threads) can each consume
-        their own fork of one cached evaluation without corrupting
-        each other's progress. Sources whose state cannot be shared
-        read-only keep the default, which declines loudly; callers
-        then fall back to a fresh evaluation.
-        """
-        from repro.exceptions import SubsystemCapabilityError
-
-        raise SubsystemCapabilityError(
-            f"source {self.name!r} ({type(self).__name__}) cannot fork; "
-            "re-evaluate the subquery instead"
-        )
-
     # ------------------------------------------------------------------
     # Batched access protocol
     #
@@ -386,10 +367,6 @@ class MaterializedSource(SortedRandomSource):
     def restart(self) -> None:
         self._cursor = 0
 
-    def fork(self) -> "MaterializedSource":
-        """A fresh cursor sharing this source's (immutable) ranking."""
-        return MaterializedSource.trusted(self.name, self.columns(), self._grade_map)
-
     @classmethod
     def trusted(
         cls,
@@ -465,9 +442,6 @@ class StreamOnlySource(SortedRandomSource):
 
     def restart(self) -> None:
         self._inner.restart()
-
-    def fork(self) -> "StreamOnlySource":
-        return StreamOnlySource(self._inner.fork())
 
 
 class InstrumentedSource(SortedRandomSource):
@@ -559,6 +533,3 @@ class UnbatchedSource(SortedRandomSource):
 
     def restart(self) -> None:
         self._inner.restart()
-
-    def fork(self) -> "UnbatchedSource":
-        return UnbatchedSource(self._inner.fork())

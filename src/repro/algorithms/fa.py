@@ -31,6 +31,7 @@ find the next k best answers we can 'continue where we left off.'"
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 from repro.access.session import MiddlewareSession
 from repro.access.types import ObjectId
@@ -288,10 +289,18 @@ class IncrementalFagin:
         self._aggregation = aggregation
         self._state = SortedPhaseState()
         self._returned: list[ObjectId] = []
-        #: Memoised overall grades: an object's grades are complete
-        #: after its first random phase, so its aggregate never changes
-        #: and later batches must not re-evaluate the aggregation.
-        self._scores: dict[ObjectId, float] = {}
+        #: Overall grades of the seen objects not yet returned. An
+        #: object's grades are complete after its first random phase,
+        #: so its aggregate never changes: it is scored once, by the
+        #: batch that completes it, and leaves this map when returned.
+        self._unreturned: dict[ObjectId, float] = {}
+        #: How many seen objects, a prefix of ``deliveries`` in
+        #: first-seen order, have been scored.
+        self._scored = 0
+        #: The best unreturned seen grade and the last returned grade,
+        #: kept as pages are cut so remaining_upper() scans nothing.
+        self._best_unreturned = 0.0
+        self._last_returned = 0.0
 
     @property
     def returned(self) -> tuple[ObjectId, ...]:
@@ -332,14 +341,9 @@ class IncrementalFagin:
         third with the max of the first two — it tightens monotonically
         as paging deepens, which is what makes the cursor *anytime*.
         """
-        excluded = set(self._returned)
-        best_seen = max(
-            (g for obj, g in self._scores.items() if obj not in excluded),
-            default=0.0,
-        )
-        upper = max(best_seen, self.unseen_upper())
+        upper = max(self._best_unreturned, self.unseen_upper())
         if self._returned:
-            upper = min(upper, self._scores[self._returned[-1]])
+            upper = min(upper, self._last_returned)
         return upper
 
     def next_batch(self, k: int) -> TopKResult:
@@ -361,22 +365,29 @@ class IncrementalFagin:
         before = session.tracker.snapshot()
         run_sorted_phase(session, total_needed, state=state)
         fill_missing_grades(session, state)
-        scores = self._scores
-        fresh = [obj for obj in state.deliveries if obj not in scores]
-        if fresh:
+        unreturned = self._unreturned
+        if len(state.deliveries) > self._scored:
             # Bulk-score only the objects this batch completed; earlier
-            # batches' aggregates are memoised and must not be re-derived.
-            scores.update(score_objects(self._aggregation, state, fresh))
-        excluded = set(self._returned)
-        items = top_k_of(
-            [(obj, g) for obj, g in scores.items() if obj not in excluded], k
-        )
+            # batches' aggregates are kept and must not be re-derived.
+            fresh = list(islice(state.deliveries, self._scored, None))
+            unreturned.update(score_objects(self._aggregation, state, fresh))
+            self._scored = len(state.deliveries)
+        # One selection past the page: in the same total order, its
+        # first k items are the page and the extra one carries the best
+        # unreturned seen grade.
+        ranked = top_k_of(unreturned, k + 1)
+        items = ranked[:k]
+        for item in items:
+            del unreturned[item.obj]
+        self._best_unreturned = ranked[k].grade if len(ranked) > k else 0.0
+        self._last_returned = items[-1].grade
+        batch_start = len(self._returned)
         self._returned.extend(item.obj for item in items)
         return TopKResult(
             items=items,
             stats=session.tracker.snapshot() - before,
             algorithm="A0-incremental",
-            details={"T": state.depth, "batch_start": len(excluded)},
+            details={"T": state.depth, "batch_start": batch_start},
         )
 
 

@@ -56,12 +56,9 @@ class AsyncEngine:
     Parameters
     ----------
     engine:
-        The synchronous engine to serve. It must be safe to run
-        queries on from several threads: catalog-backed engines and
-        source-backed engines over a database or session factory are
-        (each run mints its own session); an engine over a single live
-        :class:`~repro.access.session.MiddlewareSession` is
-        single-consumer and is refused up front.
+        The synchronous engine to serve. Every backing is safe to run
+        queries on from several threads: stores and ranking caches are
+        shared read-only, and each run mints its own session.
     max_workers:
         Size of the facade's thread pool — the maximum number of
         queries in flight at once.
@@ -73,14 +70,6 @@ class AsyncEngine:
         if max_workers < 1:
             raise ValueError(
                 f"max_workers must be at least 1, got {max_workers}"
-            )
-        from repro.access.session import MiddlewareSession
-
-        if isinstance(engine._backing, MiddlewareSession):
-            raise EngineConfigurationError(
-                "an engine over a live MiddlewareSession is single-"
-                "consumer and cannot be served concurrently; back it "
-                "with a database or session factory"
             )
         self.engine = engine
         self.max_workers = max_workers

@@ -1,10 +1,10 @@
 """Batch execution results: many queries, one summed accounting ledger.
 
 ``Engine.run_many`` runs each member through the engine's one query
-pipeline in its own session; catalog-backed batches also share an
-atom-evaluation cache, so a subquery appearing in several batch
-members is issued to its subsystem once. :class:`BatchResult` carries
-the per-query answers plus the batch-wide access totals, the Section 5
+pipeline in its own session, exactly as a one-shot query runs; a
+subquery appearing in several catalog-backed members is ranked once,
+by its subsystem's ranking cache. :class:`BatchResult` carries the
+per-query answers plus the batch-wide access totals, the Section 5
 cost ledger lifted to many queries.
 """
 
@@ -48,11 +48,12 @@ class BatchResult:
         different list counts, so the totals are scalars, not per-list
         tuples).
     details:
-        Batch diagnostics: ``queries``, ``atom_evaluations`` /
-        ``atom_reuses`` (catalog-backed cache accounting), ``parallel``
-        (worker count, when the batch ran on a thread pool — the
-        totals, per-member stats summed, equal the serial batch's),
-        and ``sharded`` / ``shards`` / ``processes`` (sharded batches).
+        Batch diagnostics: ``queries``, ``parallel`` (worker count,
+        when the batch ran on a thread pool — the totals, per-member
+        stats summed, equal the serial batch's), and ``sharded`` /
+        ``shards`` / ``processes`` (sharded batches). How often the
+        members' atoms hit the ranking caches is in
+        ``Engine.metrics_snapshot()["cache_totals"]``.
     """
 
     answers: tuple[object, ...]

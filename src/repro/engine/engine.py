@@ -35,17 +35,19 @@ or the pick every shard will make) and its run step (the executor,
 the algorithm over the session, or the shard merge); ε-steering, the
 adaptive chooser, forced-strategy resolution and the ledgers are
 shared.
+
+One sharing rule holds on every backing: stores and ranking caches are
+shared read-only, and every run mints its own session from them.
 """
 
 from __future__ import annotations
 
+import operator
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace as _dc_replace
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from repro.access.session import MiddlewareSession
-from repro.access.source import SortedRandomSource
 from repro.algorithms.base import TopKAlgorithm, TopKResult
 from repro.core.aggregation import AggregationFunction
 from repro.core.certify import (
@@ -69,7 +71,6 @@ from repro.exceptions import (
     EngineConfigurationError,
     InsufficientObjectsError,
     PlanningError,
-    SubsystemCapabilityError,
 )
 from repro.middleware.catalog import Catalog
 from repro.middleware.executor import Executor, QueryAnswer
@@ -89,11 +90,12 @@ class Engine:
     * **catalog-backed** — subsystems registered via :meth:`register`;
       queries are strings or ASTs, planned and executed through the
       middleware (the Garlic deployment scenario);
-    * **source-backed** — built with :meth:`over` from a
-      :class:`~repro.access.scoring_database.ScoringDatabase`, a
-      session factory, or a live session; queries are aggregation
-      functions over the backing's ranked lists (the Section 5 formal
-      model, and what the benchmarks drive);
+    * **source-backed** — built with :meth:`over` from a store with a
+      ``session()`` method (a
+      :class:`~repro.access.scoring_database.ScoringDatabase` or
+      :class:`~repro.access.columnar.ColumnarScoringDatabase`);
+      queries are aggregation functions over the store's ranked lists
+      (the Section 5 formal model, and what the benchmarks drive);
     * **sharded** — built with :meth:`over_shards`; source-backed
       queries answered by worker processes over a partitioned store.
 
@@ -113,11 +115,6 @@ class Engine:
         #: catalog and a plain source backing.
         self._sharded = None
         self._random_access = True
-        #: Cursor holding a live shared-session backing, if any. A
-        #: MiddlewareSession backing has stateful sorted cursors, so it
-        #: is single-consumer: once a cursor leases it, further queries
-        #: would silently corrupt the cursor's progress — refuse them.
-        self._session_lease: ResultCursor | None = None
         #: Cumulative serving ledger: every completed query, batch
         #: member, and cursor page flows its AccessStats here, so the
         #: engine can answer "what has this process spent so far" —
@@ -162,23 +159,20 @@ class Engine:
     ) -> "Engine":
         """An engine over raw ranked sources instead of subsystems.
 
-        ``backing`` may be a ``ScoringDatabase`` (anything with a
-        ``session()`` method), a zero-argument session factory, or a
-        live :class:`~repro.access.session.MiddlewareSession` (which
-        the engine then shares across queries — its cost tracker
-        becomes the engine's ledger). ``random_access=False`` restricts
-        strategy selection to sorted-only algorithms (footnote 5's
-        missing capability).
+        ``backing`` is a store: an object whose ``session()`` method
+        mints a fresh :class:`~repro.access.session.MiddlewareSession`
+        (a ``ScoringDatabase`` or ``ColumnarScoringDatabase``). The
+        store is shared read-only and every run mints its own session,
+        so one engine serves any number of threads, cursors and batch
+        members at once. ``random_access=False`` restricts strategy
+        selection to sorted-only algorithms (footnote 5's missing
+        capability).
         """
-        if not (
-            isinstance(backing, MiddlewareSession)
-            or callable(backing)
-            or callable(getattr(backing, "session", None))
-        ):
+        if not callable(getattr(backing, "session", None)):
             raise EngineConfigurationError(
                 f"cannot back an engine with {type(backing).__name__}; "
-                "expected a ScoringDatabase, a session factory, or a "
-                "MiddlewareSession"
+                "expected an object with a session() method, such as a "
+                "ScoringDatabase or ColumnarScoringDatabase"
             )
         engine = cls(context)
         engine._backing = backing
@@ -338,24 +332,19 @@ class Engine:
         Every member takes the pipeline a one-shot ``top()`` takes —
         plan, ε-steering under the context's contract, run — but never
         consults or feeds the adaptive chooser. Each member runs in its
-        own session (an engine over a live
-        :class:`~repro.access.session.MiddlewareSession` restarts that
-        one session per member, so its tracker accumulates the batch),
-        and the batch ledger is the sum of the per-member
-        :class:`~repro.access.cost.AccessStats`. Catalog-backed batches
-        share an atom-evaluation cache, so an atomic subquery appearing
-        in several batch members is issued to its subsystem once per
-        batch; every consumer gets its own forked cursor over that one
-        evaluation. Sharded batches advance every member's merge round
-        by round across the worker pool.
+        own session, and the batch ledger is the sum of the per-member
+        :class:`~repro.access.cost.AccessStats`. A catalog member
+        reaches ``Subsystem.evaluate`` the way a one-shot query does,
+        so an atom shared by several members is ranked once, by its
+        subsystem's single-flight ranking cache, and every later issue
+        is an O(1) mint off the cached ranking. Sharded batches advance
+        every member's merge round by round across the worker pool.
 
         ``parallel=N`` executes the batch members on a thread pool of
         ``N`` workers, with accounting bit-identical to the serial
-        batch (a member performs the same accesses either way) and the
-        atom cache still shared, with single-flight evaluation per
-        atom. An engine over a live session cannot mint per-member
-        sessions, and a sharded engine already parallelises across its
-        worker processes; both refuse ``parallel``.
+        batch (a member performs the same accesses either way). A
+        sharded engine already parallelises across its worker
+        processes and refuses ``parallel``.
         """
         if parallel is not None:
             if (
@@ -371,12 +360,6 @@ class Engine:
                     "sharded engines already parallelise across their "
                     "worker-process pool; drop parallel= (pool width is "
                     "fixed at construction via processes=)"
-                )
-            if isinstance(self._backing, MiddlewareSession):
-                raise EngineConfigurationError(
-                    "an engine over a live MiddlewareSession is single-"
-                    "consumer and cannot run batch members in parallel; "
-                    "back the engine with a database or session factory"
                 )
         default_k = validate_k(
             k if k is not None else self.context.default_k
@@ -411,17 +394,10 @@ class Engine:
                 processes=self._sharded.processes,
             )
         else:
-            executor = (
-                None
-                if self._is_source_backed()
-                else self._executor(
-                    self._batch_atom_cache(details, serial=parallel is None)
-                )
-            )
 
             def run_one(spec_k: tuple[object, int]) -> object:
                 spec, k = spec_k
-                return self._run(plan_member(spec, k), k, contract, executor)
+                return self._run(plan_member(spec, k), k, contract)
 
             if parallel is None:
                 answers = [run_one(spec_k) for spec_k in specs]
@@ -606,21 +582,24 @@ class Engine:
     def _normalise_spec(
         self, entry: object, default_k: int
     ) -> tuple[object, int]:
-        # bool is an int subclass, so without the explicit exclusion a
-        # (spec, True) pair would silently run with k=1 instead of
-        # falling through as a malformed spec.
+        # A pair's k is any integer validate_k accepts (numpy integers
+        # included). bool is an int subclass, so without the explicit
+        # exclusion a (spec, True) pair would silently run with k=1
+        # instead of falling through as a malformed spec.
         if (
             isinstance(entry, tuple)
             and len(entry) == 2
-            and isinstance(entry[1], int)
             and not isinstance(entry[1], bool)
         ):
-            if entry[1] < 1:
+            try:
+                k = operator.index(entry[1])
+            except TypeError:
+                return entry, default_k
+            if k < 1:
                 raise ValueError(
-                    f"k must be at least 1, got {entry[1]} "
-                    f"(spec {entry[0]!r})"
+                    f"k must be at least 1, got {k} (spec {entry[0]!r})"
                 )
-            return entry[0], entry[1]
+            return entry[0], k
         return entry, default_k
 
     def _parse(self, query: "str | Query") -> Query:
@@ -638,13 +617,8 @@ class Engine:
             cost_model=self.context.cost_model,
         )
 
-    def _executor(
-        self,
-        evaluate: Callable[[object], SortedRandomSource] | None = None,
-    ) -> Executor:
-        return Executor(
-            self._catalog, self.context.semantics, evaluate_atom=evaluate
-        )
+    def _executor(self) -> Executor:
+        return Executor(self._catalog, self.context.semantics)
 
     def _random_access_ok(self, atoms: Sequence) -> bool:
         """Random access is available to a plan over ``atoms``: the
@@ -700,39 +674,6 @@ class Engine:
         """
         eps = self.context.epsilon if epsilon is None else epsilon
         return QualityContract.approximate(eps)
-
-    def _fresh_session(self) -> MiddlewareSession:
-        """A session ready for one run.
-
-        A database or factory mints a new one. A live shared session
-        is restarted instead — a fresh subquery issue, charged as such
-        — and its tracker keeps accumulating across queries.
-        """
-        backing = self._backing
-        assert backing is not None
-        if isinstance(backing, MiddlewareSession):
-            if self._session_lease is not None:
-                raise EngineConfigurationError(
-                    "a cursor holds this engine's shared session; an "
-                    "engine over a live MiddlewareSession is single-"
-                    "consumer once a cursor is open (restarting the "
-                    "shared sorted streams would corrupt the cursor's "
-                    "progress). Back the engine with a database or "
-                    "session factory to interleave queries with cursors."
-                )
-            backing.restart_all()
-            return backing
-        session_method = getattr(backing, "session", None)
-        if callable(session_method):
-            return session_method()
-        assert callable(backing)
-        session = backing()
-        if not isinstance(session, MiddlewareSession):
-            raise EngineConfigurationError(
-                f"session factory returned {type(session).__name__}, "
-                "expected a MiddlewareSession"
-            )
-        return session
 
     def _pick(
         self,
@@ -814,7 +755,7 @@ class Engine:
                     aggregation=aggregation,
                 )
             else:
-                session = self._fresh_session()
+                session = self._backing.session()
                 choice = self._pick(
                     aggregation, session.num_lists, None, self._random_access
                 )
@@ -934,13 +875,7 @@ class Engine:
             self._contract_for(epsilon),
         )
 
-    def _run(
-        self,
-        plan: PhysicalPlan,
-        k: int,
-        contract: QualityContract,
-        executor: Executor | None = None,
-    ):
+    def _run(self, plan: PhysicalPlan, k: int, contract: QualityContract):
         """The backing's run step: the shard merge (which forwards the
         planned algorithm by registry name to the workers), the
         algorithm over the plan's session, or the executor."""
@@ -959,9 +894,7 @@ class Engine:
             return plan.algorithm.top_k(
                 plan.session, plan.aggregation, k, contract
             )
-        return (executor or self._executor()).execute(
-            plan, k, contract=contract
-        )
+        return self._executor().execute(plan, k, contract=contract)
 
     # ------------------------------------------------------------------
     # Terminal operations (called by QueryBuilder)
@@ -1049,7 +982,7 @@ class Engine:
                 "not support cursors; re-issue with a larger k instead"
             )
         assert plan.aggregation is not None
-        cursor = ResultCursor(
+        return ResultCursor(
             self._executor().session_for(plan),
             plan.aggregation,
             default_k=self.context.default_k,
@@ -1058,80 +991,3 @@ class Engine:
             on_page=self._record_page,
             epsilon=self._contract_for(epsilon).epsilon,
         )
-        if isinstance(self._backing, MiddlewareSession):
-            self._session_lease = cursor
-        return cursor
-
-    # ------------------------------------------------------------------
-    # Batch execution
-    # ------------------------------------------------------------------
-
-    def _batch_atom_cache(
-        self, counters: dict, serial: bool
-    ) -> Callable[[object], SortedRandomSource]:
-        """An executor hook that evaluates each atom once per batch.
-
-        It keeps one pristine raw evaluation per atom, and every
-        consumer reads through its own forked cursor, so the cached
-        source's state is never mutated (a restart()-based reuse breaks
-        as soon as two plans interleave, e.g. on a thread pool).
-        Sources that cannot fork are still reused serially via
-        restart() — sound when plans run to completion one after
-        another — but re-evaluated per use on a thread pool, where
-        interleaving is real. ``counters`` receives the
-        ``atom_evaluations`` and ``atom_reuses`` tallies.
-        """
-        cache: dict[object, tuple[SortedRandomSource, bool]] = {}
-        cache_lock = threading.Lock()
-        atom_locks: dict[object, threading.Lock] = {}
-        counters.update(atom_evaluations=0, atom_reuses=0)
-
-        def reuse(template: SortedRandomSource, forkable: bool):
-            """A fresh-cursor view of a cached evaluation, or None when
-            the template cannot be shared safely (unforkable + parallel).
-            Called under ``cache_lock``."""
-            if forkable:
-                counters["atom_reuses"] += 1
-                return template.fork()
-            if serial:
-                # Re-issuing the subquery from the top; subsequent
-                # accesses are real and charged to the new session.
-                template.restart()
-                counters["atom_reuses"] += 1
-                return template
-            return None
-
-        def raw_for(atom) -> SortedRandomSource:
-            """A fresh-cursor source for one use of ``atom``.
-
-            Single-flight: concurrent first requests for the same atom
-            evaluate it once (per-atom lock); everyone mints a fork.
-            """
-            with cache_lock:
-                entry = cache.get(atom)
-                if entry is not None:
-                    reused = reuse(*entry)
-                    if reused is not None:
-                        return reused
-                build_lock = atom_locks.setdefault(atom, threading.Lock())
-            with build_lock:
-                with cache_lock:
-                    entry = cache.get(atom)
-                    if entry is not None:
-                        reused = reuse(*entry)
-                        if reused is not None:
-                            return reused
-                raw = self._catalog.subsystem_for(atom).evaluate(atom)
-                try:
-                    out = raw.fork()
-                    forkable = True
-                except SubsystemCapabilityError:
-                    out = raw
-                    forkable = False
-                with cache_lock:
-                    counters["atom_evaluations"] += 1
-                    if forkable or serial:
-                        cache[atom] = (raw, forkable)
-                return out
-
-        return raw_for

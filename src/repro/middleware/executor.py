@@ -67,39 +67,18 @@ class QueryAnswer:
 class Executor:
     """Executes physical plans over a catalog of subsystems.
 
-    Parameters
-    ----------
-    evaluate_atom:
-        Optional hook ``evaluate_atom(atom)`` returning the raw source
-        for an atomic query; defaults to the owning subsystem's
-        :meth:`~repro.subsystems.base.Subsystem.evaluate`. Batch
-        execution injects a caching hook here so an atom shared by
-        several queries is evaluated once per batch.
-
-    An executor holds no per-execution state — ``execute`` builds a
-    fresh session/tracker per plan — so one instance may serve plans
-    from several threads, *provided* the hook (if any) is itself
-    thread-safe and every call returns a source no other plan is
-    consuming (``Engine.run_many`` hands out forked cursors for
-    exactly this reason).
+    Every atom's source comes from its owning subsystem's
+    :meth:`~repro.subsystems.base.Subsystem.evaluate`, a fresh sorted
+    stream per issue. An executor holds no per-execution state —
+    ``execute`` builds a fresh session/tracker per plan — so one
+    instance may serve plans from several threads: the subsystems'
+    ranking caches are shared read-only, and each issue mints its own
+    cursor off them.
     """
 
-    def __init__(
-        self,
-        catalog: Catalog,
-        semantics: FuzzySemantics,
-        evaluate_atom=None,
-    ) -> None:
+    def __init__(self, catalog: Catalog, semantics: FuzzySemantics) -> None:
         self._catalog = catalog
         self._semantics = semantics
-        self._custom_evaluate = evaluate_atom
-
-    def _evaluate_source(self, atom):
-        """The raw source for one atom: the hook's, else the owning
-        subsystem's."""
-        if self._custom_evaluate is not None:
-            return self._custom_evaluate(atom)
-        return self._catalog.subsystem_for(atom).evaluate(atom)
 
     def execute(
         self, plan: PhysicalPlan, k: int, contract=None
@@ -139,7 +118,7 @@ class Executor:
         session = getattr(plan, "session", None)
         if session is not None:
             return session
-        raw = [self._evaluate_source(atom) for atom in plan.atoms]
+        raw = [self._catalog.subsystem_for(atom).evaluate(atom) for atom in plan.atoms]
         return MiddlewareSession.over_sources(
             raw, num_objects=self._catalog.num_objects
         )
@@ -197,7 +176,7 @@ class Executor:
 
         sources = {}
         for index, atom in enumerate(plan.filter_atoms + plan.graded_atoms):
-            raw = self._evaluate_source(atom)
+            raw = self._catalog.subsystem_for(atom).evaluate(atom)
             sources[atom] = InstrumentedSource(raw, tracker, index)
 
         # Phase 1: crisp match sets off the top of each filter stream.
@@ -262,16 +241,13 @@ class Executor:
         estimate is not trusted for sizing at all — an over-estimate
         would over-read and inflate the sorted count — and the block is
         read in unit-sized pages, the one-by-one accounting by
-        construction. The same caution applies when a caller-supplied
-        evaluation hook minted the stream: the hook may serve data the
-        catalogue's statistics do not describe (a snapshot, a cache, a
-        test double), so its blocks are always probed unit-sized.
+        construction.
         """
         matches: set = set()
         subsystem = self._catalog.subsystem_for(atom)
         selectivity = (
             subsystem.estimate_selectivity(atom)
-            if self._custom_evaluate is None and subsystem.selectivity_is_exact
+            if subsystem.selectivity_is_exact
             else None
         )
         expected = (

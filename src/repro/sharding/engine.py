@@ -360,19 +360,15 @@ class ShardedEngine:
         the same P per-pool tasks, so the workers chew one big batch
         per round instead of hundreds of per-probe round trips (the
         coordinator's submit path would otherwise cap throughput —
-        see the module docstring). Results come back in input order,
-        each with the same deterministic ledger it would have alone:
-        batching changes the transport, never which probes run.
+        see the module docstring); inline (``processes=0``) rounds run
+        the same probes one after another. Results come back in input
+        order, each with the same deterministic ledger it would have
+        alone: batching changes the transport, never which probes run.
         """
         requests = [(*spec, None)[:3] for spec in specs]
         if not requests:
             return []
         self._require_open()
-        if self._processes == 0 or len(requests) == 1:
-            return [
-                self.top_k(agg, k, strategy=member, contract=contract)
-                for agg, k, member in requests
-            ]
         merges = [
             self._start_merge(agg, k, member, contract)
             for agg, k, member in requests

@@ -53,10 +53,3 @@ class TestSubsession:
         session.sources[0].next_sorted()
         sub = session.subsession([0], restart=False)
         assert sub.sources[0].position == 1
-
-    def test_restart_all(self):
-        session = MiddlewareSession.over_sources(_sources())
-        for src in session.sources:
-            src.next_sorted()
-        session.restart_all()
-        assert all(src.position == 0 for src in session.sources)

@@ -6,9 +6,6 @@ from repro.access.cost import CostTracker
 from repro.access.source import (
     InstrumentedSource,
     MaterializedSource,
-    SortedRandomSource,
-    StreamOnlySource,
-    UnbatchedSource,
     rank_items,
 )
 from repro.access.types import GradedItem
@@ -185,69 +182,3 @@ class TestInstrumentedSource:
         assert src.position == 1
         assert inner.position == 1
 
-
-class TestFork:
-    """fork(): an independent cursor over the same graded set."""
-
-    GRADES = {"a": 0.9, "b": 0.7, "c": 0.7, "d": 0.1}
-
-    def test_materialized_fork_is_independent(self):
-        src = MaterializedSource("s", self.GRADES)
-        src.next_sorted()
-        src.next_sorted()
-        fork = src.fork()
-        assert fork.position == 0
-        assert src.position == 2  # parent cursor untouched
-        assert fork.next_sorted().obj == "a"
-        assert src.next_sorted().obj == "c"  # parent continues from 2
-        assert fork.random_access("d") == 0.1
-
-    def test_fork_shares_the_ranking(self):
-        src = MaterializedSource("s", self.GRADES)
-        fork = src.fork()
-        objects, grades = src.columns()
-        fork_objects, fork_grades = fork.columns()
-        assert fork_objects is objects
-        assert fork_grades is grades
-        assert fork.ranking() == src.ranking()
-        assert fork.name == src.name
-
-    def test_wrappers_fork_through(self):
-        for wrap in (UnbatchedSource, StreamOnlySource):
-            src = wrap(MaterializedSource("s", self.GRADES))
-            src.next_sorted()
-            fork = src.fork()
-            assert type(fork) is type(src)
-            assert fork.position == 0
-            assert src.position == 1
-            assert fork.next_sorted().obj == "a"
-
-    def test_stream_only_fork_still_refuses_random_access(self):
-        from repro.exceptions import SubsystemCapabilityError
-
-        fork = StreamOnlySource(MaterializedSource("s", self.GRADES)).fork()
-        with pytest.raises(SubsystemCapabilityError):
-            fork.random_access("a")
-
-    def test_default_fork_declines_loudly(self):
-        from repro.exceptions import SubsystemCapabilityError
-
-        class Minimal(SortedRandomSource):
-            def __len__(self):
-                return 0
-
-            @property
-            def position(self):
-                return 0
-
-            def next_sorted(self):
-                raise ExhaustedSourceError("m")
-
-            def random_access(self, obj):
-                raise UnknownObjectError(obj, "m")
-
-            def restart(self):
-                pass
-
-        with pytest.raises(SubsystemCapabilityError, match="fork"):
-            Minimal().fork()

@@ -92,7 +92,8 @@ class TestArgumentValidation:
         """Re-running on a dirty session reports only the new accesses."""
         session = tiny_db.session()
         first = FaginA0().top_k(session, MINIMUM, 1)
-        session.restart_all()
+        for source in session.sources:
+            source.restart()
         second = FaginA0().top_k(session, MINIMUM, 1)
         assert second.stats.sum_cost == first.stats.sum_cost
         total = session.tracker.snapshot()

@@ -144,6 +144,31 @@ class TestIncremental:
             combined.extend(inc.next_batch(10).items)
         assert [it.grade for it in combined] == [it.grade for it in truth]
 
+    def test_remaining_upper_equals_its_rescanned_definition(self):
+        """remaining_upper() keeps the best unreturned seen grade as
+        pages are cut. On every page of a 30-page trail it equals the
+        bound rescanned from scratch: the larger of the best seen but
+        unreturned grade and the unseen bound t(b_1..b_m), capped by
+        the last returned grade."""
+        from repro.workloads.skeletons import independent_database
+
+        db = independent_database(3, 2_000, seed=1)
+        overall = db.overall_grades(MINIMUM).as_dict()
+        rankings = [db.ranking(i) for i in range(db.num_lists)]
+        inc = IncrementalFagin(db.session(), MINIMUM)
+        for _ in range(30):
+            page = inc.next_batch(10)
+            depth = page.details["T"]
+            seen = {it.obj for ranking in rankings for it in ranking[:depth]}
+            best_seen = max(
+                (overall[obj] for obj in seen - set(inc.returned)),
+                default=0.0,
+            )
+            rescanned = min(
+                max(best_seen, inc.unseen_upper()), page.items[-1].grade
+            )
+            assert inc.remaining_upper() == rescanned
+
     def test_batches_do_not_repeat_objects(self, db2):
         inc = IncrementalFagin(db2.session(), MINIMUM)
         first = inc.next_batch(8)

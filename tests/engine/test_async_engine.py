@@ -5,6 +5,7 @@ No pytest-asyncio dependency: each test drives its coroutine with
 """
 
 import asyncio
+import time
 
 import pytest
 
@@ -22,6 +23,19 @@ N = 120
 @pytest.fixture(scope="module")
 def db():
     return independent_database(3, N, seed=5)
+
+
+class SlowStore:
+    """A store whose ``session()`` blocks ``delay_s`` before minting,
+    so every query on the pool takes at least that long."""
+
+    def __init__(self, db, delay_s: float) -> None:
+        self.db = db
+        self.delay_s = delay_s
+
+    def session(self):
+        time.sleep(self.delay_s)
+        return self.db.session()
 
 
 def _catalog_engine():
@@ -166,11 +180,6 @@ class TestCursor:
 
 
 class TestLifecycle:
-    def test_refuses_live_session_backing(self, db):
-        session = db.session()
-        with pytest.raises(EngineConfigurationError, match="single-"):
-            AsyncEngine(Engine.over(session))
-
     def test_closed_facade_refuses_queries(self, db):
         async def run():
             serving = AsyncEngine(Engine.over(db))
@@ -272,14 +281,8 @@ class TestErrorPaths:
         per-query session means no shared state is left inconsistent."""
         solo = Engine.over(db).query(MINIMUM).top(6)
 
-        def slow_factory():
-            import time as _time
-
-            _time.sleep(0.2)
-            return db.session()
-
         async def run():
-            async with AsyncEngine(Engine.over(slow_factory)) as serving:
+            async with AsyncEngine(Engine.over(SlowStore(db, 0.2))) as serving:
                 task = asyncio.ensure_future(serving.top_k(MINIMUM, k=6))
                 await asyncio.sleep(0.02)
                 task.cancel()
@@ -297,14 +300,8 @@ class TestErrorPaths:
         still produce bit-identical answers."""
         solo = Engine.over(db).query(MINIMUM).top(6)
 
-        def slow_factory():
-            import time as _time
-
-            _time.sleep(0.2)
-            return db.session()
-
         async def run():
-            async with AsyncEngine(Engine.over(slow_factory)) as serving:
+            async with AsyncEngine(Engine.over(SlowStore(db, 0.2))) as serving:
                 cursor = serving.cursor(MINIMUM, page_size=6)
                 with pytest.raises(asyncio.TimeoutError):
                     await asyncio.wait_for(cursor.next_k(6), 0.02)

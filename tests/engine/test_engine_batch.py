@@ -11,7 +11,6 @@ from repro.engine.batch import stats_of
 from repro.exceptions import EngineConfigurationError
 from repro.subsystems.qbic import QbicSubsystem
 from repro.subsystems.relational import RelationalSubsystem
-from repro.workloads.skeletons import independent_database
 
 
 class TestSourceBackedBatch:
@@ -27,15 +26,6 @@ class TestSourceBackedBatch:
             stats_of(a).random_cost for a in batch
         )
         assert "parallel" not in batch.details
-
-    def test_shared_tracker_matches_session_ledger(self):
-        """The batch totals are literally one session's tracker."""
-        db = independent_database(2, 200, seed=3)
-        session = db.session()
-        batch = Engine.over(session).run_many([MINIMUM, MAXIMUM], k=5)
-        ledger = session.tracker.snapshot()
-        assert batch.total_sorted == ledger.sorted_cost
-        assert batch.total_random == ledger.random_cost
 
     def test_answers_are_correct(self, db2):
         batch = Engine.over(db2).run_many([MINIMUM, ARITHMETIC_MEAN], k=5)
@@ -64,43 +54,53 @@ class TestSourceBackedBatch:
             Engine.over(db2).run_many(["not an aggregation"], k=5)
 
 
+def _catalog_engine(albums):
+    engine = Engine()
+    engine.register(
+        RelationalSubsystem(
+            "store-db",
+            {
+                a.album_id: {"Artist": a.artist, "Genre": a.genre}
+                for a in albums
+            },
+        )
+    )
+    engine.register(
+        QbicSubsystem(
+            "qbic",
+            {
+                "Color": {a.album_id: a.cover_rgb for a in albums},
+                "Texture": {a.album_id: a.cover_texture for a in albums},
+            },
+        )
+    )
+    return engine
+
+
 class TestCatalogBackedBatch:
     @pytest.fixture
     def engine(self, albums):
-        engine = Engine()
-        engine.register(
-            RelationalSubsystem(
-                "store-db",
-                {
-                    a.album_id: {"Artist": a.artist, "Genre": a.genre}
-                    for a in albums
-                },
-            )
-        )
-        engine.register(
-            QbicSubsystem(
-                "qbic",
-                {
-                    "Color": {a.album_id: a.cover_rgb for a in albums},
-                    "Texture": {a.album_id: a.cover_texture for a in albums},
-                },
-            )
-        )
-        return engine
+        return _catalog_engine(albums)
 
-    def test_shared_atoms_evaluated_once(self, engine):
-        batch = engine.run_many(
-            [
-                '(Color ~ "red") AND (Texture ~ "cd-0000")',
-                '(Color ~ "red") AND (Genre = "jazz")',
-                'Color ~ "red"',
-            ],
-            k=3,
-        )
-        # 'Color ~ "red"' appears three times but is evaluated once;
-        # the distinct atoms are Color~red, Texture~cd-0000, Genre=jazz.
-        assert batch.details["atom_evaluations"] == 3
-        assert batch.details["atom_reuses"] == 2
+    def test_shared_atoms_evaluated_once(self, albums):
+        queries = [
+            '(Color ~ "red") AND (Texture ~ "cd-0000")',
+            '(Color ~ "red") AND (Genre = "jazz")',
+            'Color ~ "red"',
+        ]
+        serial_engine = _catalog_engine(albums)
+        parallel_engine = _catalog_engine(albums)
+        serial = serial_engine.run_many(queries, k=3)
+        parallel = parallel_engine.run_many(queries, k=3, parallel=8)
+        # 'Color ~ "red"' appears three times but its subsystem ranks
+        # it once: the ranking caches miss on the distinct atoms only
+        # (Color~red, Texture~cd-0000, Genre=jazz), either way.
+        for engine in (serial_engine, parallel_engine):
+            assert engine.metrics_snapshot()["cache_totals"]["misses"] == 3
+        assert [a.items for a in serial] == [a.items for a in parallel]
+        assert [stats_of(a) for a in serial] == [
+            stats_of(a) for a in parallel
+        ]
 
     def test_batch_answers_match_individual_queries(self, engine):
         queries = ['Color ~ "red"', '(Color ~ "blue") OR (Texture ~ "cd-0001")']

@@ -11,7 +11,6 @@ from repro.middleware.executor import QueryAnswer
 from repro.middleware.plan import AlgorithmPlan, FilteredConjunctPlan
 from repro.subsystems.qbic import QbicSubsystem
 from repro.subsystems.relational import RelationalSubsystem
-from repro.workloads.skeletons import independent_database
 
 
 @pytest.fixture
@@ -88,15 +87,14 @@ class TestSourceBacked:
         with pytest.raises(EngineConfigurationError):
             Engine.over(db2).register(object())
 
-    def test_session_factory_backing(self):
-        db = independent_database(2, 100, seed=5)
-        engine = Engine.over(db.session)
-        result = engine.query(MINIMUM).top(5)
-        assert is_valid_top_k(result.items, db.overall_grades(MINIMUM), 5)
-
-    def test_bad_backing_rejected(self):
-        with pytest.raises(EngineConfigurationError):
-            Engine.over(42)
+    def test_bad_backing_rejected(self, db2):
+        """Only a store backs an engine: every run mints its own
+        session from it, so a live session, a bound session factory
+        and a bare callable are refused like any other object, with
+        the accepted backing named."""
+        for backing in (42, db2.session(), db2.session, lambda: db2.session()):
+            with pytest.raises(EngineConfigurationError, match=r"session\(\)"):
+                Engine.over(backing)
 
 
 class TestCatalogBacked:

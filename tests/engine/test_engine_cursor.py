@@ -80,26 +80,6 @@ class TestCursorValidation:
         with pytest.raises(PlanningError, match="strategy"):
             Engine.over(db).query(MINIMUM).strategy("naive").cursor()
 
-    def test_shared_session_is_single_consumer_once_cursor_opens(self, db):
-        """A live-session backing is leased to its cursor: interleaving
-        a one-shot query would restart the shared sorted streams and
-        silently corrupt the cursor's pages."""
-        from repro.exceptions import EngineConfigurationError
-
-        engine = Engine.over(db.session())
-        first = engine.query(MINIMUM).top(5)  # one-shots fine pre-cursor
-        cursor = engine.query(MINIMUM).cursor()
-        page1 = cursor.next_k(5)
-        assert {i.obj for i in page1.items} == {i.obj for i in first.items}
-        with pytest.raises(EngineConfigurationError, match="single-consumer"):
-            engine.query(MINIMUM).top(5)
-        with pytest.raises(EngineConfigurationError, match="single-consumer"):
-            engine.run_many([MINIMUM], k=3)
-        # The cursor itself keeps paging correctly.
-        one_shot = Engine.over(db).query(MINIMUM).top(10)
-        paged = list(page1.items) + list(cursor.next_k(5).items)
-        assert {i.obj for i in paged} == {i.obj for i in one_shot.items}
-
     def test_non_monotone_rejected(self, db):
         bad = FunctionAggregation(
             lambda *g: 1.0 - min(g), "anti", monotone=False

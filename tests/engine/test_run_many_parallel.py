@@ -3,9 +3,9 @@
 The serving contract: ``run_many(..., parallel=N)`` returns answers and
 batch-wide S/R **bit-identical** to the serial path — parallelism
 changes wall-clock, never the Section 5 accounting. These tests pin
-that parity on both backings, the forked-cursor atom reuse that
-replaced the restart-based reuse (unsound once two plans interleave),
-and the spec-normalisation regressions that rode along.
+that parity on both backings, the sharing rule behind it (every member
+mints its own sources; the subsystems' ranking caches rank a shared
+atom once), and the spec-normalisation regressions that rode along.
 """
 
 import pytest
@@ -16,6 +16,7 @@ from repro.core.tnorms import MINIMUM
 from repro.engine import Engine
 from repro.engine.batch import stats_of
 from repro.exceptions import EngineConfigurationError
+from repro.middleware.parser import parse_query
 from repro.subsystems.qbic import QbicSubsystem
 from repro.subsystems.relational import RelationalSubsystem
 from repro.workloads.skeletons import independent_database
@@ -47,8 +48,8 @@ def _catalog_engine():
     return engine
 
 
-#: Batch members sharing atoms across each other — the regime that
-#: exercised the unsound restart()-based reuse.
+#: Batch members sharing atoms across each other, so several plans
+#: read the same cached ranking at once.
 SHARED_ATOM_QUERIES = [
     '(Color ~ "red") AND (Artist = "Beatles")',
     'Color ~ "red"',
@@ -94,11 +95,6 @@ class TestSourceBackedParallel:
             stats_of(a).random_cost for a in batch
         )
 
-    def test_live_session_backing_refuses_parallel(self, db):
-        session = db.session()
-        with pytest.raises(EngineConfigurationError, match="single-"):
-            Engine.over(session).run_many(AGGS, k=5, parallel=2)
-
     def test_rejects_non_aggregation_specs_upfront(self, db):
         with pytest.raises(EngineConfigurationError):
             Engine.over(db).run_many(
@@ -114,9 +110,8 @@ class TestSourceBackedParallel:
 class TestCatalogBackedParallel:
     @pytest.mark.parametrize("workers", [1, 4, 8])
     def test_shared_atom_parity_with_serial(self, workers):
-        """The forked-cursor path: answers *and* per-query access
-        counts must match the serial lane exactly on batches whose
-        members share atoms."""
+        """Answers *and* per-query access counts must match the serial
+        lane exactly on batches whose members share atoms."""
         serial = _catalog_engine().run_many(SHARED_ATOM_QUERIES, k=4)
         parallel = _catalog_engine().run_many(
             SHARED_ATOM_QUERIES, k=4, parallel=workers
@@ -129,19 +124,25 @@ class TestCatalogBackedParallel:
         assert parallel.total_random == serial.total_random
 
     def test_shared_atoms_still_evaluated_once(self):
-        batch = _catalog_engine().run_many(
+        serial_engine, parallel_engine = _catalog_engine(), _catalog_engine()
+        serial = serial_engine.run_many(SHARED_ATOM_QUERIES, k=4)
+        parallel = parallel_engine.run_many(
             SHARED_ATOM_QUERIES, k=4, parallel=8
         )
-        # Distinct atoms: Color~red, Artist=Beatles, Texture~o5.
-        assert batch.details["atom_evaluations"] == 3
-        # Color~red ×4, Texture~o5 ×2, Artist=Beatles ×2 -> five
-        # further requests served off forks of the cached evaluations.
-        assert batch.details["atom_reuses"] == 5
-        assert batch.details["parallel"] == 8
+        # Distinct atoms: Color~red, Artist=Beatles, Texture~o5. The
+        # single-flight ranking caches rank each once, serial or not.
+        for engine in (serial_engine, parallel_engine):
+            assert engine.metrics_snapshot()["cache_totals"]["misses"] == 3
+        assert [a.items for a in serial] == [a.items for a in parallel]
+        assert [stats_of(a) for a in serial] == [
+            stats_of(a) for a in parallel
+        ]
+        assert parallel.details["parallel"] == 8
 
     def test_forks_leave_cached_template_pristine(self):
         """Two plans interleaving over a shared atom must not see each
-        other's cursor progress (the bug the fork path fixes)."""
+        other's cursor progress: each mints its own cursor over the
+        cached ranking, which no read mutates."""
         engine = _catalog_engine()
         batch = engine.run_many(
             ['Color ~ "red"', 'Color ~ "red"'], k=3, parallel=2
@@ -192,11 +193,12 @@ class TestSpecNormalisation:
 
 
 class TestUnforkableSources:
-    """Sources without fork(): serial batches keep restart-based reuse
-    (sound when plans run sequentially); parallel batches fall back to
-    a fresh evaluation per use (never a shared mutating cursor)."""
+    """A subsystem whose sources implement only the unit access methods
+    (no batch overrides, nothing shared between cursors): every member
+    issue calls its ``evaluate``, as a one-shot query does, and its
+    ranking cache ranks the shared atom once."""
 
-    class _UnforkableSubsystem(RelationalSubsystem):
+    class _CountingSubsystem(RelationalSubsystem):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             self.evaluations = 0
@@ -207,7 +209,7 @@ class TestUnforkableSources:
             self.evaluations += 1
             inner = super().evaluate(query)
 
-            class NoFork(SortedRandomSource):
+            class UnitOnly(SortedRandomSource):
                 name = inner.name
 
                 def __len__(self):
@@ -226,11 +228,11 @@ class TestUnforkableSources:
                 def restart(self):
                     inner.restart()
 
-            return NoFork()
+            return UnitOnly()
 
     def _engine(self):
         objs = [f"o{i}" for i in range(20)]
-        sub = self._UnforkableSubsystem(
+        sub = self._CountingSubsystem(
             "rel",
             {o: {"Genre": "jazz" if i % 2 else "rock"}
              for i, o in enumerate(objs)},
@@ -238,29 +240,47 @@ class TestUnforkableSources:
         return Engine().register(sub), sub
 
     def test_serial_batch_still_reuses_via_restart(self):
+        """Each serial member re-issues (restarts) the subquery; the
+        re-issue reuses the cached ranking instead of re-ranking."""
         engine, sub = self._engine()
         queries = ['Genre = "jazz"'] * 4
         batch = engine.run_many(queries, k=3)
-        assert sub.evaluations == 1  # evaluated once, restarted thrice
-        assert batch.details["atom_evaluations"] == 1
-        assert batch.details["atom_reuses"] == 3
+        assert sub.evaluations == 4
+        assert sub.ranking_cache.misses == 1
+        assert sub.ranking_cache.hits == 3
         first = batch.answers[0]
         for answer in batch.answers[1:]:
             assert answer.items == first.items
             assert answer.result.stats == first.result.stats
+        # Restarting one minted cursor replays the same ranking from
+        # the top, still without a re-rank.
+        (atom,) = parse_query(queries[0]).atoms()
+        source = sub.evaluate(atom)
+        head = [source.next_sorted() for _ in range(3)]
+        source.restart()
+        assert source.position == 0
+        assert [source.next_sorted() for _ in range(3)] == head
+        assert [obj for obj, _ in head] == [
+            obj for obj, _ in first.items
+        ]
+        assert sub.ranking_cache.misses == 1
 
     def test_parallel_batch_re_evaluates_instead_of_sharing(self):
-        engine, sub = self._engine()
         queries = ['Genre = "jazz"'] * 4
-        batch = engine.run_many(queries, k=3, parallel=4)
-        # No shared mutating cursor: each member got its own evaluation.
-        assert sub.evaluations == 4
-        assert batch.details["atom_evaluations"] == 4
-        assert batch.details["atom_reuses"] == 0
-        serial = self._engine()[0].run_many(queries, k=3)
+        serial_engine, serial_sub = self._engine()
+        parallel_engine, parallel_sub = self._engine()
+        serial = serial_engine.run_many(queries, k=3)
+        batch = parallel_engine.run_many(queries, k=3, parallel=8)
+        for sub in (serial_sub, parallel_sub):
+            # Each member issued the subquery; one distinct atom, one miss.
+            assert sub.evaluations == 4
+            assert sub.ranking_cache.misses == 1
         assert [a.items for a in batch] == [a.items for a in serial]
-        assert batch.total_sorted == serial.total_sorted
-        assert batch.total_random == serial.total_random
+        assert [stats_of(a) for a in batch] == [stats_of(a) for a in serial]
+        first = serial.answers[0]
+        for answer in serial.answers[1:]:
+            assert answer.items == first.items
+            assert answer.result.stats == first.result.stats
 
 
 class TestKTypeValidation:
@@ -285,3 +305,5 @@ class TestKTypeValidation:
         db = independent_database(2, 50, seed=0)
         result = Engine.over(db).query(MINIMUM).top(np.int64(3))
         assert len(result.items) == 3
+        batch = Engine.over(db).run_many([(MINIMUM, np.int64(3))])
+        assert batch[0].k == 3 and len(batch[0].items) == 3

@@ -10,6 +10,7 @@ from repro.middleware.parser import parse_query
 from repro.middleware.planner import Planner, PlannerOptions
 from repro.subsystems.qbic import QbicSubsystem
 from repro.subsystems.relational import RelationalSubsystem
+from repro.subsystems.synthetic import SyntheticSubsystem
 
 
 @pytest.fixture
@@ -173,16 +174,24 @@ class PagedSource(SortedRandomSource):
         return grades
 
 
-def unit_hook(catalog):
-    """An evaluation hook serving every atom one object per access."""
-    return lambda atom: UnbatchedSource(catalog.subsystem_for(atom).evaluate(atom))
+def serving(subsystem_class, wrap):
+    """``subsystem_class`` serving every evaluation through ``wrap``."""
+
+    class Wrapped(subsystem_class):
+        def evaluate(self, query):
+            return wrap(super().evaluate(query))
+
+    return Wrapped
 
 
-def beatles_catalog(num_objects, beatles, relational=RelationalSubsystem):
+def beatles_catalog(
+    num_objects,
+    beatles,
+    relational=RelationalSubsystem,
+    synthetic=SyntheticSubsystem,
+):
     """Objects 1..num_objects: the first ``beatles`` match the crisp
     ``Artist = "Beatles"``, and a synthetic subsystem grades Score."""
-    from repro.subsystems.synthetic import SyntheticSubsystem
-
     objs = range(1, num_objects + 1)
     cat = Catalog()
     cat.register(
@@ -195,11 +204,22 @@ def beatles_catalog(num_objects, beatles, relational=RelationalSubsystem):
         )
     )
     cat.register(
-        SyntheticSubsystem(
+        synthetic(
             "syn", tables={"Score": {i: i / (num_objects + 1) for i in objs}}
         )
     )
     return cat
+
+
+def unit_catalog(num_objects, beatles, relational=RelationalSubsystem):
+    """The reference lane: :func:`beatles_catalog` with every atom
+    served one object per access."""
+    return beatles_catalog(
+        num_objects,
+        beatles,
+        relational=serving(relational, UnbatchedSource),
+        synthetic=serving(SyntheticSubsystem, UnbatchedSource),
+    )
 
 
 class TestFilteredBatchedExecution:
@@ -251,61 +271,49 @@ class TestFilteredBatchedExecution:
         cat = beatles_catalog(12, beatles=2, relational=OverEstimating)
         plan = self._filtered_plan(cat, selectivity_threshold=1.0)
         batched = Executor(cat, STANDARD_FUZZY).execute(plan, 3)
-        unit = Executor(
-            cat, STANDARD_FUZZY, evaluate_atom=unit_hook(cat)
-        ).execute(plan, 3)
+        ref = unit_catalog(12, beatles=2, relational=OverEstimating)
+        unit = Executor(ref, STANDARD_FUZZY).execute(
+            self._filtered_plan(ref, selectivity_threshold=1.0), 3
+        )
         match_size = batched.result.details["filter_set_size"]
         assert match_size == 2
         assert batched.result.stats.sorted_cost == match_size + 1
         assert batched.result.stats == unit.result.stats
         assert batched.items == unit.items
 
-    def test_custom_hook_lane_keeps_counts(self, int_catalog):
-        """A caller-supplied evaluation hook may serve data the
-        catalogue's statistics do not describe, so the block read must
-        not size pages from them — it probes unit-sized and charges
-        exactly what sources served one object at a time charge."""
-
-        def hook(atom):
-            return int_catalog.subsystem_for(atom).evaluate(atom)
-
-        plan = self._filtered_plan(int_catalog)
-        hooked = Executor(int_catalog, STANDARD_FUZZY, evaluate_atom=hook)
-        unit = Executor(
-            int_catalog, STANDARD_FUZZY, evaluate_atom=unit_hook(int_catalog)
-        )
-        via_hook = hooked.execute(plan, 3)
-        one_by_one = unit.execute(plan, 3)
-        assert via_hook.items == one_by_one.items
-        assert via_hook.result.stats == one_by_one.result.stats
-
     def test_tiny_page_cap_preserves_counts(self):
         """Sources shipping two objects per exchange read the crisp
         block and look up the survivors in several exchanges without
         moving the Section 5 counts: |S| + 1 sorted on the filter
         stream, |S| random per graded conjunct."""
-        cat = beatles_catalog(60, beatles=5)
         paged: list[PagedSource] = []
 
-        def hook(atom):
-            paged.append(PagedSource(cat.subsystem_for(atom).evaluate(atom), 2))
+        def two_per_exchange(source):
+            paged.append(PagedSource(source, 2))
             return paged[-1]
 
-        plan = self._filtered_plan(cat)
-        answer = Executor(cat, STANDARD_FUZZY, evaluate_atom=hook).execute(
-            plan, 1
+        cat = beatles_catalog(
+            60,
+            beatles=5,
+            relational=serving(RelationalSubsystem, two_per_exchange),
+            synthetic=serving(SyntheticSubsystem, two_per_exchange),
         )
-        reference = Executor(
-            cat, STANDARD_FUZZY, evaluate_atom=unit_hook(cat)
-        ).execute(plan, 1)
+        answer = Executor(cat, STANDARD_FUZZY).execute(
+            self._filtered_plan(cat), 1
+        )
+        ref = unit_catalog(60, beatles=5)
+        reference = Executor(ref, STANDARD_FUZZY).execute(
+            self._filtered_plan(ref), 1
+        )
         match_size = answer.result.details["filter_set_size"]
         assert match_size == 5
         assert answer.result.stats.sorted_cost == match_size + 1
         assert answer.result.stats.random_cost == match_size
         assert answer.result.stats == reference.result.stats
         assert answer.items == reference.items
-        # The five survivors took three lookups of at most two objects.
-        assert [source.exchanges for source in paged] == [6, 3]
+        # The block plus its probe item took three two-object pages;
+        # the five survivors took three lookups of at most two objects.
+        assert [source.exchanges for source in paged] == [3, 3]
 
     def test_subsystem_paging_its_own_sources_keeps_counts(self):
         """A subsystem that pages over a wire pages inside its own
@@ -320,11 +328,13 @@ class TestFilteredBatchedExecution:
                 return sources[-1]
 
         cat = beatles_catalog(60, beatles=5, relational=WirePaged)
-        plan = self._filtered_plan(cat)
-        answer = Executor(cat, STANDARD_FUZZY).execute(plan, 3)
-        reference = Executor(
-            cat, STANDARD_FUZZY, evaluate_atom=unit_hook(cat)
-        ).execute(plan, 3)
+        answer = Executor(cat, STANDARD_FUZZY).execute(
+            self._filtered_plan(cat), 3
+        )
+        ref = unit_catalog(60, beatles=5)
+        reference = Executor(ref, STANDARD_FUZZY).execute(
+            self._filtered_plan(ref), 3
+        )
         assert answer.result.stats.sorted_cost == 5 + 1
         assert answer.result.stats == reference.result.stats
         assert answer.items == reference.items

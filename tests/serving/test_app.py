@@ -57,8 +57,8 @@ async def drained(app: ServingApp) -> None:
     await app.shutdown(grace_s=1.0)
 
 
-class SlowSessionFactory:
-    """A session factory whose minting blocks — queries take >= delay.
+class SlowStore:
+    """A store whose session minting blocks — queries take >= delay.
 
     Minting happens inside the engine call on the pool thread, so this
     makes the *engine work* slow without touching the event loop.
@@ -68,7 +68,7 @@ class SlowSessionFactory:
         self.db = db
         self.delay_s = delay_s
 
-    def __call__(self):
+    def session(self):
         time.sleep(self.delay_s)
         return self.db.session()
 
@@ -430,7 +430,7 @@ class TestAllowPartialOnUnpageablePlans:
 
 class TestDeadline:
     def test_deadline_exceeded_504_engine_stays_healthy(self, db):
-        slow = SlowSessionFactory(db, delay_s=0.25)
+        slow = SlowStore(db, delay_s=0.25)
 
         async def scenario():
             app = ServingApp(Engine.over(slow), ServingConfig())
@@ -459,7 +459,7 @@ class TestDeadline:
         assert healthy.status == 200
 
     def test_default_deadline_from_config(self, db):
-        slow = SlowSessionFactory(db, delay_s=0.25)
+        slow = SlowStore(db, delay_s=0.25)
 
         async def scenario():
             app = ServingApp(
@@ -478,7 +478,7 @@ class TestDeadline:
         assert asyncio.run(scenario()).status == 504
 
     def test_deadline_counted_in_metrics(self, db):
-        slow = SlowSessionFactory(db, delay_s=0.25)
+        slow = SlowStore(db, delay_s=0.25)
 
         async def scenario():
             app = ServingApp(Engine.over(slow), ServingConfig())
@@ -502,7 +502,7 @@ class TestDeadline:
 
 class TestAdmission:
     def test_over_admission_sheds_503_with_retry_after(self, db):
-        slow = SlowSessionFactory(db, delay_s=0.3)
+        slow = SlowStore(db, delay_s=0.3)
 
         async def scenario():
             app = ServingApp(
@@ -529,7 +529,7 @@ class TestAdmission:
         )
 
     def test_shed_counted_in_metrics(self, db):
-        slow = SlowSessionFactory(db, delay_s=0.3)
+        slow = SlowStore(db, delay_s=0.3)
 
         async def scenario():
             app = ServingApp(

@@ -101,18 +101,23 @@ class _ThrottledSource(MaterializedSource):
         return super().random_access_many(objs)
 
 
-def throttled_factory(db, free: int, delay_s: float):
-    """A session factory: fast for ``free`` accesses, then crawling."""
+class ThrottledStore:
+    """A store whose sessions are fast for ``free`` accesses, then crawl."""
 
-    def factory() -> MiddlewareSession:
-        gate = _Gate(free, delay_s)
+    def __init__(self, db, free: int, delay_s: float) -> None:
+        self.db = db
+        self.free = free
+        self.delay_s = delay_s
+
+    def session(self) -> MiddlewareSession:
+        gate = _Gate(self.free, self.delay_s)
         raw = [
-            _ThrottledSource(f"list-{i}", db.ranking(i), gate)
-            for i in range(db.num_lists)
+            _ThrottledSource(f"list-{i}", self.db.ranking(i), gate)
+            for i in range(self.db.num_lists)
         ]
-        return MiddlewareSession.over_sources(raw, num_objects=db.num_objects)
-
-    return factory
+        return MiddlewareSession.over_sources(
+            raw, num_objects=self.db.num_objects
+        )
 
 
 def first_page_cost(db, page_size: int) -> int:
@@ -160,10 +165,10 @@ class TestPartialExpiry:
         # page, so page two hits 300 ms sleeps and the 250 ms deadline
         # expires with one certified page in hand.
         free = first_page_cost(db, page_size=5)
-        factory = throttled_factory(db, free=free, delay_s=0.1)
+        store = ThrottledStore(db, free=free, delay_s=0.1)
 
         async def scenario():
-            app = make_app(factory)
+            app = make_app(store)
             try:
                 return await app.handle(
                     make_request(
@@ -201,10 +206,10 @@ class TestPartialExpiry:
         assert guarantee["threshold"] >= hidden[0].grade - 1e-12
 
     def test_without_flag_expiry_stays_504(self, db):
-        factory = throttled_factory(db, free=0, delay_s=0.1)
+        store = ThrottledStore(db, free=0, delay_s=0.1)
 
         async def scenario():
-            app = make_app(factory)
+            app = make_app(store)
             try:
                 return await app.handle(
                     make_request(
@@ -221,10 +226,10 @@ class TestPartialExpiry:
         assert parse(response)["error"]["code"] == "deadline_exceeded"
 
     def test_zero_pages_is_still_504(self, db):
-        factory = throttled_factory(db, free=0, delay_s=0.1)
+        store = ThrottledStore(db, free=0, delay_s=0.1)
 
         async def scenario():
-            app = make_app(factory)
+            app = make_app(store)
             try:
                 return await app.handle(
                     make_request(

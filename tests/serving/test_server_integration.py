@@ -62,12 +62,14 @@ def serve(engine_factory, config, client):
     return asyncio.run(scenario())
 
 
-class SlowSessionFactory:
+class SlowStore:
+    """A store whose session minting blocks for ``delay_s``."""
+
     def __init__(self, db, delay_s):
         self.db = db
         self.delay_s = delay_s
 
-    def __call__(self):
+    def session(self):
         time.sleep(self.delay_s)
         return self.db.session()
 
@@ -98,7 +100,7 @@ class TestEndToEnd:
         assert summary["requests_total"] == 16
 
     def test_shed_has_retry_after_header(self, db):
-        slow = SlowSessionFactory(db, delay_s=0.4)
+        slow = SlowStore(db, delay_s=0.4)
 
         def client(base):
             import concurrent.futures
@@ -127,7 +129,7 @@ class TestEndToEnd:
                 assert headers["Retry-After"] is not None
 
     def test_deadline_504_then_healthy(self, db):
-        slow = SlowSessionFactory(db, delay_s=0.3)
+        slow = SlowStore(db, delay_s=0.3)
 
         def client(base):
             timed_out = http_json(

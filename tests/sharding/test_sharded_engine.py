@@ -80,28 +80,30 @@ class TestCountParity:
     def test_run_many_transport_matches_sequential_top_k(self):
         """Batched transport ships different tasks but must run the
         same probes: per-member answers AND ledgers equal the one-at-
-        a-time path."""
+        a-time path, inline and pooled."""
         store = columnar(m=2, n=150, seed=3)
         specs = [(agg, 7) for agg in AGGREGATIONS] * 2
-        with Engine.over_shards(
-            store, shards=3, processes=2, start_method="fork"
-        ) as engine:
-            sequential = [
-                engine.query(agg).top(k) for agg, k in specs
-            ]
-            batch = engine.run_many(specs)
-        assert len(batch.answers) == len(specs)
-        for got, want in zip(batch.answers, sequential):
-            assert answers_of(got) == answers_of(want)
-            assert ledger_of(got) == ledger_of(want)
-        assert batch.total_sorted == sum(
-            r.stats.sorted_cost for r in sequential
-        )
-        assert batch.total_random == sum(
-            r.stats.random_cost for r in sequential
-        )
-        assert batch.details["sharded"] is True
-        assert batch.details["shards"] == 3
+        for processes in (0, 2):
+            with Engine.over_shards(
+                store, shards=3, processes=processes, start_method="fork"
+            ) as engine:
+                sequential = [
+                    engine.query(agg).top(k) for agg, k in specs
+                ]
+                batch = engine.run_many(specs)
+            assert len(batch.answers) == len(specs)
+            for got, want in zip(batch.answers, sequential):
+                assert answers_of(got) == answers_of(want)
+                assert ledger_of(got) == ledger_of(want)
+            assert batch.total_sorted == sum(
+                r.stats.sorted_cost for r in sequential
+            )
+            assert batch.total_random == sum(
+                r.stats.random_cost for r in sequential
+            )
+            assert batch.details["sharded"] is True
+            assert batch.details["shards"] == 3
+            assert batch.details["processes"] == processes
 
     def test_spawn_and_fork_agree(self):
         """Start method is transport, never accounting."""
