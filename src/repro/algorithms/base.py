@@ -18,6 +18,7 @@ from __future__ import annotations
 import heapq
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 from repro.access.cost import AccessStats
@@ -172,8 +173,9 @@ def top_k_of(
     """The k highest-graded items with the deterministic tie-break.
 
     Selection, not sorting: ``heapq.nlargest`` over the bare grades
-    finds the k-th grade at C speed, then only the candidates at or
-    above it (k objects plus any ties on the boundary) get the full
+    (a mapping's values, or a pair sequence's second items) finds the
+    k-th grade at C speed, then only the candidates at or above it (k
+    objects plus any ties on the boundary) get the full
     ``(-grade, tie_break_key)`` ordering. Identical to the full
     descending sort truncated to k — same order, same ties — in
     O(n log k) and without minting :class:`GradedItem` objects for the
@@ -181,11 +183,15 @@ def top_k_of(
     """
     if k <= 0:
         return ()
-    pairs = scored.items() if isinstance(scored, Mapping) else scored
-    candidates = list(pairs)
-    if len(candidates) > k:
-        kth = heapq.nlargest(k, (grade for _, grade in candidates))[-1]
-        candidates = [(obj, grade) for obj, grade in candidates if grade >= kth]
+    if isinstance(scored, Mapping):
+        pairs, grades = scored.items(), scored.values()
+    else:
+        pairs, grades = scored, map(itemgetter(1), scored)
+    if len(scored) > k:
+        kth = heapq.nlargest(k, grades)[-1]
+        candidates = [(obj, grade) for obj, grade in pairs if grade >= kth]
+    else:
+        candidates = list(pairs)
     candidates.sort(key=lambda og: (-og[1], tie_break_key(og[0])))
     return tuple(GradedItem(obj, grade) for obj, grade in candidates[:k])
 

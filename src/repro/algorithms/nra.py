@@ -32,9 +32,11 @@ import heapq
 
 from repro.access.session import MiddlewareSession
 from repro.algorithms.base import TopKAlgorithm, TopKResult, top_k_of
+from repro.algorithms.fa import SortedPhaseState, run_sorted_phase, score_objects
 from repro.core.aggregation import AggregationFunction
 from repro.core.certify import EXACT, QualityContract
 from repro.core.kernels import as_grade_matrix, evaluate_matrix, kernel_for
+from repro.exceptions import InsufficientObjectsError
 
 __all__ = ["NoRandomAccessAlgorithm"]
 
@@ -42,9 +44,17 @@ __all__ = ["NoRandomAccessAlgorithm"]
 class NoRandomAccessAlgorithm(TopKAlgorithm):
     """Top-k via sorted access only, for monotone aggregations.
 
-    Result ``details``: ``rounds`` (sorted depth), ``seen`` (distinct
-    objects encountered), ``exact`` (objects whose grade was fully
-    resolved when the run stopped).
+    Result ``details``: ``rounds`` (sorted depth reached), ``seen``
+    (distinct objects encountered), ``exact`` (objects whose grade was
+    fully resolved when the run stopped).
+
+    NRA's state is A0's :class:`~repro.algorithms.fa.SortedPhaseState`:
+    one grade map per list and the per-object count of sorted
+    deliveries. An object delivered by every list has its exact grade,
+    so NRA's exact objects are A0's matches, and its warm-up — lockstep
+    chunks until k grades are exact — is A0's sorted phase run to k
+    matches; the warm-up's matches are scored in one sweep. Later rounds
+    read one object per list into the same maps and certify after each.
 
     NRA honours quality contracts: under an ε-approximate contract
     both upper-bound comparisons (the unseen bound and the candidate
@@ -83,14 +93,38 @@ class NoRandomAccessAlgorithm(TopKAlgorithm):
         m = session.num_lists
         sources = session.sources
         rule = contract.stopping_rule()
-        seen: dict[object, dict[int, float]] = {}
-        bottoms = [1.0] * m
-        rounds = 0
-        exact: dict[object, float] = {}
-        # Min-heap of the k best exact grades: exact grades never
-        # change, so the k-th best is maintained incrementally instead
-        # of re-selected from all exact grades per certification round.
-        best: list[float] = []
+        evaluate = aggregation.evaluate_trusted
+        # Certification needs k exact grades first, and a round of m
+        # sorted accesses completes at most m objects — exactly A0's
+        # sorted phase, which fetches its provably consumed rounds as
+        # one batch per list. When the lists run out first (the session
+        # claims more objects than they deliver), every grade that can
+        # become exact is exact, and NRA returns what it has.
+        state = SortedPhaseState()
+        try:
+            run_sorted_phase(session, k, state)
+            exhausted = False
+        except InsufficientObjectsError:
+            exhausted = True
+        grades_by_list = state.grades
+        deliveries = state.deliveries
+        exact = dict(
+            score_objects(
+                aggregation,
+                state,
+                [obj for obj, count in deliveries.items() if count == m],
+            )
+        )
+        # Min-heap of the k best exact grades (an ascending list is one):
+        # exact grades never change, so the k-th best is maintained
+        # incrementally instead of re-selected per certification round.
+        best = sorted(exact.values())[-k:]
+        # b_i: the last grade list i delivered (1.0 before its first).
+        bottoms = [
+            grades_i[order[-1]] if order else 1.0
+            for grades_i, order in zip(grades_by_list, state.order_by_list)
+        ]
+        rounds = state.depth
         # Partially-seen objects whose upper bound might still exceed
         # the k-th best exact grade, in first-seen order. Upper bounds
         # only ever *fall* (bottoms decrease; a discovered grade is at
@@ -100,80 +134,66 @@ class NoRandomAccessAlgorithm(TopKAlgorithm):
         # ``cand_start`` is the shared scan head: everything before it
         # is certified forever (or exact), so a certification round
         # that fails at its head costs O(1), not O(|seen|).
-        candidates: list[object] = []
+        candidates = list(deliveries)
         cand_start = 0
         vectorized = kernel_for(aggregation) is not None
 
-        while True:
-            # Certification needs k exact grades first, and a round of m
-            # sorted accesses completes at most m objects — so while
-            # |exact| < k, ceil((k - |exact|)/m) lockstep rounds can be
-            # fetched as one batch per list without moving the stopping
-            # point (identical access counts). Once k grades are exact,
-            # the stop check runs after every single round.
-            if len(exact) < k:
-                chunk = -(-(k - len(exact)) // m)
-            else:
-                chunk = 1
-            progressed = 0
-            for i in range(m):
-                objects, grades = sources[i].sorted_access_batch(chunk)
-                if not objects:
-                    continue
-                progressed = max(progressed, len(objects))
-                bottoms[i] = grades[-1]
-                for obj, grade in zip(objects, grades):
-                    by_list = seen.get(obj)
-                    if by_list is None:
-                        by_list = seen[obj] = {}
-                        candidates.append(obj)
-                    by_list[i] = grade
-                    if len(by_list) == m and obj not in exact:
-                        overall = aggregation.evaluate_trusted(
-                            [by_list[j] for j in range(m)]
-                        )
-                        exact[obj] = overall
-                        if len(best) < k:
-                            heapq.heappush(best, overall)
-                        elif overall > best[0]:
-                            heapq.heapreplace(best, overall)
-            rounds += progressed or 1
-
-            if not progressed:
-                # Every list exhausted: all grades exact; finish.
-                break
-            if len(exact) < k:
-                continue
-
-            kth_best = best[0]
+        while not exhausted:
             # The certification bar: ``kth_best`` exactly, or the
             # contract's relaxed ``(1 + ε) * kth_best``.
-            limit = rule.limit(kth_best)
-            # Upper bound for unseen objects.
-            if aggregation.evaluate_trusted(bottoms) > limit:
-                continue
-            # Upper bounds for the surviving partially-seen objects.
-            # (Exactly-known objects are covered by kth_best itself;
-            # previously-certified objects stay certified — see the
-            # monotonicity note at ``candidates``.) Advance the scan
-            # head past resolved objects first: amortised O(1), since
-            # the head only moves forward between sweeps.
-            while cand_start < len(candidates) and candidates[cand_start] in exact:
-                cand_start += 1
-            if cand_start >= len(candidates):
-                break  # no partially-seen object is left uncertified
-            if vectorized:
-                certified, candidates, cand_start = self._certify_vectorized(
-                    aggregation, seen, exact, bottoms,
-                    candidates, cand_start, limit,
-                )
-            else:
-                certified, cand_start = self._certify_scalar(
-                    aggregation, seen, exact, bottoms,
-                    candidates, cand_start, limit,
-                )
-            if certified:
-                break
+            limit = rule.limit(best[0])
+            # Upper bound for unseen objects first; then the surviving
+            # partially-seen objects. (Exactly-known objects are covered
+            # by kth_best itself; previously-certified objects stay
+            # certified — see the monotonicity note at ``candidates``.)
+            # Advance the scan head past resolved objects first:
+            # amortised O(1), since the head only moves forward
+            # between sweeps.
+            if evaluate(bottoms) <= limit:
+                while (
+                    cand_start < len(candidates)
+                    and candidates[cand_start] in exact
+                ):
+                    cand_start += 1
+                if cand_start >= len(candidates):
+                    break  # no partially-seen object is left uncertified
+                if vectorized:
+                    certified, candidates, cand_start = (
+                        self._certify_vectorized(
+                            aggregation, grades_by_list, exact, bottoms,
+                            candidates, cand_start, limit,
+                        )
+                    )
+                else:
+                    certified, cand_start = self._certify_scalar(
+                        aggregation, grades_by_list, exact, bottoms,
+                        candidates, cand_start, limit,
+                    )
+                if certified:
+                    break
+            # One more lockstep round into the same maps.
+            progressed = False
+            for i in range(m):
+                objects, grades = sources[i].sorted_access_batch(1)
+                if not objects:
+                    continue
+                progressed = True
+                obj = objects[0]
+                grade = bottoms[i] = grades[0]
+                grades_by_list[i][obj] = grade
+                count = deliveries.get(obj, 0) + 1
+                deliveries[obj] = count
+                if count == 1:
+                    candidates.append(obj)
+                if count == m:
+                    overall = exact[obj] = evaluate(
+                        [grades_j[obj] for grades_j in grades_by_list]
+                    )
+                    if overall > best[0]:
+                        heapq.heapreplace(best, overall)
+            if not progressed:
+                break  # every list exhausted: all grades exact
+            rounds += 1
 
         return TopKResult(
             items=top_k_of(exact, k),
@@ -181,7 +201,7 @@ class NoRandomAccessAlgorithm(TopKAlgorithm):
             algorithm=self.name,
             details={
                 "rounds": rounds,
-                "seen": len(seen),
+                "seen": len(deliveries),
                 "exact": len(exact),
             },
             guarantee=rule.guarantee(
@@ -191,7 +211,7 @@ class NoRandomAccessAlgorithm(TopKAlgorithm):
 
     @staticmethod
     def _certify_vectorized(
-        aggregation, seen, exact, bottoms, candidates, start, limit
+        aggregation, grades_by_list, exact, bottoms, candidates, start, limit
     ):
         """One kernel evaluation certifies (or prunes) every candidate.
 
@@ -209,11 +229,13 @@ class NoRandomAccessAlgorithm(TopKAlgorithm):
         an approximate contract) — become the new candidate list;
         everything else is certified forever.
         """
-        m = len(bottoms)
-        head = seen[candidates[start]]
+        head = candidates[start]
         if (
             aggregation.evaluate_trusted(
-                [head.get(j, bottoms[j]) for j in range(m)]
+                [
+                    grades_j.get(head, bottom)
+                    for grades_j, bottom in zip(grades_by_list, bottoms)
+                ]
             )
             > limit
         ):
@@ -222,8 +244,8 @@ class NoRandomAccessAlgorithm(TopKAlgorithm):
             obj for obj in candidates[start:] if obj not in exact
         ]
         rows = [
-            [seen[obj].get(j, bottom) for obj in pending]
-            for j, bottom in enumerate(bottoms)
+            [grades_j.get(obj, bottom) for obj in pending]
+            for grades_j, bottom in zip(grades_by_list, bottoms)
         ]
         uppers = evaluate_matrix(aggregation, as_grade_matrix(rows))
         assert uppers is not None  # kernel_for gated the vectorized path
@@ -239,7 +261,7 @@ class NoRandomAccessAlgorithm(TopKAlgorithm):
 
     @staticmethod
     def _certify_scalar(
-        aggregation, seen, exact, bottoms, candidates, start, limit
+        aggregation, grades_by_list, exact, bottoms, candidates, start, limit
     ):
         """Scalar fallback: early-exit scan behind the shared head.
 
@@ -249,13 +271,16 @@ class NoRandomAccessAlgorithm(TopKAlgorithm):
         (no per-round list rebuilds).
         """
         evaluate = aggregation.evaluate_trusted
-        m = len(bottoms)
         for idx in range(start, len(candidates)):
             obj = candidates[idx]
             if obj in exact:
                 continue
-            by_list = seen[obj]
-            upper = evaluate([by_list.get(j, bottoms[j]) for j in range(m)])
+            upper = evaluate(
+                [
+                    grades_j.get(obj, bottom)
+                    for grades_j, bottom in zip(grades_by_list, bottoms)
+                ]
+            )
             if upper > limit:
                 return False, idx
         return True, len(candidates)

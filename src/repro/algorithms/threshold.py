@@ -22,11 +22,14 @@ Algorithm (for a monotone aggregation t):
    monotonicity no unseen object can have grade above tau.
 3. Halt when k seen objects have grades >= tau, or when every list is
    exhausted (then all objects have been seen).
+
+:class:`ThresholdAlgorithm` runs steps 2 and 3 after every round but
+defers step 1's random accesses until a round could stop; its
+docstring gives the argument that the stopping round, the answers and
+the access ledger stay those of the algorithm as stated.
 """
 
 from __future__ import annotations
-
-import heapq
 
 from repro.access.session import MiddlewareSession
 from repro.algorithms.base import TopKAlgorithm, TopKResult, top_k_of
@@ -36,19 +39,13 @@ from repro.core.kernels import kernel_for
 
 __all__ = ["ThresholdAlgorithm"]
 
-#: Pending batches smaller than this are scored by the scalar fold even
-#: when a kernel exists: a (m, n) numpy round-trip costs more than n
-#: scalar evaluations for tiny n, and post-warm-up TA rounds surface at
-#: most m new objects each. Warm-up chunks (k not yet reached) are the
-#: batches the kernel sweep is for.
+#: Completion batches smaller than this are scored by the scalar fold
+#: even when a kernel exists: a (m, n) numpy round-trip costs more than
+#: n scalar evaluations for tiny n. A round that could stop completes
+#: every object held since the last completion, so the warm-up's batch
+#: and the batches that build up over rounds that could not stop are
+#: the ones the kernel sweep is for.
 _KERNEL_MIN_PENDING = 16
-
-
-def _seed_grades(m: int, first_list: int, grade: float) -> list[float]:
-    """A grade vector with only the first-sighting list filled in."""
-    grades = [0.0] * m
-    grades[first_list] = grade
-    return grades
 
 
 class ThresholdAlgorithm(TopKAlgorithm):
@@ -57,6 +54,21 @@ class ThresholdAlgorithm(TopKAlgorithm):
     Result ``details``: ``rounds`` (sorted depth reached),
     ``threshold`` (final tau), ``seen`` (distinct objects graded).
 
+    Sorted access, tau and the stop test run every round, as in the
+    unit-step algorithm; the random accesses that complete a newly seen
+    object are deferred until a round could stop. With u seen objects
+    not yet completed, at most u of the k best seen objects are among
+    them, so the k-th best seen grade is at most the (k - u)-th best
+    completed grade. While the stop test fails for that bound, the
+    round cannot stop and nothing is completed. Otherwise every held
+    object is completed — one ``random_access_many`` per list over the
+    held objects that list did not surface first, scored in one sweep —
+    and the exact test runs. An object is completed in every list but
+    the one that surfaced it, even a list that has since delivered it
+    under sorted access, so each seen object costs m - 1 random
+    accesses exactly as in the unit-step run: the stopping round, the
+    answers and the per-list ledger are the unit-step algorithm's.
+
     TA honours quality contracts: under an ε-approximate contract the
     stop check relaxes to the FLN θ-approximation — halt once
     ``(1 + ε) * kth_best >= tau``. The certificate is immediate from
@@ -64,7 +76,8 @@ class ThresholdAlgorithm(TopKAlgorithm):
     ``mu(z) <= tau <= (1 + ε) * kth_best <= (1 + ε) * mu(y)`` for
     every returned y. At ε=0 the rule takes the historical exact
     comparison verbatim, so answers and access ledgers stay
-    bit-identical.
+    bit-identical. Both tests are monotone in the k-th grade, so the
+    deferral's bound is sound under either.
     """
 
     name = "TA"
@@ -94,37 +107,38 @@ class ThresholdAlgorithm(TopKAlgorithm):
         sources = session.sources
         rule = contract.stopping_rule()
         scored: dict[object, float] = {}
-        # Min-heap of the k best grades seen so far: an object's grade
-        # never changes once scored, so the k-th best is maintained
-        # incrementally instead of re-selected from all grades per round.
+        # The k best completed grades, ascending: ``best[0]`` is the
+        # k-th best once k objects are complete, and with u objects
+        # held, ``best[len(best) + u - k]`` is the (k - u)-th best — the
+        # bound on the k-th best seen grade.
         best: list[float] = []
+        # Seen objects not yet completed, in first-seen order, with the
+        # list that surfaced each and its grade there.
+        held: dict[object, tuple[int, float]] = {}
         bottoms = [1.0] * m
         rounds = 0
         tau = 1.0
         vectorized = kernel_for(aggregation) is not None
         while True:
-            # The stop check needs k scored objects first, and a round of
-            # m sorted accesses surfaces at most m new objects — so while
-            # |scored| < k, ceil((k - |scored|)/m) lockstep rounds can be
-            # fetched as one batch per list without moving the stopping
-            # point. Afterwards the check runs after every single round.
-            if len(scored) < k:
-                chunk = -(-(k - len(scored)) // m)
-            else:
-                chunk = 1
+            # The stop check needs k seen objects first, and a round of m
+            # sorted accesses surfaces at most m new objects — so while
+            # fewer than k are seen, ceil((k - seen)/m) lockstep rounds
+            # can be fetched as one batch per list without moving the
+            # stopping point. Afterwards the check runs after every round.
+            seen = len(scored) + len(held)
+            chunk = -(-(k - seen) // m) if seen < k else 1
             batches = [sources[i].sorted_access_batch(chunk) for i in range(m)]
             delivered = max(len(objects) for objects, _ in batches)
             if delivered == 0:
-                # Every list exhausted: all objects seen and graded. The
-                # exhaustion probe performed no sorted accesses, so it is
-                # not a round — ``rounds`` reports only depths actually
+                # Every list exhausted: all objects seen. The exhaustion
+                # probe performed no sorted accesses, so it is not a
+                # round — ``rounds`` reports only depths actually
                 # reached (== the per-list maximum sorted depth).
                 break
             rounds += delivered
             # Replay the chunk round-major so "which list saw the object
             # first" — and with it the per-list random-access counts —
             # matches the unit-step interleaving exactly.
-            pending: dict[object, tuple[int, float]] = {}
             for r in range(delivered):
                 for i in range(m):
                     batch_objects, batch_grades = batches[i]
@@ -133,51 +147,20 @@ class ThresholdAlgorithm(TopKAlgorithm):
                     grade = batch_grades[r]
                     bottoms[i] = grade
                     obj = batch_objects[r]
-                    if obj not in scored and obj not in pending:
-                        pending[obj] = (i, grade)
-            if pending:
-                # Bulk random access, grouped per target list: every new
-                # object is looked up in each list other than the one
-                # that first delivered it, exactly as the unit loop does.
-                grades_by_obj = {
-                    obj: _seed_grades(m, i, grade)
-                    for obj, (i, grade) in pending.items()
-                }
-                for j in range(m):
-                    objs = [o for o, (i, _) in pending.items() if i != j]
-                    if not objs:
-                        continue
-                    looked_up = sources[j].random_access_many(objs)
-                    for obj, grade in zip(objs, looked_up):
-                        grades_by_obj[obj][j] = grade
-                if vectorized and len(pending) >= _KERNEL_MIN_PENDING:
-                    # Kernel sweep: transpose the per-object grade
-                    # vectors into (m, n) rows — column idx is the
-                    # idx-th pending object in first-seen order — and
-                    # score the whole batch in one matrix evaluation
-                    # (warm-up chunks are the large batches this is
-                    # for; the zip transpose is C-speed).
-                    rows = list(zip(*grades_by_obj.values()))
-                    scores = aggregation.evaluate_columns(rows)
-                else:
-                    # Scalar fallback: no kernel, or a batch too small
-                    # to amortise the numpy round-trip.
-                    evaluate = aggregation.evaluate_trusted
-                    scores = [
-                        evaluate(grades)
-                        for grades in grades_by_obj.values()
-                    ]
-                for obj, grade in zip(grades_by_obj, scores):
-                    scored[obj] = grade
-                    if len(best) < k:
-                        heapq.heappush(best, grade)
-                    elif grade > best[0]:
-                        heapq.heapreplace(best, grade)
+                    if obj not in scored and obj not in held:
+                        held[obj] = (i, grade)
             tau = aggregation.evaluate_trusted(bottoms)
-            if len(scored) >= k:
-                kth_best = best[0]
-                if rule.met(kth_best, tau):
-                    break
+            bound_at = len(best) + len(held) - k
+            if bound_at < 0:
+                continue  # fewer than k objects seen
+            if bound_at < len(best) and not rule.met(best[bound_at], tau):
+                continue  # not even the bound stops: keep holding
+            if held:
+                _complete(sources, aggregation, vectorized, held, scored, best, k)
+            if rule.met(best[0], tau):
+                break
+        if held:
+            _complete(sources, aggregation, vectorized, held, scored, best, k)
 
         return TopKResult(
             items=top_k_of(scored, k),
@@ -186,6 +169,39 @@ class ThresholdAlgorithm(TopKAlgorithm):
             details={"rounds": rounds, "threshold": tau, "seen": len(scored)},
             guarantee=rule.guarantee(tau),
         )
+
+
+def _complete(sources, aggregation, vectorized, held, scored, best, k):
+    """Complete and score every held object, then release them.
+
+    Each list j is looked up, in one ``random_access_many``, for the
+    held objects it did not surface first; the grade that surfaced an
+    object fills its own list's row. The (m, n) rows — column idx is
+    the idx-th held object in first-seen order — are scored in one
+    kernel sweep when the batch is large enough to amortise the numpy
+    round-trip, by the scalar fold otherwise (the kernels equal it bit
+    for bit), and merged into ``scored`` and ``best``.
+    """
+    firsts = [first for first, _ in held.values()]
+    seeds = [grade for _, grade in held.values()]
+    rows = []
+    for j, source in enumerate(sources):
+        lookups = [obj for obj, first in zip(held, firsts) if first != j]
+        fetched = iter(source.random_access_many(lookups) if lookups else ())
+        rows.append(
+            [seed if first == j else next(fetched)
+             for first, seed in zip(firsts, seeds)]
+        )
+    if vectorized and len(held) >= _KERNEL_MIN_PENDING:
+        scores = aggregation.evaluate_columns(rows)
+    else:
+        evaluate = aggregation.evaluate_trusted
+        scores = [evaluate(list(grades)) for grades in zip(*rows)]
+    scored.update(zip(held, scores))
+    best.extend(scores)
+    best.sort()
+    del best[:-k]
+    held.clear()
 
 
 # ----------------------------------------------------------------------

@@ -106,6 +106,28 @@ class TestCostShape:
         assert result.details["seen"] >= result.details["exact"]
         assert result.details["rounds"] == result.stats.max_sorted_depth()
 
+    def test_exhaustion_round_not_counted(self):
+        """Regression: the final empty exchange (every list exhausted)
+        performs no sorted accesses and must not inflate ``rounds`` —
+        the twin of TA's test of the same name. The session claims more
+        objects than the lists deliver, so certification never runs and
+        the run ends on an exchange that delivers nothing."""
+        n = 12
+        grades = {i: (n - i) / (n + 1) for i in range(n)}
+        session = MiddlewareSession.over_sources(
+            [
+                MaterializedSource("l0", dict(grades)),
+                MaterializedSource("l1", dict(grades)),
+            ],
+            num_objects=n + 5,
+        )
+        result = NoRandomAccessAlgorithm().top_k(session, MINIMUM, n + 3)
+        assert result.details["rounds"] == n
+        assert result.stats.max_sorted_depth() == n
+        assert result.details["seen"] == n
+        assert result.details["exact"] == n
+        assert len(result.items) == n
+
     def test_exhaustion_fallback(self):
         """Bound never certifies early on a 2-object database: still
         correct after exhausting the lists."""
