@@ -21,7 +21,9 @@ ranking (scoring databases, test fixtures); subsystem adapters in
 A ranking is held as :data:`~repro.access.types.RankedColumns` — the
 objects and their grades as two parallel tuples in rank order — and a
 batch of sorted accesses is delivered as slices of both: the "one by
-one, along with their grades" of Section 4, read b at a time.
+one, along with their grades" of Section 4, read b at a time. A single
+sorted access (``sorted_access_next``) is one bare ``(object, grade)``
+pair.
 """
 
 from __future__ import annotations
@@ -259,6 +261,23 @@ class SortedRandomSource(ABC):
             grades.append(item.grade)
         return tuple(objects), tuple(grades)
 
+    def sorted_access_next(self) -> tuple[ObjectId, float] | None:
+        """Deliver the next object under sorted access as a bare pair.
+
+        One unit sorted access, charged as one: ``(object, grade)``, or
+        None once the list is exhausted (charged nothing). The read of
+        algorithms whose stop test runs after every round (TA, NRA),
+        which take exactly one object per list per round and so cannot
+        batch; it mints no :class:`GradedItem` and builds no slices.
+        The default is ``sorted_access_batch(1)`` unpacked, so paged
+        sources and unit-only adapters deliver exactly what a batch of
+        one delivers.
+        """
+        objects, grades = self.sorted_access_batch(1)
+        if not objects:
+            return None
+        return objects[0], grades[0]
+
     def random_access_many(self, objs: Sequence[ObjectId]) -> list[float]:
         """The grades of ``objs``, in order, under this source's subquery.
 
@@ -354,6 +373,13 @@ class MaterializedSource(SortedRandomSource):
         self._cursor = start + len(objects)
         return objects, self._grades[start:stop]
 
+    def sorted_access_next(self) -> tuple[ObjectId, float] | None:
+        cursor = self._cursor
+        if cursor >= len(self._objects):
+            return None
+        self._cursor = cursor + 1
+        return self._objects[cursor], self._grades[cursor]
+
     def random_access_many(self, objs: Sequence[ObjectId]) -> list[float]:
         grades = self._grade_map
         try:
@@ -433,6 +459,9 @@ class StreamOnlySource(SortedRandomSource):
     def sorted_access_batch(self, count: int) -> RankedColumns:
         return self._inner.sorted_access_batch(count)
 
+    def sorted_access_next(self) -> tuple[ObjectId, float] | None:
+        return self._inner.sorted_access_next()
+
     def random_access(self, obj: ObjectId) -> float:
         from repro.exceptions import SubsystemCapabilityError
 
@@ -492,6 +521,12 @@ class InstrumentedSource(SortedRandomSource):
             # sorted accesses into b unit accesses (same cost model).
             self._tracker.charge_sorted(self._list_index, delivered)
         return batch
+
+    def sorted_access_next(self) -> tuple[ObjectId, float] | None:
+        pair = self._inner.sorted_access_next()
+        if pair is not None:
+            self._tracker.charge_sorted(self._list_index)
+        return pair
 
     def random_access_many(self, objs: Sequence[ObjectId]) -> list[float]:
         grades = self._inner.random_access_many(objs)

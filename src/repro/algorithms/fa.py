@@ -173,7 +173,8 @@ def fill_missing_grades(
     each — the same pairs a unit loop fetches, charged identically; a
     list whose map already holds every seen object is skipped without
     a scan. ``objs`` restricts the phase to those seen objects (A0'
-    completes only its candidates); ``skip_list`` is a list known to
+    completes only its candidates, :class:`IncrementalFagin` only the
+    objects a page surfaced); ``skip_list`` is a list known to
     need no lookups (A0''s i0, which delivered every candidate).
     """
     deliveries = state.deliveries
@@ -268,9 +269,11 @@ class IncrementalFagin:
     'continue where we left off.'"
 
     Each :meth:`next_batch` call extends the sorted phase until the
-    match set is large enough to certify the next batch, reuses every
-    grade discovered so far (no repeated accesses for known grades),
-    and excludes the already-returned answers.
+    match set is large enough to certify the next batch, runs the random
+    phase over only the objects that extension surfaced (every earlier
+    one was completed by the batch that surfaced it, so no known grade
+    is fetched or looked for again), and excludes the already-returned
+    answers.
 
     >>> # doctest-style sketch; see examples/quickstart.py for a runnable one
     >>> # inc = IncrementalFagin(session, MINIMUM)
@@ -364,12 +367,13 @@ class IncrementalFagin:
         session, state = self._session, self._state
         before = session.tracker.snapshot()
         run_sorted_phase(session, total_needed, state=state)
-        fill_missing_grades(session, state)
         unreturned = self._unreturned
         if len(state.deliveries) > self._scored:
-            # Bulk-score only the objects this batch completed; earlier
-            # batches' aggregates are kept and must not be re-derived.
+            # Complete and score only the objects this batch surfaced:
+            # every earlier one was completed by the batch that surfaced
+            # it, and its aggregate is kept, not re-derived.
             fresh = list(islice(state.deliveries, self._scored, None))
+            fill_missing_grades(session, state, fresh)
             unreturned.update(score_objects(self._aggregation, state, fresh))
             self._scored = len(state.deliveries)
         # One selection past the page: in the same total order, its

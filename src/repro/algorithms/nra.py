@@ -54,7 +54,10 @@ class NoRandomAccessAlgorithm(TopKAlgorithm):
     so NRA's exact objects are A0's matches, and its warm-up — lockstep
     chunks until k grades are exact — is A0's sorted phase run to k
     matches; the warm-up's matches are scored in one sweep. Later rounds
-    read one object per list into the same maps and certify after each.
+    read one ``sorted_access_next`` pair per list into the same maps and
+    certify after each. The unseen-bound test stays passed once it
+    passes (see the forever-certified invariant below), so it is not
+    re-evaluated.
 
     NRA honours quality contracts: under an ε-approximate contract
     both upper-bound comparisons (the unseen bound and the candidate
@@ -137,6 +140,11 @@ class NoRandomAccessAlgorithm(TopKAlgorithm):
         candidates = list(deliveries)
         cand_start = 0
         vectorized = kernel_for(aggregation) is not None
+        # The unseen bound t(b_1..b_m) only falls and the bar only
+        # rises, so once the bound is at or below the bar it stays
+        # there: the test is latched rather than re-evaluated.
+        unseen_certified = False
+        reads = [source.sorted_access_next for source in sources]
 
         while not exhausted:
             # The certification bar: ``kth_best`` exactly, or the
@@ -149,7 +157,8 @@ class NoRandomAccessAlgorithm(TopKAlgorithm):
             # Advance the scan head past resolved objects first:
             # amortised O(1), since the head only moves forward
             # between sweeps.
-            if evaluate(bottoms) <= limit:
+            if unseen_certified or evaluate(bottoms) <= limit:
+                unseen_certified = True
                 while (
                     cand_start < len(candidates)
                     and candidates[cand_start] in exact
@@ -171,15 +180,16 @@ class NoRandomAccessAlgorithm(TopKAlgorithm):
                     )
                 if certified:
                     break
-            # One more lockstep round into the same maps.
+            # One more lockstep round into the same maps, one pair per
+            # list.
             progressed = False
-            for i in range(m):
-                objects, grades = sources[i].sorted_access_batch(1)
-                if not objects:
+            for i, read in enumerate(reads):
+                pair = read()
+                if pair is None:
                     continue
                 progressed = True
-                obj = objects[0]
-                grade = bottoms[i] = grades[0]
+                obj, grade = pair
+                bottoms[i] = grade
                 grades_by_list[i][obj] = grade
                 count = deliveries.get(obj, 0) + 1
                 deliveries[obj] = count

@@ -69,6 +69,10 @@ class ThresholdAlgorithm(TopKAlgorithm):
     accesses exactly as in the unit-step run: the stopping round, the
     answers and the per-list ledger are the unit-step algorithm's.
 
+    Until k objects are seen, the rounds that cannot stop are fetched in
+    one batch per list; every later round reads one
+    ``sorted_access_next`` pair per list.
+
     TA honours quality contracts: under an ε-approximate contract the
     stop check relaxes to the FLN θ-approximation — halt once
     ``(1 + ε) * kth_best >= tau``. The certificate is immediate from
@@ -119,16 +123,43 @@ class ThresholdAlgorithm(TopKAlgorithm):
         rounds = 0
         tau = 1.0
         vectorized = kernel_for(aggregation) is not None
+        reads = [source.sorted_access_next for source in sources]
         while True:
             # The stop check needs k seen objects first, and a round of m
             # sorted accesses surfaces at most m new objects — so while
             # fewer than k are seen, ceil((k - seen)/m) lockstep rounds
             # can be fetched as one batch per list without moving the
-            # stopping point. Afterwards the check runs after every round.
+            # stopping point. Afterwards the check runs after every round,
+            # and each round reads one pair per list.
             seen = len(scored) + len(held)
-            chunk = -(-(k - seen) // m) if seen < k else 1
-            batches = [sources[i].sorted_access_batch(chunk) for i in range(m)]
-            delivered = max(len(objects) for objects, _ in batches)
+            if seen < k:
+                chunk = -(-(k - seen) // m)
+                batches = [sources[i].sorted_access_batch(chunk) for i in range(m)]
+                delivered = max(len(objects) for objects, _ in batches)
+                # Replay the chunk round-major so "which list saw the
+                # object first" — and with it the per-list random-access
+                # counts — matches the unit-step interleaving exactly.
+                for r in range(delivered):
+                    for i in range(m):
+                        batch_objects, batch_grades = batches[i]
+                        if r >= len(batch_objects):
+                            continue
+                        grade = batch_grades[r]
+                        bottoms[i] = grade
+                        obj = batch_objects[r]
+                        if obj not in scored and obj not in held:
+                            held[obj] = (i, grade)
+            else:
+                delivered = 0
+                for i, read in enumerate(reads):
+                    pair = read()
+                    if pair is None:
+                        continue
+                    delivered = 1
+                    obj, grade = pair
+                    bottoms[i] = grade
+                    if obj not in scored and obj not in held:
+                        held[obj] = (i, grade)
             if delivered == 0:
                 # Every list exhausted: all objects seen. The exhaustion
                 # probe performed no sorted accesses, so it is not a
@@ -136,19 +167,6 @@ class ThresholdAlgorithm(TopKAlgorithm):
                 # reached (== the per-list maximum sorted depth).
                 break
             rounds += delivered
-            # Replay the chunk round-major so "which list saw the object
-            # first" — and with it the per-list random-access counts —
-            # matches the unit-step interleaving exactly.
-            for r in range(delivered):
-                for i in range(m):
-                    batch_objects, batch_grades = batches[i]
-                    if r >= len(batch_objects):
-                        continue
-                    grade = batch_grades[r]
-                    bottoms[i] = grade
-                    obj = batch_objects[r]
-                    if obj not in scored and obj not in held:
-                        held[obj] = (i, grade)
             tau = aggregation.evaluate_trusted(bottoms)
             bound_at = len(best) + len(held) - k
             if bound_at < 0:

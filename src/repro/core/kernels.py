@@ -152,13 +152,13 @@ def evaluate_columns(
 
     The bulk entry point algorithms use for their computation phase:
     kernel path when available, otherwise the same scalar
-    ``evaluate_trusted`` fold the pre-vectorization code ran. Always
+    ``evaluate_trusted`` fold the pre-vectorization code ran. The grade
+    matrix is built only once a kernel is found to consume it. Always
     returns plain Python floats.
     """
-    if HAVE_NUMPY:
-        scores = evaluate_matrix(aggregation, as_grade_matrix(rows))
-        if scores is not None:
-            return scores.tolist()
+    kernel = kernel_for(aggregation)
+    if kernel is not None:
+        return _np.clip(kernel(as_grade_matrix(rows)), 0.0, 1.0).tolist()
     evaluate = aggregation.evaluate_trusted
     return [
         evaluate([row[j] for row in rows]) for j in range(num_columns)

@@ -93,6 +93,63 @@ class TestSortedAccessBatch:
         assert list(source.sorted_access_batch(2)) == first
 
 
+class TestSortedAccessNext:
+    """The pair access: one unit sorted access, delivered as a bare
+    ``(object, grade)`` pair and charged as one."""
+
+    @pytest.fixture(params=["bare", "stream-only", "instrumented"])
+    def wrapped(self, request, source):
+        tracker = CostTracker(2)
+        if request.param == "stream-only":
+            source = StreamOnlySource(source)
+        elif request.param == "instrumented":
+            source = InstrumentedSource(source, tracker, 1)
+        return source, tracker
+
+    def test_pairs_equal_unit_sequence(self, wrapped):
+        source, _ = wrapped
+        reference = MaterializedSource("ref", GRADES)
+        expected = [reference.next_sorted() for _ in range(5)]
+        pairs = [source.sorted_access_next() for _ in range(5)]
+        assert pairs == [(it.obj, it.grade) for it in expected]
+
+    def test_none_at_exhaustion_charges_nothing(self, wrapped):
+        source, tracker = wrapped
+        for _ in range(5):
+            assert source.sorted_access_next() is not None
+        charged = tracker.snapshot()
+        assert source.sorted_access_next() is None
+        assert source.sorted_access_next() is None
+        assert source.exhausted
+        assert tracker.snapshot() == charged
+
+    def test_each_pair_charges_one_sorted_access(self, source):
+        tracker = CostTracker(2)
+        instrumented = InstrumentedSource(source, tracker, 1)
+        for depth in range(1, 6):
+            instrumented.sorted_access_next()
+            stats = tracker.snapshot()
+            assert stats.sorted_by_list == (0, depth)
+            assert stats.random_by_list == (0, 0)
+
+    def test_shares_the_batch_cursor(self, wrapped):
+        source, _ = wrapped
+        assert source.sorted_access_next() == ("a", 0.9)
+        assert source.position == 1
+        assert source.sorted_access_batch(2) == (("b", "c"), (0.7, 0.5))
+        assert source.sorted_access_next() == ("d", 0.3)
+        assert source.position == 4
+        assert source.sorted_access_batch(5) == (("e",), (0.1,))
+        assert source.sorted_access_next() is None
+        assert source.position == 5
+
+    def test_restart_rewinds_pairs(self, wrapped):
+        source, _ = wrapped
+        first = source.sorted_access_next()
+        source.restart()
+        assert source.sorted_access_next() == first
+
+
 class TestRandomAccessMany:
     def test_matches_unit_lookups(self, source):
         objs = ["c", "a", "e"]

@@ -1,4 +1,4 @@
-"""TA and NRA against their textbook unit-step forms.
+"""TA, NRA and the A0 cursor against their textbook unit-step forms.
 
 The oracles below are the algorithms as Fagin, Lotem and Naor state
 them, one ``next_sorted`` per list per round and one ``random_access``
@@ -6,10 +6,17 @@ per missing grade, with none of the library's shortcuts: TA completes
 each object the moment it is first seen, and NRA recomputes every exact
 grade and scans every partially seen object after every round. The
 library's TA defers completion until a round could stop, and its NRA
-runs A0's sorted phase and prunes certified candidates for good; both
-must still match the oracles exactly — the same items with the same
-grade bits, the same per-list sorted and random counts, the same
-``details`` and the same guarantee.
+runs A0's sorted phase, prunes certified candidates for good and stops
+re-testing the unseen bound once it passes; both must still match the
+oracles exactly — the same items with the same grade bits, the same
+per-list sorted and random counts, the same ``details`` and the same
+guarantee.
+
+The cursor's oracle is Section 4's A0 that "continues where it left
+off": each page extends the lockstep rounds until r + k objects are
+matched, completes every seen object, and ranks the unreturned ones.
+The library's cursor completes only the objects a page surfaced; page
+by page it must match the oracle's items, per-list counts and depth.
 """
 
 import hypothesis.strategies as st
@@ -23,7 +30,9 @@ from repro.access import (
     UnbatchedSource,
 )
 from repro.access.scoring_database import ScoringDatabase
+from repro.access.source import tie_break_key
 from repro.algorithms.base import top_k_of
+from repro.algorithms.fa import IncrementalFagin
 from repro.algorithms.nra import NoRandomAccessAlgorithm
 from repro.algorithms.threshold import ThresholdAlgorithm
 from repro.core.certify import as_contract
@@ -148,6 +157,46 @@ def reference_nra(session, aggregation, k, epsilon):
     return top_k_of(exact, k), details, rule.guarantee(threshold)
 
 
+class ReferenceCursor:
+    """Resumable unit-step A0: one ``next_sorted`` per list per round
+    until r + k objects are matched, one ``random_access`` per missing
+    grade of every seen object, then the next k unreturned objects by
+    (-grade, tie-break key)."""
+
+    def __init__(self, session, aggregation):
+        self.sources = session.sources
+        self.evaluate = aggregation.evaluate_trusted
+        self.known = {}  # obj -> {list index: grade}, by either access
+        self.delivered = {}  # obj -> lists that delivered it sorted
+        self.depth = 0
+        self.returned = []
+
+    def next_page(self, k):
+        m = len(self.sources)
+        needed = len(self.returned) + k
+        while sum(len(lists) == m for lists in self.delivered.values()) < needed:
+            delivered = read_round(self.sources, [1.0] * m)
+            assert delivered, "lists exhausted before r + k matches"
+            for i, item in delivered:
+                self.known.setdefault(item.obj, {})[i] = item.grade
+                self.delivered.setdefault(item.obj, set()).add(i)
+            self.depth += 1
+        for obj, grades in self.known.items():
+            for j, source in enumerate(self.sources):
+                if j not in grades:
+                    grades[j] = source.random_access(obj)
+        overall = [
+            (obj, self.evaluate([grades[j] for j in range(m)]))
+            for obj, grades in self.known.items()
+            if obj not in self.returned
+        ]
+        overall.sort(key=lambda og: (-og[1], tie_break_key(og[0])))
+        page = overall[:k]
+        batch_start = len(self.returned)
+        self.returned.extend(obj for obj, _ in page)
+        return page, {"T": self.depth, "batch_start": batch_start}
+
+
 REFERENCES = {"TA": reference_ta, "NRA": reference_nra}
 
 
@@ -237,3 +286,25 @@ def test_exhausted_session_matches_reference(algorithm):
         n + 3,
         0.0,
     )
+
+
+@given(case=cases())
+@settings(max_examples=200, deadline=None)
+def test_cursor_pages_match_resumable_reference(case):
+    backing, lists, num_objects, aggregation, k, _ = case
+    session = backing(lists, num_objects)
+    cursor = IncrementalFagin(session, aggregation)
+    reference_session = backing(lists, num_objects)
+    reference = ReferenceCursor(reference_session, aggregation)
+    tracker = reference_session.tracker
+    for _ in range(num_objects // k):
+        page = cursor.next_batch(k)
+        before = tracker.snapshot()
+        items, details = reference.next_page(k)
+        spent = tracker.snapshot() - before
+        assert [(item.obj, item.grade.hex()) for item in page.items] == [
+            (obj, grade.hex()) for obj, grade in items
+        ]
+        assert page.stats.sorted_by_list == spent.sorted_by_list
+        assert page.stats.random_by_list == spent.random_by_list
+        assert page.details == details

@@ -18,8 +18,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import repro.core.kernels as kernels
 from repro.core.aggregation import (
     AggregationFunction,
+    FunctionAggregation,
     VectorizedAggregation,
 )
 from repro.core.kernels import (
@@ -189,3 +191,19 @@ def test_evaluate_columns_helper_handles_fallback():
     rows = [[0.3, 0.9], [0.5, 0.1]]
     scores = evaluate_columns(EINSTEIN_PRODUCT, rows, 2)
     assert scores == scalar_scores(EINSTEIN_PRODUCT, rows)
+
+
+def test_kernelless_aggregation_builds_no_grade_matrix(monkeypatch):
+    """A kernel-less aggregation goes straight to the scalar fold: the
+    (m, n) grade matrix is built only for a kernel to consume."""
+
+    def no_matrix(rows):
+        raise AssertionError("grade matrix built for a kernel-less aggregation")
+
+    monkeypatch.setattr(kernels, "as_grade_matrix", no_matrix)
+    spread = FunctionAggregation(lambda *gs: max(gs) - min(gs), "spread")
+    rows = [[0.3, 0.9, 0.5], [0.5, 0.1, 0.5]]
+    assert kernel_for(spread) is None
+    expected = scalar_scores(spread, rows)
+    assert spread.evaluate_columns(rows) == expected
+    assert evaluate_columns(spread, rows, 3) == expected
