@@ -35,7 +35,6 @@ from repro.access.session import MiddlewareSession
 from repro.algorithms.base import TopKAlgorithm, TopKResult, top_k_of
 from repro.core.aggregation import AggregationFunction
 from repro.core.tnorms import MinimumTNorm
-from repro.exceptions import ExhaustedSourceError
 
 __all__ = ["self_negated_lists", "hard_query_depth", "SelfNegatedScan"]
 
@@ -118,12 +117,14 @@ class SelfNegatedScan(TopKAlgorithm):
             )
         q_source = session.sources[0]
         scored: dict[object, float] = {}
+        # Read to exhaustion in batches; a paged source may ship short
+        # pages before it runs out, so only an empty batch ends the scan.
         while True:
-            try:
-                item = q_source.next_sorted()
-            except ExhaustedSourceError:
+            objects, grades = q_source.sorted_access_batch(session.num_objects)
+            if not objects:
                 break
-            scored[item.obj] = min(item.grade, 1.0 - item.grade)
+            for obj, grade in zip(objects, grades):
+                scored[obj] = min(grade, 1.0 - grade)
         items = top_k_of(scored, k)
         if self._verify:
             # Spot-check the negation contract on the returned answers:

@@ -193,7 +193,11 @@ class NoRandomAccessAlgorithm(TopKAlgorithm):
                 grades_by_list[i][obj] = grade
                 count = deliveries.get(obj, 0) + 1
                 deliveries[obj] = count
-                if count == 1:
+                if count == 1 and not unseen_certified:
+                    # After the latch a new object is certified at
+                    # birth: its known grade is a bottom, so its upper
+                    # bound is the latched t(b_1..b_m), and it only
+                    # falls. No sweep needs to see it.
                     candidates.append(obj)
                 if count == m:
                     overall = exact[obj] = evaluate(

@@ -279,6 +279,30 @@ def _weighted_geometric_factory(aggregation):
     return kernel
 
 
+def _fagin_wimmers_factory(aggregation):
+    base_kernel = kernel_for(aggregation.base)
+    if base_kernel is None:
+        return None  # e.g. Einstein, Hamacher, drastic: scalar fold
+    order = list(aggregation.order)
+    terms = aggregation.terms
+
+    def kernel(matrix: "np.ndarray") -> "np.ndarray":
+        # The scalar fold's order and terms, fixed in __init__: the
+        # running sum starts at 0.0 and adds coeff * t(prefix) in term
+        # order, each prefix clamped as ``base(...)`` clamps it.
+        ordered = matrix[order]
+        total = _np.zeros(matrix.shape[1])
+        for coeff, size in terms:
+            total = total + coeff * _np.clip(
+                base_kernel(ordered[:size]), 0.0, 1.0
+            )
+        # __call__ clamps the weighted total; a column plan feeds this
+        # output to its parent's kernel unclipped, so clip it here.
+        return _np.clip(total, 0.0, 1.0)
+
+    return kernel
+
+
 def _simple(kernel: Kernel):
     """Factory for kernels that ignore the aggregation instance."""
 
@@ -303,6 +327,7 @@ def _register_standard_kernels() -> None:
         BoundedDifference,
         MinimumTNorm,
     )
+    from repro.core.weights import FaginWimmersWeighting
 
     register_kernel(MinimumTNorm, _simple(_min_kernel))
     register_kernel(MaximumTConorm, _simple(_max_kernel))
@@ -315,6 +340,7 @@ def _register_standard_kernels() -> None:
     register_kernel(Median, _median_kernel_factory)
     register_kernel(WeightedArithmeticMean, _weighted_arithmetic_factory)
     register_kernel(WeightedGeometricMean, _weighted_geometric_factory)
+    register_kernel(FaginWimmersWeighting, _fagin_wimmers_factory)
 
 
 _register_standard_kernels()

@@ -25,6 +25,7 @@ Evaluation comes in two forms:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Mapping
 
 from repro.core.aggregation import TConorm, TNorm
@@ -36,6 +37,19 @@ from repro.core.tnorms import MINIMUM
 from repro.core.weights import FaginWimmersWeighting
 
 __all__ = ["FuzzySemantics", "STANDARD_FUZZY", "QueryClassification"]
+
+
+@lru_cache(maxsize=128)
+def _weighting(
+    tnorm: TNorm, weights: tuple[float, ...]
+) -> FaginWimmersWeighting:
+    """The [FW97] weighting of ``tnorm`` by ``weights``, built once.
+
+    Per-object evaluation scores every object of a weighted query
+    through the same weighting, so it is not rebuilt (weights
+    normalised, order and terms derived) per object.
+    """
+    return FaginWimmersWeighting(tnorm, weights)
 
 
 @dataclass(frozen=True)
@@ -99,7 +113,7 @@ class FuzzySemantics:
                 *(self.evaluate(q, atom_grades) for q in query.operands)
             )
         if isinstance(query, Weighted):
-            weighting = FaginWimmersWeighting(self.tnorm, query.weights)
+            weighting = _weighting(self.tnorm, query.weights)
             return weighting(
                 *(self.evaluate(q, atom_grades) for q in query.operands)
             )
@@ -170,7 +184,7 @@ class FuzzySemantics:
                 strict=query.aggregation.strict and children_strict,
             )
         if isinstance(query, Weighted):
-            weighting = FaginWimmersWeighting(self.tnorm, query.weights)
+            weighting = _weighting(self.tnorm, query.weights)
             return QueryClassification(
                 monotone=weighting.monotone and children_monotone,
                 strict=weighting.strict and children_strict,

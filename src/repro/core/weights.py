@@ -71,6 +71,22 @@ class FaginWimmersWeighting(AggregationFunction):
         self.monotone = base.monotone
         self.strict = base.strict and all(w > 0 for w in self.weights)
         self.name = f"fw97({base.name}; {', '.join(f'{w:g}' for w in self.weights)})"
+        # Fix the formula once, for ``aggregate`` and the column kernel
+        # alike: the argument order by descending weight (stable; tied
+        # weights get a zero coefficient, so their order is immaterial
+        # for any commutative base) and the non-zero terms
+        # (i * (theta_i - theta_{i+1}), prefix size i).
+        m = len(self.weights)
+        self.order: tuple[int, ...] = tuple(
+            sorted(range(m), key=lambda j: -self.weights[j])
+        )
+        thetas = [self.weights[j] for j in self.order] + [0.0]
+        terms: list[tuple[float, int]] = []
+        for i in range(1, m + 1):
+            coeff = i * (thetas[i - 1] - thetas[i])
+            if coeff != 0.0:
+                terms.append((coeff, i))
+        self.terms: tuple[tuple[float, int], ...] = tuple(terms)
 
     @staticmethod
     def normalise(weights: Sequence[float]) -> tuple[float, ...]:
@@ -93,17 +109,10 @@ class FaginWimmersWeighting(AggregationFunction):
         return tuple(w / total for w in ws)
 
     def aggregate(self, grades: Sequence[float]) -> float:
-        # Order (weight, grade) pairs by weight, descending. The formula
-        # is stated for theta_1 >= ... >= theta_m; ties contribute a
-        # zero coefficient so their relative order is immaterial for
-        # any commutative base.
-        ordered = sorted(zip(self.weights, grades), key=lambda wg: -wg[0])
-        thetas = [w for w, _ in ordered] + [0.0]
-        xs = [g for _, g in ordered]
+        # sum of coeff * t(x_1..x_i) over the fixed terms, the x's in
+        # weight order; each prefix is clamped, as ``base(...)`` does.
+        xs = [grades[j] for j in self.order]
         total = 0.0
-        for i in range(1, len(xs) + 1):
-            coeff = i * (thetas[i - 1] - thetas[i])
-            if coeff == 0.0:
-                continue
+        for coeff, i in self.terms:
             total += coeff * self.base(*xs[:i])
         return total

@@ -17,8 +17,9 @@ kernels that scores a whole (m, n) grade matrix at once — and exposes
 it through the instance-level ``aggregate_columns`` capability, so the
 filtered-conjunct executor and the naive scan evaluate the query tree
 in a handful of numpy sweeps instead of one Python recursion per
-object. Any node without a kernel (an exotic norm, a non-standard
-negation, a weighted node) declines vectorization entirely and the
+object. A weighted node ([FW97]) compiles to the Fagin-Wimmers kernel
+over the semantics' t-norm. Any node without a kernel (an exotic norm,
+a non-standard negation) declines vectorization entirely and the
 scalar fold applies unchanged — same answers either way.
 """
 
@@ -29,8 +30,9 @@ from typing import Callable, Sequence
 from repro.core.aggregation import AggregationFunction
 from repro.core.kernels import HAVE_NUMPY, kernel_for, stack_rows
 from repro.core.negations import StandardNegation
-from repro.core.query import And, AtomicQuery, Ft, Not, Or, Query
+from repro.core.query import And, AtomicQuery, Ft, Not, Or, Query, Weighted
 from repro.core.semantics import FuzzySemantics
+from repro.core.weights import FaginWimmersWeighting
 
 __all__ = ["CompiledQueryAggregation"]
 
@@ -91,8 +93,10 @@ class CompiledQueryAggregation(AggregationFunction):
         Mirrors :meth:`~repro.core.semantics.FuzzySemantics.evaluate`
         node for node: atoms read their matrix row, And/Or apply the
         semantics' connective kernel to the stacked child vectors, Ft
-        applies its own aggregation's kernel, Not applies the standard
-        negation (the only one with a closed vector form we vectorize).
+        applies its own aggregation's kernel, Weighted the [FW97]
+        weighting of the semantics' t-norm, and Not applies the
+        standard negation (the only one with a closed vector form we
+        vectorize).
         Returns ``None`` — decline, scalar fold — as soon as any node
         lacks a kernel, so vectorization is all-or-nothing per query.
         """
@@ -112,7 +116,12 @@ class CompiledQueryAggregation(AggregationFunction):
             connective = self.semantics.conorm
         elif isinstance(query, Ft):
             connective = query.aggregation
-        else:  # Weighted (and future node types): scalar evaluation only
+        elif isinstance(query, Weighted):
+            # Declines (kernel None) when the t-norm has no kernel.
+            connective = FaginWimmersWeighting(
+                self.semantics.tnorm, query.weights
+            )
+        else:  # future node types: scalar evaluation only
             return None
         kernel = kernel_for(connective)
         if kernel is None:

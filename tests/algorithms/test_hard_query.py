@@ -4,6 +4,9 @@ import random
 
 import pytest
 
+from repro.access.scoring_database import ScoringDatabase
+from repro.access.session import MiddlewareSession
+from repro.access.source import MaterializedSource
 from repro.algorithms.base import is_valid_top_k
 from repro.algorithms.fa import FaginA0
 from repro.algorithms.hard_query import (
@@ -108,8 +111,6 @@ class TestSelfNegatedScan:
 
     def test_verification_catches_dishonest_database(self, rng):
         """List 2 is NOT the negation: the contract check must fire."""
-        from repro.access.scoring_database import ScoringDatabase
-
         q, _ = self_negated_lists(30, rng)
         shuffled = dict(zip(q, random.Random(3).sample(list(q.values()), 30)))
         db = ScoringDatabase([q, shuffled])
@@ -124,3 +125,23 @@ class TestSelfNegatedScan:
     def test_requires_two_lists(self, db3):
         with pytest.raises(ValueError, match="two lists"):
             SelfNegatedScan().top_k(db3.session(), MINIMUM, 1)
+
+    def test_short_pages_still_scan_and_charge_n(self, rng):
+        """A source paging over a wire may ship short batches before it
+        runs out; the scan reads on until a batch comes back empty."""
+
+        class ShortPages(MaterializedSource):
+            def sorted_access_batch(self, count):
+                return super().sorted_access_batch(min(count, 7))
+
+        n = 60
+        q, not_q = self_negated_lists(n, rng)
+        paged = MiddlewareSession.over_sources(
+            [ShortPages("Q", q), ShortPages("NOT Q", not_q)]
+        )
+        result = SelfNegatedScan().top_k(paged, MINIMUM, 3)
+        assert result.stats.sorted_by_list == (n, 0)
+        assert result.stats.random_cost == 0
+        assert result.details["scanned"] == n
+        whole = ScoringDatabase([q, not_q]).session()
+        assert result.items == SelfNegatedScan().top_k(whole, MINIMUM, 3).items

@@ -8,6 +8,7 @@ from repro.algorithms.base import is_valid_top_k
 from repro.algorithms.fa import FaginA0
 from repro.algorithms.nra import NoRandomAccessAlgorithm
 from repro.core.aggregation import FunctionAggregation
+from repro.core.kernels import HAVE_NUMPY
 from repro.core.means import ARITHMETIC_MEAN
 from repro.core.tnorms import ALGEBRAIC_PRODUCT, MINIMUM
 from repro.exceptions import SubsystemCapabilityError
@@ -139,3 +140,40 @@ class TestCostShape:
         truth = db.overall_grades(MINIMUM)
         result = NoRandomAccessAlgorithm().top_k(db.session(), MINIMUM, 2)
         assert is_valid_top_k(result.items, truth, 2)
+
+
+class TestLatchedUnseenBound:
+    @pytest.mark.skipif(not HAVE_NUMPY, reason="the sweep needs numpy")
+    def test_objects_first_seen_after_the_latch_reach_no_sweep(
+        self, monkeypatch
+    ):
+        """Once t(b_1..b_m) is at or below the bar, an object first
+        delivered later has a bottom as its only known grade, so its
+        upper bound is at most the latched bound: it is certified at
+        birth and no certification sweep receives it."""
+        sweep = NoRandomAccessAlgorithm._certify_vectorized
+        calls = []
+
+        def spy(aggregation, grades_by_list, exact, bottoms, candidates,
+                start, limit):
+            seen = set().union(*grades_by_list)
+            calls.append((seen, list(candidates[start:])))
+            return sweep(
+                aggregation, grades_by_list, exact, bottoms, candidates,
+                start, limit,
+            )
+
+        monkeypatch.setattr(
+            NoRandomAccessAlgorithm, "_certify_vectorized", staticmethod(spy)
+        )
+        db = independent_database(3, 200, seed=1)
+        result = NoRandomAccessAlgorithm().top_k(
+            db.session(), ALGEBRAIC_PRODUCT, 5
+        )
+        truth = db.overall_grades(ALGEBRAIC_PRODUCT)
+        assert is_valid_top_k(result.items, truth, 5)
+        # The first sweep runs in the round the latch passes.
+        seen_at_latch = calls[0][0]
+        assert len(calls) > 1 and result.details["seen"] > len(seen_at_latch)
+        for _, swept in calls[1:]:
+            assert set(swept) <= seen_at_latch

@@ -6,10 +6,10 @@ aggregation, scoring a grade matrix through
 scalar ``evaluate_trusted`` fold column by column — bit for bit for
 every kernel (min, max, product, Łukasiewicz, the arithmetic,
 weighted-arithmetic, geometric, weighted-geometric and harmonic means,
-median). The geometric family folds its products in numpy and takes
-each power with libm's ``pow``, as the scalar fold does; numpy's
-vectorised pow would differ in the last bit on a few percent of
-inputs.
+median, the [FW97] weighted conjunction over a kernelled t-norm). The
+geometric family folds its products in numpy and takes each power with
+libm's ``pow``, as the scalar fold does; numpy's vectorised pow would
+differ in the last bit on a few percent of inputs.
 """
 
 import math
@@ -45,6 +45,7 @@ from repro.core.tnorms import (
     EINSTEIN_PRODUCT,
     MINIMUM,
 )
+from repro.core.weights import FaginWimmersWeighting
 
 #: (aggregation, bit_exact) — bit_exact pins == parity.
 KERNELED = [
@@ -123,6 +124,65 @@ def test_weighted_kernels_match_scalar_fold(rows, raw_weights):
     expected = scalar_scores(geometric, rows)
     for got, want in zip(geometric.evaluate_columns(rows), expected):
         assert got == want
+
+
+#: A grade is crisp, rounded to 0.1, or anywhere in [0, 1].
+fw97_grades = st.one_of(
+    st.sampled_from([0.0, 1.0]),
+    st.integers(0, 10).map(lambda tenths: round(tenths / 10, 1)),
+    grades,
+)
+#: Zero and tied weights are drawn often; an all-zero list is rejected.
+fw97_weights = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]), grades)
+
+
+@st.composite
+def fw97_cases(draw):
+    m = draw(st.integers(1, 5))
+    weights = draw(
+        st.lists(fw97_weights, min_size=m, max_size=m).filter(
+            lambda ws: sum(ws) > 0
+        )
+    )
+    n = draw(st.integers(1, 12))
+    rows = draw(
+        st.lists(
+            st.lists(fw97_grades, min_size=n, max_size=n),
+            min_size=m,
+            max_size=m,
+        )
+    )
+    return weights, rows
+
+
+@pytest.mark.parametrize(
+    "base",
+    [MINIMUM, ALGEBRAIC_PRODUCT, BOUNDED_DIFFERENCE],
+    ids=lambda b: b.name,
+)
+@given(case=fw97_cases())
+# These weights' terms sum to 1.0000000000000002: the all-ones column
+# pins the kernel's own output clip, which __call__'s clamp mirrors.
+@example(case=([0.26667928463625334, 2.0], [[1.0, 0.5], [1.0, 1.0]]))
+@settings(max_examples=80, deadline=None)
+def test_fagin_wimmers_kernel_matches_scalar_bit_for_bit(base, case):
+    weights, rows = case
+    weighting = FaginWimmersWeighting(base, weights)
+    columns = [[row[j] for row in rows] for j in range(len(rows[0]))]
+    trusted = [weighting.evaluate_trusted(column) for column in columns]
+    assert trusted == [weighting(*column) for column in columns]
+    assert weighting.evaluate_columns(rows) == trusted
+    if HAVE_NUMPY:
+        kernel = kernel_for(weighting)
+        assert kernel is not None
+        assert kernel(kernels.as_grade_matrix(rows)).tolist() == trusted
+
+
+def test_fagin_wimmers_over_a_kernelless_tnorm_has_no_kernel():
+    weighting = FaginWimmersWeighting(EINSTEIN_PRODUCT, [2, 1])
+    assert kernel_for(weighting) is None
+    rows = [[0.1, 0.5, 0.99], [0.7, 0.5, 0.98]]
+    assert weighting.evaluate_columns(rows) == scalar_scores(weighting, rows)
 
 
 @pytest.mark.skipif(not HAVE_NUMPY, reason="kernels require numpy")

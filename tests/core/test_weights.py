@@ -99,3 +99,40 @@ class TestProperties:
     def test_name_mentions_base_and_weights(self):
         w = FaginWimmersWeighting(MINIMUM, [2, 1])
         assert "min" in w.name
+
+
+def textbook_fw97(base, weights, grades):
+    """The formula as [FW97] states it, re-derived on every call: sort
+    the (weight, grade) pairs by descending weight, then add
+    i * (theta_i - theta_{i+1}) * t(x_1..x_i) over the non-zero
+    coefficients."""
+    ordered = sorted(zip(weights, grades), key=lambda wg: -wg[0])
+    thetas = [w for w, _ in ordered] + [0.0]
+    xs = [g for _, g in ordered]
+    total = 0.0
+    for i in range(1, len(xs) + 1):
+        coeff = i * (thetas[i - 1] - thetas[i])
+        if coeff == 0.0:
+            continue
+        total += coeff * base(*xs[:i])
+    return min(1.0, max(0.0, total))
+
+
+class TestPrecomputedTerms:
+    @pytest.mark.parametrize("base", [MINIMUM, ALGEBRAIC_PRODUCT])
+    @pytest.mark.parametrize(
+        "weights",
+        [[2, 1], [1, 3], [1, 0], [1, 1, 1], [3, 1, 1], [1, 0, 2],
+         [0.26667928463625334, 2], [0.7, 3, 3, 0.69]],
+    )
+    def test_fixed_order_and_terms_give_the_textbook_bits(self, base, weights):
+        """The order and terms fixed in __init__ are the ones the
+        per-call sort derives, so every grade matches to the bit."""
+        w = FaginWimmersWeighting(base, weights)
+        for gs in itertools.product(GRID + (0.1, 0.9), repeat=len(weights)):
+            assert w(*gs) == textbook_fw97(base, w.weights, gs), gs
+
+    def test_ties_keep_argument_order_and_zero_terms_drop(self):
+        w = FaginWimmersWeighting(MINIMUM, [1, 2, 1, 0])
+        assert w.order == (1, 0, 2, 3)
+        assert [size for _, size in w.terms] == [1, 3]
