@@ -296,9 +296,7 @@ def _fagin_wimmers_factory(aggregation):
             total = total + coeff * _np.clip(
                 base_kernel(ordered[:size]), 0.0, 1.0
             )
-        # __call__ clamps the weighted total; a column plan feeds this
-        # output to its parent's kernel unclipped, so clip it here.
-        return _np.clip(total, 0.0, 1.0)
+        return total
 
     return kernel
 

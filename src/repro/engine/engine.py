@@ -424,8 +424,8 @@ class Engine:
         :class:`~repro.access.cost.AccessStats`: every completed query
         (one-shot, batch member, or cursor page) adds its accesses to
         a process-wide ledger, and every registered subsystem reports
-        its :class:`~repro.subsystems.base.RankingCache` hit/miss
-        counters. Usable standalone (capacity tuning, dashboards) and
+        its :class:`~repro.subsystems.base.RankingCache` hit, miss and
+        admission-rejected counters. Usable standalone (capacity tuning, dashboards) and
         consumed verbatim by the serving layer's ``/metrics`` plane.
 
         Returns a plain JSON-serialisable dict::
@@ -435,7 +435,9 @@ class Engine:
               "queries": <completed top-k runs + batch members>,
               "cursor_pages": <pages fetched through engine cursors>,
               "access": {"sorted": S, "random": R, "total": S + R},
-              "ranking_caches": {<subsystem>: {"hits": ..., ...}},
+              "ranking_caches": {<subsystem>: {"hits": ..., "misses": ...,
+                                 "rejected": ..., "entries": ...,
+                                 "capacity": ...}},
               "cache_totals": {"hits": H, "misses": M},
               "planner": {"enabled": ..., "plan_cache": {...},
                           "chooser": {...}},
@@ -458,13 +460,14 @@ class Engine:
                 cache = subsystem.__dict__.get("_ranking_cache")
                 if cache is None:
                     caches[subsystem.name] = {
-                        "hits": 0, "misses": 0, "entries": 0,
+                        "hits": 0, "misses": 0, "rejected": 0, "entries": 0,
                         "capacity": subsystem.ranking_cache_capacity,
                     }
                     continue
                 caches[subsystem.name] = {
                     "hits": cache.hits,
                     "misses": cache.misses,
+                    "rejected": cache.rejected,
                     "entries": len(cache),
                     "capacity": cache.capacity,
                 }

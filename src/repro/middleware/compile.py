@@ -34,6 +34,9 @@ from repro.core.query import And, AtomicQuery, Ft, Not, Or, Query, Weighted
 from repro.core.semantics import FuzzySemantics
 from repro.core.weights import FaginWimmersWeighting
 
+if HAVE_NUMPY:
+    import numpy as _np
+
 __all__ = ["CompiledQueryAggregation"]
 
 
@@ -96,7 +99,10 @@ class CompiledQueryAggregation(AggregationFunction):
         applies its own aggregation's kernel, Weighted the [FW97]
         weighting of the semantics' t-norm, and Not applies the
         standard negation (the only one with a closed vector form we
-        vectorize).
+        vectorize). Each connective's output is clipped into [0, 1], as
+        ``clamp_grade`` clamps every node's value on the scalar path,
+        so a kernel that rounds a hair above 1 feeds its parent what
+        the scalar path feeds it.
         Returns ``None`` — decline, scalar fold — as soon as any node
         lacks a kernel, so vectorization is all-or-nothing per query.
         """
@@ -131,6 +137,10 @@ class CompiledQueryAggregation(AggregationFunction):
             return None
 
         def run(matrix, kernel=kernel, children=tuple(children)):
-            return kernel(stack_rows([child(matrix) for child in children]))
+            return _np.clip(
+                kernel(stack_rows([child(matrix) for child in children])),
+                0.0,
+                1.0,
+            )
 
         return run

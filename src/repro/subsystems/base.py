@@ -53,12 +53,21 @@ __all__ = [
 #: Distinct atomic queries whose materialised rankings a subsystem
 #: retains by default. Federated workloads re-issue a handful of atoms
 #: over and over (run_many batches, repeated dashboards), so a small
-#: LRU makes every repeat an O(1) session mint.
+#: cache makes every repeat an O(1) session mint. Atom pools larger
+#: than this are what the admission gate of :class:`RankingCache` is
+#: for; a larger default would grow every subsystem's cache to fit one
+#: workload's pools.
 DEFAULT_RANKING_CACHE_CAPACITY = 32
+
+#: The count window, in multiples of the capacity: once this many
+#: requests have been counted since the last aging, every request
+#: count is halved (TinyLFU's reset).
+_AGING_WINDOW = 10
 
 
 class RankingCache:
-    """An LRU of materialised rankings, keyed by the atom's cache key.
+    """Materialised rankings keyed by the atom's cache key: LRU order,
+    admission by request frequency.
 
     A subsystem's graded set for a fixed atomic query never changes, so
     the descending sort (and the grade map for random access) can be
@@ -71,16 +80,33 @@ class RankingCache:
     tracking, where a tuple of one item per object would keep N
     objects in every collection's traversal. Eviction is safe by the
     same determinism: a re-miss only re-pays the sort, it cannot change
-    the graded set. ``hits`` / ``misses`` are surfaced for tests and
-    capacity tuning; ``capacity=None`` means unbounded.
+    the graded set. ``hits`` / ``misses`` / ``rejected`` are surfaced
+    for tests and capacity tuning; ``capacity=None`` means unbounded.
+
+    **Admission** (TinyLFU's gate, Einziger, Friedman and Manes, ACM
+    TOS 2017): every request for a hashable key is counted, hit or
+    miss. Hits refresh the LRU order, and the LRU entry is the victim,
+    but a full cache keeps a newly built ranking only when its atom
+    has been requested at least as often as the victim; otherwise the
+    requester is served from the built entry, which is not kept, and
+    ``rejected`` goes up. Ties admit, so a cold cache and equally
+    requested atoms behave exactly as plain LRU. Each time the
+    requests since the last aging reach ``10 * capacity``, every count
+    is halved and the keys that reach 0 are dropped, so the count
+    table never holds more than ``20 * capacity`` keys and follows a
+    shift in popularity within a few windows. The gate reads counts,
+    never clocks, so the hit and miss counts of a seeded workload
+    repeat exactly. An unbounded cache admits everything and keeps no
+    counts.
 
     The cache is **thread-safe with single-flight misses**: the LRU
-    dict and the hit/miss counters mutate only under an internal lock,
-    and a miss takes a per-key build lock so that concurrent requests
-    for the *same* atom run ``build_grades`` (and the descending sort)
-    exactly once — the losers of the race block briefly, then mint off
-    the winner's entry. Requests for *different* atoms build in
-    parallel; hits never block on a build.
+    dict, the request counts and the counters mutate only under an
+    internal lock, and a miss takes a per-key build lock so that
+    concurrent requests for the *same* atom run ``build_grades`` (and
+    the descending sort) exactly once — the losers of the race block
+    briefly, then mint off the winner's entry, kept or declined.
+    Requests for *different* atoms build in parallel; hits never block
+    on a build.
     """
 
     def __init__(
@@ -93,12 +119,20 @@ class RankingCache:
         self.capacity = capacity
         self.hits = 0
         self.misses = 0
+        self.rejected = 0
         self._entries: OrderedDict[
             object, tuple[RankedColumns, Mapping[ObjectId, float]]
         ] = OrderedDict()
         self._lock = threading.Lock()
-        #: In-flight builds: key -> the lock its first requester holds.
-        self._building: dict[object, threading.Lock] = {}
+        #: In-flight builds: key -> [the lock its first requester holds,
+        #: the built entry if the gate declined it, for the waiters].
+        self._building: dict[object, list] = {}
+        #: Request counts (None when unbounded: every entry is kept) and
+        #: the requests counted since the counts were last halved.
+        self._counts: dict[object, int] | None = (
+            None if capacity is None else {}
+        )
+        self._window = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -106,13 +140,39 @@ class RankingCache:
     def __contains__(self, key: object) -> bool:
         return key in self._entries
 
-    def _hit(self, key: object):
+    def _hit_locked(self, key: object):
         """Under ``self._lock``: the entry for ``key``, LRU-refreshed."""
         entry = self._entries.get(key)
         if entry is not None:
             self.hits += 1
             self._entries.move_to_end(key)
         return entry
+
+    def _count_locked(self, key: object) -> None:
+        """Under ``self._lock``: one more request for ``key`` (bounded
+        caches only); halve every count once the window is full."""
+        counts, capacity = self._counts, self.capacity
+        if counts is None or capacity is None:
+            return
+        counts[key] = counts.get(key, 0) + 1
+        self._window += 1
+        if self._window >= _AGING_WINDOW * capacity:
+            self._window = 0
+            self._counts = {k: c >> 1 for k, c in counts.items() if c > 1}
+
+    def _admit_locked(self, key: object, entry) -> bool:
+        """Under ``self._lock``: keep a built entry, evicting the LRU
+        one, unless the cache is full and ``key`` has been requested
+        less often than that victim. True if the entry was kept."""
+        entries, counts, capacity = self._entries, self._counts, self.capacity
+        if counts is not None and capacity is not None and len(entries) >= capacity:
+            victim = next(iter(entries))
+            if counts.get(key, 0) < counts.get(victim, 0):
+                self.rejected += 1
+                return False
+            del entries[victim]
+        entries[key] = entry
+        return True
 
     def source(
         self,
@@ -133,10 +193,13 @@ class RankingCache:
         :func:`~repro.access.source.tie_break_order`) is given, as a
         grade vector aligned with it — the bulk path every concrete
         subsystem takes — otherwise as a mapping from object to grade.
-        An unhashable cache key (an exotic target object) bypasses the
-        cache entirely rather than failing the query. Safe to call from
-        any thread; the same atom is never built twice concurrently
-        (single-flight).
+        A full cache keeps the entry only if the admission gate lets it
+        in; a declined entry still serves this request and the requests
+        that waited on its build (each counted as a hit). An unhashable
+        cache key (an exotic target object) bypasses the cache (and its
+        counts) entirely rather than failing the query. Safe to call
+        from any thread; the same atom is never built twice
+        concurrently (single-flight).
         """
         key: object = (query.attribute, query.op, query.target)
         try:
@@ -145,47 +208,61 @@ class RankingCache:
             columns, grade_map = _ranked(build_grades(), population)
             return MaterializedSource.trusted(name, columns, grade_map)
         # Single-flight: exactly one designated builder per key at a
-        # time. Waiters block on the builder's lock, then *re-check* —
-        # never build off a captured lock reference — so a failed build
-        # neither leaks its lock nor lets two racers build at once (one
-        # waiter is promoted to the next builder instead).
+        # time. Waiters block on the builder's lock, then take the
+        # entry the gate declined, if any, or *re-check* — never build
+        # off a captured lock reference — so a failed build neither
+        # leaks its lock nor lets two racers build at once (one waiter
+        # is promoted to the next builder instead).
+        counted = False  # a waiter that loops is still one request
         while True:
             with self._lock:
-                entry = self._hit(key)
+                if not counted:
+                    self._count_locked(key)
+                    counted = True
+                entry = self._hit_locked(key)
                 if entry is not None:
                     columns, grade_map = entry
                     return MaterializedSource.trusted(name, columns, grade_map)
-                build_lock = self._building.get(key)
-                if build_lock is None:
+                flight = self._building.get(key)
+                if flight is None:
                     build_lock = threading.Lock()
                     build_lock.acquire()
-                    self._building[key] = build_lock
+                    flight = self._building[key] = [build_lock, None]
                     break  # this thread is the builder
             # Another thread is building this key: wait for it to
-            # finish (success or failure), then loop and re-check.
+            # finish (success or failure), then serve its entry if the
+            # gate declined it, or loop and re-check.
+            build_lock, _ = flight
             build_lock.acquire()
             build_lock.release()
+            declined = flight[1]
+            if declined is not None:  # no build ran for this request
+                with self._lock:
+                    self.hits += 1
+                columns, grade_map = declined
+                return MaterializedSource.trusted(name, columns, grade_map)
         try:
             entry = _ranked(build_grades(), population)
             with self._lock:
                 self.misses += 1
-                self._entries[key] = entry
-                if (
-                    self.capacity is not None
-                    and len(self._entries) > self.capacity
-                ):
-                    self._entries.popitem(last=False)
+                if not self._admit_locked(key, entry):
+                    flight[1] = entry
         finally:
             with self._lock:
-                self._building.pop(key, None)
+                if self._building.get(key) is flight:  # clear() may have dropped it
+                    del self._building[key]
             build_lock.release()
         columns, grade_map = entry
         return MaterializedSource.trusted(name, columns, grade_map)
 
     def clear(self) -> None:
-        """Drop every entry (counters are kept — they describe traffic)."""
+        """Drop every entry and request count (the hit, miss and
+        rejected counters are kept — they describe traffic)."""
         with self._lock:
             self._entries.clear()
+            if self._counts is not None:
+                self._counts = {}
+                self._window = 0
             # Dropping in-flight build locks is safe: a racer holding
             # one re-checks the entries dict and, at worst, rebuilds
             # the same deterministic graded set.
@@ -194,7 +271,8 @@ class RankingCache:
     def __repr__(self) -> str:
         return (
             f"RankingCache({len(self._entries)}/{self.capacity}, "
-            f"hits={self.hits}, misses={self.misses})"
+            f"hits={self.hits}, misses={self.misses}, "
+            f"rejected={self.rejected})"
         )
 
 
@@ -230,12 +308,12 @@ class Subsystem(ABC):
 
     @property
     def ranking_cache(self) -> RankingCache:
-        """This subsystem's per-query ranking LRU (lazily created).
+        """This subsystem's per-query ranking cache (lazily created).
 
         Concrete subsystems route their :meth:`evaluate` through
         :meth:`RankingCache.source`, so repeated federated queries are
         O(1) session mints instead of per-call re-sorts. The property is
-        the tests' window onto the hit/miss counters.
+        the tests' window onto the hit, miss and rejected counters.
         """
         cache = self.__dict__.get("_ranking_cache")
         if cache is None:

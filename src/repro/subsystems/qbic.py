@@ -109,9 +109,11 @@ def _gaussian_scores(columns, target: Sequence[float], bandwidth: float) -> list
     numpy and Python); each square and exponential is the same libm
     call :func:`gaussian_similarity` makes — ``x ** 2`` and
     :func:`math.exp` per element — and each distance the builtin
-    ``sum`` over the coordinates in order. numpy's shortcuts round
-    differently in the last bit for a fraction of inputs (``d * d``,
-    ``np.power``, ``np.exp``), which would reorder tied rankings.
+    ``sum`` over the coordinates in order (from Python 3.12 that sum is
+    compensated, so adding the squares as arrays would not match it).
+    numpy's shortcuts round differently in the last bit for a fraction
+    of inputs (``d * d``, ``np.power``, ``np.exp``), which would
+    reorder tied rankings.
     """
     if len(columns) != len(target):
         raise ValueError(

@@ -14,6 +14,10 @@ code paths.
 Like any retrieval engine, the stand-in keeps an inverted index (term
 -> documents): a query scores only the documents that share one of
 its terms, and every other document gets the 0.0 its cosine would be.
+With numpy, each term's postings carry the documents' weights for it,
+and a query adds ``w_q * w_d`` term by term into one score vector, with
+grades bit for bit those of :meth:`TextSubsystem._cosine` (see
+:meth:`TextSubsystem._scores`).
 """
 
 from __future__ import annotations
@@ -25,8 +29,12 @@ from typing import Mapping
 
 from repro.access.source import SortedRandomSource, tie_break_order
 from repro.access.types import ObjectId
+from repro.core.kernels import HAVE_NUMPY
 from repro.core.query import AtomicQuery
 from repro.subsystems.base import DEFAULT_RANKING_CACHE_CAPACITY, Subsystem
+
+if HAVE_NUMPY:
+    import numpy as _np
 
 __all__ = ["TextSubsystem", "tokenize"]
 
@@ -90,10 +98,20 @@ class TextSubsystem(Subsystem):
         }
         self._population = tie_break_order(self._docs)
         self._vectors = [doc_vectors[obj] for obj in self._population]
-        self._postings: dict[str, list[int]] = {}
+        # term -> (document positions, each document's weight for it).
+        postings: dict[str, tuple[list[int], list[float]]] = {}
         for position, vec in enumerate(self._vectors):
-            for term in vec:
-                self._postings.setdefault(term, []).append(position)
+            for term, weight in vec.items():
+                positions, weights = postings.setdefault(term, ([], []))
+                positions.append(position)
+                weights.append(weight)
+        self._postings = postings
+        if HAVE_NUMPY:
+            # Shared by every thread that misses: read-only arrays.
+            self._postings = {
+                term: (_frozen(positions, _np.intp), _frozen(weights, _np.float64))
+                for term, (positions, weights) in postings.items()
+            }
 
     def _vectorise(self, tokens: list[str]) -> dict[str, float]:
         counts = Counter(tokens)
@@ -132,15 +150,45 @@ class TextSubsystem(Subsystem):
         )
 
     def _scores(self, text: str) -> list[float]:
-        """Every document's cosine with ``text``, in population order."""
+        """Every document's cosine with ``text``, in population order.
+
+        With numpy, the documents sharing a query term are scored in
+        bulk, bit for bit as :meth:`_cosine` scores them: each term's
+        products ``w_q * w_d`` are added into a zero vector, in the
+        query's term order. A document's cosine has one non-zero
+        product per shared term (products commute bit for bit, and an
+        exact 0.0 changes no sum). With at most two, the sum rounds
+        once and comes out the same in any order, compensated or not.
+        ``_cosine``'s builtin ``sum`` iterates the shorter vector's
+        terms and, from Python 3.12, compensates, so a document sharing
+        three or more terms is scored by ``_cosine`` itself. A document
+        sharing no term keeps the one shared 0.0 the grade list starts
+        from.
+        """
         query_vec = self._vectorise(tokenize(text))
         vectors = self._vectors
         grades = [0.0] * len(vectors)
         postings = self._postings
-        for position in set().union(
-            *(postings.get(term, ()) for term in query_vec)
-        ):
-            grades[position] = self._cosine(query_vec, vectors[position])
+        if not HAVE_NUMPY:
+            for position in set().union(
+                *(postings[term][0] for term in query_vec if term in postings)
+            ):
+                grades[position] = self._cosine(query_vec, vectors[position])
+            return grades
+        dots = _np.zeros(len(vectors))
+        shared = _np.zeros(len(vectors), dtype=_np.intp)
+        for term, weight in query_vec.items():
+            if term in postings:
+                positions, weights = postings[term]
+                dots[positions] += weight * weights
+                shared[positions] += 1
+        touched = _np.flatnonzero(shared)
+        clamped = _np.clip(dots[touched], 0.0, 1.0).tolist()
+        for position, grade in zip(touched.tolist(), clamped):
+            grades[position] = grade
+        if len(query_vec) >= 3:
+            for position in _np.flatnonzero(shared >= 3).tolist():
+                grades[position] = self._cosine(query_vec, vectors[position])
         return grades
 
     @staticmethod
@@ -151,3 +199,10 @@ class TextSubsystem(Subsystem):
         # Both vectors are unit-normalised, so the dot product is the
         # cosine; clamp floating-point overshoot into the grade domain.
         return min(1.0, max(0.0, score))
+
+
+def _frozen(values, dtype):
+    """``values`` as a read-only numpy array of ``dtype``."""
+    array = _np.array(values, dtype=dtype)
+    array.flags.writeable = False
+    return array

@@ -162,7 +162,7 @@ def fw97_cases(draw):
 )
 @given(case=fw97_cases())
 # These weights' terms sum to 1.0000000000000002: the all-ones column
-# pins the kernel's own output clip, which __call__'s clamp mirrors.
+# pins the clip the kernel's callers apply, as __call__ clamps.
 @example(case=([0.26667928463625334, 2.0], [[1.0, 0.5], [1.0, 1.0]]))
 @settings(max_examples=80, deadline=None)
 def test_fagin_wimmers_kernel_matches_scalar_bit_for_bit(base, case):
@@ -173,9 +173,9 @@ def test_fagin_wimmers_kernel_matches_scalar_bit_for_bit(base, case):
     assert trusted == [weighting(*column) for column in columns]
     assert weighting.evaluate_columns(rows) == trusted
     if HAVE_NUMPY:
-        kernel = kernel_for(weighting)
-        assert kernel is not None
-        assert kernel(kernels.as_grade_matrix(rows)).tolist() == trusted
+        assert kernel_for(weighting) is not None
+        matrix = kernels.as_grade_matrix(rows)
+        assert kernels.evaluate_matrix(weighting, matrix).tolist() == trusted
 
 
 def test_fagin_wimmers_over_a_kernelless_tnorm_has_no_kernel():

@@ -170,6 +170,26 @@ class TestCatalogBacked:
         assert snap["cache_totals"]["hits"] >= 1
         assert snap["queries"] == 2
 
+    def test_reports_admission_rejections(self):
+        """A capacity-1 cache declines an atom requested less often than
+        its resident one; the snapshot shows it beside hits and misses,
+        and ``cache_totals`` keeps its two keys."""
+        objs = [f"o{i}" for i in range(40)]
+        engine = Engine().register(
+            QbicSubsystem(
+                "img",
+                {"Color": {o: (i / 40, 0.3, 0.2) for i, o in enumerate(objs)}},
+                cache_capacity=1,
+            )
+        )
+        for colour in ("red", "red", "blue"):
+            engine.query(f'Color ~ "{colour}"').top(5)
+        snap = engine.metrics_snapshot()
+        assert snap["ranking_caches"]["img"] == {
+            "hits": 1, "misses": 2, "rejected": 1, "entries": 1, "capacity": 1,
+        }
+        assert snap["cache_totals"] == {"hits": 1, "misses": 2}
+
     def test_snapshot_does_not_mint_caches(self):
         """Reporting must peek, never create: a fresh catalog engine's
         snapshot reports zeros without instantiating RankingCaches."""
@@ -178,6 +198,7 @@ class TestCatalogBacked:
         for counters in snap["ranking_caches"].values():
             assert counters["hits"] == 0
             assert counters["misses"] == 0
+            assert counters["rejected"] == 0
             assert counters["entries"] == 0
         for subsystem in engine.catalog.subsystems:
             assert "_ranking_cache" not in subsystem.__dict__

@@ -5,10 +5,15 @@ import random
 import pytest
 
 from repro.core.kernels import HAVE_NUMPY
-from repro.core.means import ARITHMETIC_MEAN, GEOMETRIC_MEAN
+from repro.core.means import (
+    ARITHMETIC_MEAN,
+    GEOMETRIC_MEAN,
+    WeightedArithmeticMean,
+    WeightedGeometricMean,
+)
 from repro.core.query import And, Ft, Not, Or, Weighted, atom
 from repro.core.semantics import STANDARD_FUZZY, FuzzySemantics
-from repro.core.tconorms import BOUNDED_SUM, MAXIMUM
+from repro.core.tconorms import ALGEBRAIC_SUM, BOUNDED_SUM, MAXIMUM
 from repro.core.tnorms import (
     ALGEBRAIC_PRODUCT,
     BOUNDED_DIFFERENCE,
@@ -76,7 +81,8 @@ TREE_ATOMS = (A, B, C, atom("D"))
 
 
 def random_tree(rng, depth):
-    """A nested tree mixing Weighted into And, Or, Not, Ft and Weighted."""
+    """A nested tree mixing Weighted into And, Or, Not, Ft (over plain
+    and weighted means) and Weighted."""
     if depth == 0 or rng.random() < 0.25:
         return rng.choice(TREE_ATOMS)
     kind = rng.choice(("and", "or", "not", "ft", "weighted", "weighted"))
@@ -89,7 +95,15 @@ def random_tree(rng, depth):
     if kind == "or":
         return Or(children)
     if kind == "ft":
-        return Ft(rng.choice((ARITHMETIC_MEAN, GEOMETRIC_MEAN)), children)
+        mean = rng.choice(
+            (ARITHMETIC_MEAN, GEOMETRIC_MEAN, WeightedArithmeticMean,
+             WeightedGeometricMean)
+        )
+        if mean in (WeightedArithmeticMean, WeightedGeometricMean):
+            # Normalised arbitrary weights can round the mean of all-ones
+            # grades a hair above 1.
+            mean = mean([rng.random() + 0.01 for _ in children])
+        return Ft(mean, children)
     # Zero, tied and arbitrary weights; arbitrary ones can make the
     # weighted total round a hair above 1 on all-ones prefixes.
     weights = [
@@ -161,6 +175,20 @@ class TestColumnPlan:
         query = And((Weighted((A, B), (0.26667928463625334, 2.0)), C))
         compiled = CompiledQueryAggregation(query, semantics)
         rows = [[1.0, 1.0], [1.0, 1.0], [0.5, 0.7]]
+        assert_matches_evaluate(query, semantics, compiled, rows)
+
+    def test_weighted_mean_reaches_its_parent_clamped(self):
+        # The normalised weights sum past 1, so the mean of all-ones
+        # grades rounds to 1.0000000000000002; the scalar path clamps it
+        # before the product sees it, and so must the column plan.
+        weights = (0.6687426259394805, 0.8402476865769027, 0.5970586469290355)
+        D = atom("D")
+        query = And((Ft(WeightedArithmeticMean(weights), (A, B, D)), C))
+        semantics = FuzzySemantics(tnorm=ALGEBRAIC_PRODUCT, conorm=ALGEBRAIC_SUM)
+        compiled = CompiledQueryAggregation(query, semantics)
+        assert compiled.atoms == (A, B, D, C)
+        rows = [[1.0], [1.0], [1.0], [0.5]]
+        assert semantics.evaluate(query, {A: 1.0, B: 1.0, C: 0.5, D: 1.0}) == 0.5
         assert_matches_evaluate(query, semantics, compiled, rows)
 
     def test_kernelless_tnorm_turns_the_whole_tree_down(self):

@@ -102,17 +102,25 @@ def assert_ranked_as(source, grades):
 
 
 def assert_cache_paths(sub, query, other, grades):
-    """Miss, hit, eviction by ``other``, re-miss: always the reference."""
+    """Miss, hit, eviction by ``other``, re-miss: always the reference.
+
+    ``query`` has been requested twice when ``other`` first misses, so
+    the admission gate declines ``other`` once and admits it on its
+    second request, which evicts ``query``."""
     cache = sub.ranking_cache
     assert cache.capacity == 1
     assert_ranked_as(sub.evaluate(query), grades)
     assert (cache.misses, cache.hits) == (1, 0)
     assert_ranked_as(sub.evaluate(query), grades)
     assert (cache.misses, cache.hits) == (1, 1)
-    sub.evaluate(other)
+    for requests in range(1, 4):
+        sub.evaluate(other)
+        if (other.attribute, other.op, other.target) in cache:
+            break
+    assert (requests, cache.rejected) == (2, 1)
     assert (query.attribute, query.op, query.target) not in cache
     assert_ranked_as(sub.evaluate(query), grades)
-    assert (cache.misses, cache.hits) == (3, 1)
+    assert (cache.misses, cache.hits) == (4, 1)
 
 
 def assert_uncached(sub, query, grades):
@@ -313,6 +321,66 @@ def test_text_query_without_known_terms_grades_every_document_zero(text):
     assert [it.obj for it in source.ranking()] == sorted(docs)
 
 
+#: Documents with fewer distinct terms than the query that share three
+#: or more terms with it. ``_cosine`` sums those in the document's term
+#: order (and, from Python 3.12, compensates the sum); here, on either
+#: version, adding the products in the query's order rounds one
+#: document's grade differently in the last bit.
+FEWER_TERMS_THAN_THE_QUERY = [
+    (
+        {"d0": "horn raw jazz blue beat", "d1": "jazz blue raw raw"},
+        "blue beat jazz note raw soul",
+    ),
+    (
+        {"d0": "jazz jazz horn note", "d1": "soul jazz raw note"},
+        "note horn soul raw jazz beat",
+    ),
+    (
+        {
+            "d0": "jazz jazz horn",
+            "d1": "blue raw note",
+            "d2": "raw beat jazz blue note",
+        },
+        "jazz horn blue raw soul beat",
+    ),
+]
+
+
+def in_query_order(query_vec, vec):
+    """The cosine with its products added one by one in the query's
+    term order: the bulk path's sum, without the builtin ``sum``."""
+    total = 0.0
+    for term, weight in query_vec.items():
+        total += weight * vec.get(term, 0.0)
+    return min(1.0, max(0.0, total))
+
+
+@pytest.mark.parametrize("docs,text", FEWER_TERMS_THAN_THE_QUERY)
+def test_text_documents_sharing_three_terms_are_scored_by_cosine(docs, text):
+    sub = TextSubsystem("txt", docs)
+    query_vec = sub._vectorise(tokenize(text))
+    vectors = {obj: sub._vectorise(tokenize(doc)) for obj, doc in docs.items()}
+    grades = {
+        obj: TextSubsystem._cosine(query_vec, vec) for obj, vec in vectors.items()
+    }
+    summed = {obj: in_query_order(query_vec, vec) for obj, vec in vectors.items()}
+    assert summed != grades  # the case tells the two sums apart
+    assert_ranked_as(sub.evaluate(AtomicQuery("text", text, "~")), grades)
+
+
+def test_text_miss_shares_one_zero_grade_object():
+    """Documents sharing no query term all hold the one 0.0 the grade
+    vector starts from: a miss boxes a float only for scored ones."""
+    docs = {f"d{i}": f"jazz note {'blue ' * i}" for i in range(6)}
+    docs.update({"r0": "raw soul", "r1": "soul"})
+    sub = TextSubsystem("txt", docs)
+    source = sub.evaluate(AtomicQuery("text", "raw soul", "~"))
+    zeros = [item.grade for item in source.ranking() if item.grade == 0.0]
+    assert len(zeros) == 6
+    assert len({id(zero) for zero in zeros}) == 1
+    assert source.random_access("d3") is zeros[0]
+
+
 # ----------------------------------------------------------------------
 # Relational
 # ----------------------------------------------------------------------
@@ -505,9 +573,9 @@ def test_rank_orders_match_the_scalar_sort(objects, data, grades):
 
 
 def test_concurrent_misses_hits_and_evictions_rank_as_the_serial_path():
-    """More threads than cores race misses, hits and evictions through
-    two-entry caches: every ranking equals the serial one, and no
-    hit or miss is lost from the counters."""
+    """More threads than cores race misses, hits, evictions and
+    declined builds through two-entry caches: every ranking equals the
+    serial one, and no hit, miss or request count is lost."""
     import sys
     from concurrent.futures import ThreadPoolExecutor
 
@@ -556,3 +624,7 @@ def test_concurrent_misses_hits_and_evictions_rank_as_the_serial_path():
         calls = sum(1 for i in work if atoms[i][0] == name)
         assert sub.ranking_cache.hits + sub.ranking_cache.misses == calls
         assert len(sub.ranking_cache) <= 2
+        # Every request was counted once: the admission gate's window
+        # (10 x capacity requests between halvings) lost no update.
+        assert sub.ranking_cache._window == calls % 20
+    assert all(sub.ranking_cache.rejected for sub in racing.values())

@@ -1,4 +1,4 @@
-"""The subsystem-side ranking cache (LRU of materialised rankings).
+"""The subsystem-side ranking cache of materialised rankings.
 
 Every concrete subsystem — relational, text, QBIC, synthetic — now
 routes ``evaluate`` through a shared
@@ -6,11 +6,17 @@ routes ``evaluate`` through a shared
 query's graded set is paid once, later sessions are O(1) mints over
 the cached ranking, and the hit/miss counters make the behaviour
 observable. Repeated federated queries (``run_many`` batches issued
-again and again) must hit across the board.
+again and again) must hit across the board. Entries are kept in LRU
+order, and a full cache admits a new ranking only when its atom has
+been requested at least as often as the LRU victim
+(:class:`TestAdmission`). Every test here runs without numpy.
 """
 
 import gc
 import random
+import threading
+import time
+from collections import OrderedDict
 
 import pytest
 
@@ -315,3 +321,175 @@ class TestCollectorLoad:
         growth = tracked_growth(miss)
         assert cache.misses == 1
         assert growth < 50
+
+
+def request(cache, key, build=lambda: {"a": 1.0, "b": 0.5}):
+    """One request for the atom ``A = key`` through ``cache``."""
+    return cache.source("t", AtomicQuery("A", key, "="), build)
+
+
+def resident(cache, key) -> bool:
+    return ("A", "=", key) in cache
+
+
+def lru_hits(keys, capacity) -> int:
+    """Hits of a plain LRU of ``capacity`` entries over ``keys``."""
+    lru: OrderedDict = OrderedDict()
+    hits = 0
+    for key in keys:
+        if key in lru:
+            hits += 1
+            lru.move_to_end(key)
+        else:
+            lru[key] = None
+            if len(lru) > capacity:
+                lru.popitem(last=False)
+    return hits
+
+
+#: Requests counted between two halvings of every count, per entry of
+#: capacity.
+WINDOW = 10
+
+
+class TestAdmission:
+    @pytest.mark.parametrize("capacity", [1, 4, 32])
+    def test_skewed_replay_beats_lru(self, capacity):
+        """A seeded Zipf stream over twice as many keys as entries: the
+        gate keeps the popular keys that LRU keeps evicting."""
+        rng = random.Random(capacity)
+        pool = list(range(2 * capacity))
+        weights = [1 / (rank + 1) ** 0.8 for rank in range(len(pool))]
+        keys = rng.choices(pool, weights, k=200 * capacity)
+        cache = RankingCache(capacity)
+        for key in keys:
+            request(cache, key)
+        assert cache.hits + cache.misses == len(keys)
+        assert cache.hits > lru_hits(keys, capacity)
+        assert cache.rejected > 0
+
+    @pytest.mark.parametrize("capacity", [1, 4, 32])
+    def test_a_new_hot_set_is_resident_within_three_windows(self, capacity):
+        """``capacity`` hot keys take most of the traffic beside cold
+        one-off keys; once a new hot set replaces them, aging lets every
+        new hot key in within three count windows."""
+        rng = random.Random(capacity)
+        cold = iter(range(10**6))
+        cache = RankingCache(capacity)
+
+        def draw(hot):
+            if rng.random() < 0.8:
+                return rng.choice(hot)
+            return ("cold", next(cold))
+
+        old_hot = [("old", i) for i in range(capacity)]
+        for _ in range(30 * WINDOW * capacity):
+            request(cache, draw(old_hot))
+        assert all(resident(cache, key) for key in old_hot)
+        new_hot = [("new", i) for i in range(capacity)]
+        for _ in range(3 * WINDOW * capacity):
+            request(cache, draw(new_hot))
+            if all(resident(cache, key) for key in new_hot):
+                break
+        assert all(resident(cache, key) for key in new_hot)
+
+    @pytest.mark.parametrize("capacity", [1, 8])
+    def test_count_table_stays_bounded(self, capacity):
+        """100 x capacity distinct keys, with a few repeated ones mixed
+        in, never hold more than 2 x WINDOW x capacity counts: aging
+        drops every key counted once since the last halving."""
+        cache = RankingCache(capacity)
+        largest = 0
+        for i in range(100 * capacity):
+            request(cache, ("once", i))
+            request(cache, ("often", i % 3))
+            largest = max(largest, len(cache._counts))
+        assert largest <= 2 * WINDOW * capacity
+        assert len(cache) == capacity
+
+    def test_declined_build_serves_a_correct_ranking_and_is_not_kept(self):
+        cache = RankingCache(1)
+        request(cache, "hot")
+        request(cache, "hot")
+        source = request(cache, "cold", lambda: {"x": 0.25, "y": 0.75})
+        assert [(it.obj, it.grade) for it in source.ranking()] == [
+            ("y", 0.75), ("x", 0.25),
+        ]
+        assert source.random_access("x") == 0.25
+        assert (cache.hits, cache.misses, cache.rejected) == (1, 2, 1)
+        assert not resident(cache, "cold")
+        assert resident(cache, "hot")
+        assert "rejected=1" in repr(cache)
+
+    def test_ties_admit_and_evict_the_lru_entry(self):
+        cache = RankingCache(2)
+        for key in ("a", "b", "a", "b", "c", "c"):
+            request(cache, key)
+        # c reached b's count (2) on its second request and evicted a,
+        # the LRU entry, whose count is also 2.
+        assert cache.rejected == 1
+        assert [resident(cache, key) for key in "abc"] == [False, True, True]
+
+    def test_declined_key_is_never_built_twice_at_once(self):
+        """Two threads race one key the gate declines: one builds it,
+        and the other, waiting on that build, is served the declined
+        entry instead of building it again."""
+        cache = RankingCache(1)
+        for _ in range(3):
+            request(cache, "hot")
+        builds = []
+
+        def build():
+            builds.append(threading.current_thread().name)
+            # Hold the build until the other request has been counted:
+            # from then on it waits on this build.
+            deadline = time.monotonic() + 10
+            while cache._counts.get(("A", "=", "cold"), 0) < 2:
+                assert time.monotonic() < deadline
+                time.sleep(0.001)
+            return {"x": 0.25, "y": 0.75}
+
+        barrier = threading.Barrier(2, timeout=10)
+        rankings = []
+
+        def race():
+            barrier.wait()
+            rankings.append(
+                [(it.obj, it.grade) for it in request(cache, "cold", build).ranking()]
+            )
+
+        threads = [threading.Thread(target=race) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert len(builds) == 1
+        assert rankings == [[("y", 0.75), ("x", 0.25)]] * 2
+        assert (cache.hits, cache.misses, cache.rejected) == (3, 2, 1)
+        assert resident(cache, "hot") and not resident(cache, "cold")
+        assert cache._building == {}
+
+    def test_unbounded_cache_keeps_no_counts(self):
+        cache = RankingCache(capacity=None)
+        for key in ("a", "b", "a"):
+            request(cache, key)
+        assert cache._counts is None
+        cache.clear()
+        assert cache._counts is None
+        assert (cache.hits, cache.misses, cache.rejected) == (1, 2, 0)
+
+    def test_clear_drops_entries_and_counts_but_keeps_counters(self):
+        cache = RankingCache(1)
+        for key in ("hot", "hot", "cold"):
+            request(cache, key)
+        cache.clear()
+        assert len(cache) == 0
+        assert cache._counts == {}
+        assert (cache.hits, cache.misses, cache.rejected) == (1, 2, 1)
+        # Counts start over: kept counts (hot 3, cold 2) would decline
+        # cold here; fresh ones tie at 1, and ties admit.
+        request(cache, "hot")
+        request(cache, "cold")
+        assert resident(cache, "cold") and not resident(cache, "hot")
+        assert cache.rejected == 1

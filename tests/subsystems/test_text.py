@@ -1,5 +1,7 @@
 """Tests for the text-retrieval subsystem."""
 
+import random
+
 import pytest
 
 from repro.core.query import AtomicQuery
@@ -95,3 +97,30 @@ class TestScoringModel:
         blurb = "Luminous jazz standards, meticulous piano trio"
         source = text.evaluate(AtomicQuery("Blurb", blurb, "~"))
         assert source.random_access("d2") > 0.95
+
+
+class TestScoresMatchCosine:
+    """A miss grades every document as ``TextSubsystem._cosine`` does,
+    bit for bit: in bulk with numpy, by the scalar loop without it."""
+
+    VOCABULARY = ["raw", "soul", "jazz", "blue", "note", "horn", "beat", "a"]
+
+    def test_seeded_corpora(self):
+        rng = random.Random(11)
+        words = self.VOCABULARY
+        for _ in range(40):
+            docs = {
+                f"d{i}": " ".join(rng.choices(words, k=rng.randrange(0, 9)))
+                for i in range(rng.randrange(1, 30))
+            }
+            sub = TextSubsystem("txt", docs, cache_capacity=2)
+            for _ in range(6):
+                text = " ".join(rng.choices(words + ["zzz"], k=rng.randrange(0, 9)))
+                query_vec = sub._vectorise(tokenize(text))
+                source = sub.evaluate(AtomicQuery("text", text, "~"))
+                for obj, doc in docs.items():
+                    want = TextSubsystem._cosine(
+                        query_vec, sub._vectorise(tokenize(doc))
+                    )
+                    got = source.random_access(obj)
+                    assert type(got) is float and got.hex() == want.hex()
