@@ -4,9 +4,8 @@
 #   docker run --rm -p 8000:8000 repro-serving
 #   curl -s localhost:8000/healthz
 #
-# The server itself is stdlib-only; numpy is installed for the
-# vectorized scoring kernels (the engine falls back to scalar loops
-# without it, so dropping that line still yields a working image).
+# numpy is the engine's one dependency beyond the stdlib: its grade
+# columns, scoring kernels and shards are numpy arrays.
 
 FROM python:3.12-slim
 

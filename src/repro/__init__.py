@@ -116,7 +116,7 @@ from repro.subsystems import (
     TextSubsystem,
 )
 
-__version__ = "9.4.0"
+__version__ = "10.0.0"
 
 __all__ = [
     "__version__",

@@ -11,9 +11,8 @@ per object.
 (Section 5's function from list index to graded set) in columnar form:
 
 * object ids are **interned** once into a dense ``0..N-1`` index;
-* each list's grades live in one contiguous float64 column — a numpy
-  array when numpy is importable, an ``array('d')`` otherwise (numpy
-  is an accelerator, never a requirement) — indexed by interned id;
+* each list's grades live in one contiguous float64 numpy array,
+  indexed by interned id;
 * each list's descending rank order (the skeleton permutation realised
   by the grades, ties broken by
   :func:`~repro.access.source.tie_break_key` exactly as
@@ -53,8 +52,9 @@ lock; once warm, minting a session is lock-free O(m).
 from __future__ import annotations
 
 import threading
-from array import array
 from typing import Mapping, Sequence
+
+import numpy as _np
 
 from repro.access.session import MiddlewareSession
 from repro.access.source import (
@@ -66,10 +66,7 @@ from repro.access.source import (
 from repro.access.types import GradedItem, ObjectId, RankedColumns, mint_items
 from repro.core.aggregation import AggregationFunction
 from repro.core.graded_set import GradedSet
-from repro.core.kernels import HAVE_NUMPY, evaluate_columns
-
-if HAVE_NUMPY:
-    import numpy as _np
+from repro.core.kernels import evaluate_columns
 
 __all__ = ["ColumnarScoringDatabase", "rank_orders"]
 
@@ -93,26 +90,15 @@ def rank_orders(objects: tuple[ObjectId, ...], columns):
     is a total order).
     """
     population = _population_positions(objects)
-    if HAVE_NUMPY:
-        return [
-            population[descending_order(_np.asarray(column)[population])]
-            for column in columns
-        ]
     return [
-        array(
-            "l",
-            (
-                population[j]
-                for j in descending_order([column[p] for p in population])
-            ),
-        )
+        population[descending_order(_np.asarray(column)[population])]
         for column in columns
     ]
 
 
 def _population_positions(objects: tuple[ObjectId, ...]):
     """The positions of ``objects`` in tie-break order (stable)."""
-    if HAVE_NUMPY and all(type(obj) is int for obj in objects):
+    if all(type(obj) is int for obj in objects):
         try:
             ids = _np.asarray(objects, dtype=_np.int64)
         except OverflowError:
@@ -123,7 +109,7 @@ def _population_positions(objects: tuple[ObjectId, ...]):
             return _np.argsort(ids, kind="stable")
     tie_keys = [tie_break_key(obj) for obj in objects]
     positions = sorted(range(len(objects)), key=tie_keys.__getitem__)
-    return _np.asarray(positions, dtype=_np.intp) if HAVE_NUMPY else positions
+    return _np.asarray(positions, dtype=_np.intp)
 
 
 def _validated_column(
@@ -143,7 +129,7 @@ def _validated_column(
         [mapping[obj] for obj in objects],
         context=f"list {list_index}, object",
     )
-    return column if HAVE_NUMPY else array("d", column)
+    return column
 
 
 class ColumnarScoringDatabase:
@@ -193,15 +179,10 @@ class ColumnarScoringDatabase:
         self._index = index
         self._columns = columns
         self._orders = self._rank_orders()
-        if HAVE_NUMPY:
-            # Enforce the shared-read-only contract: sessions and
-            # ground-truth readers in any thread see frozen columns.
-            for column in self._columns:
-                if isinstance(column, _np.ndarray):
-                    column.flags.writeable = False
-            for order in self._orders:
-                if isinstance(order, _np.ndarray):
-                    order.flags.writeable = False
+        # Enforce the shared-read-only contract: sessions and
+        # ground-truth readers in any thread see frozen columns.
+        for arr in (*self._columns, *self._orders):
+            arr.flags.writeable = False
         # Lazy shared per-list state minted sessions slice into. The
         # builds are idempotent (pure functions of the frozen columns)
         # and double-checked under the lock, so concurrent first mints
@@ -229,7 +210,7 @@ class ColumnarScoringDatabase:
         descending rank permutations (as :func:`rank_orders` would
         build them), typically views over a shared-memory segment. The
         caller vouches for validity and for the shared-read-only
-        contract — numpy arrays are re-marked non-writeable here, but
+        contract — the arrays are re-marked non-writeable here, but
         no grades are range-checked and no orders recomputed, so attach
         is O(m), not O(N log N).
         """
@@ -245,10 +226,8 @@ class ColumnarScoringDatabase:
         self._index = {obj: idx for idx, obj in enumerate(self._objects)}
         self._columns = list(columns)
         self._orders = list(orders)
-        if HAVE_NUMPY:
-            for arr in (*self._columns, *self._orders):
-                if isinstance(arr, _np.ndarray):
-                    arr.flags.writeable = False
+        for arr in (*self._columns, *self._orders):
+            arr.flags.writeable = False
         self._mint_lock = threading.Lock()
         self._shared_lists = [None] * len(self._columns)
         return self
@@ -305,12 +284,7 @@ class ColumnarScoringDatabase:
     def graded_set(self, list_index: int) -> GradedSet:
         """List ``i`` as a :class:`GradedSet`."""
         column = self._columns[list_index]
-        return GradedSet(dict(zip(self._objects, self._as_floats(column))))
-
-    @staticmethod
-    def _as_floats(column) -> list[float]:
-        """A column as plain Python floats (numpy and array agree)."""
-        return column.tolist()
+        return GradedSet(dict(zip(self._objects, column.tolist())))
 
     def ranking(self, list_index: int) -> tuple[GradedItem, ...]:
         """List ``i`` sorted for sorted access, as freshly minted items
@@ -329,7 +303,7 @@ class ColumnarScoringDatabase:
                 cached = self._shared_lists[list_index]
                 if cached is None:
                     # The column was validated at construction.
-                    grades = self._as_floats(self._columns[list_index])
+                    grades = self._columns[list_index].tolist()
                     order = self._orders[list_index].tolist()
                     columns = (
                         tuple(map(self._objects.__getitem__, order)),
@@ -350,25 +324,16 @@ class ColumnarScoringDatabase:
         lists, gathered with one fancy-index per list — the bulk
         counterpart of :meth:`grade`, and like it *ground truth*: the
         matrix bypasses sources entirely, so reading it is not an
-        access. With numpy absent the matrix is a list of per-list
-        ``array('d')`` rows with the same layout.
+        access.
 
         Raises :class:`KeyError` for objects this database does not
         grade (same contract as a plain dict lookup).
         """
         if objs is None:
-            if HAVE_NUMPY:
-                return _np.vstack(self._columns)
-            return [array("d", column) for column in self._columns]
+            return _np.vstack(self._columns)
         index = self._index
-        positions = [index[obj] for obj in objs]
-        if HAVE_NUMPY:
-            gather = _np.asarray(positions, dtype=_np.intp)
-            return _np.vstack([column[gather] for column in self._columns])
-        return [
-            array("d", (column[p] for p in positions))
-            for column in self._columns
-        ]
+        gather = _np.asarray([index[obj] for obj in objs], dtype=_np.intp)
+        return _np.vstack([column[gather] for column in self._columns])
 
     # ------------------------------------------------------------------
     # Sessions and ground truth

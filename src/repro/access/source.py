@@ -31,6 +31,8 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Iterable, Mapping, Sequence
 
+import numpy as _np
+
 from repro.access.cost import CostTracker
 from repro.access.types import (
     GradedItem,
@@ -40,11 +42,7 @@ from repro.access.types import (
     mint_items,
 )
 from repro.core.grades import validate_grade
-from repro.core.kernels import HAVE_NUMPY
 from repro.exceptions import ExhaustedSourceError, UnknownObjectError
-
-if HAVE_NUMPY:
-    import numpy as _np
 
 __all__ = [
     "SortedRandomSource",
@@ -108,11 +106,11 @@ def checked_grades(
 
     ``floats`` is a list of Python floats — ``float()`` returns a float
     argument itself, so a scorer's float objects are reused rather than
-    copied — and ``column`` the same values as a float64 array (the
-    list itself without numpy). The range and NaN checks run over the
-    whole vector at once, with the predicate of :func:`validate_grade`;
-    only when they fail does the scalar validator run, to raise the
-    precise :class:`~repro.exceptions.GradeRangeError` naming
+    copied — and ``column`` the same values as a float64 array. The
+    range and NaN checks run over the whole vector at once, with the
+    predicate of :func:`validate_grade`; only when they fail does the
+    scalar validator run, to raise the precise
+    :class:`~repro.exceptions.GradeRangeError` naming
     ``f"{context} {obj!r}"`` for the first bad grade.
     """
     try:
@@ -120,21 +118,16 @@ def checked_grades(
     except (TypeError, ValueError):
         floats = None
     if floats is not None:
-        if HAVE_NUMPY:
-            column = _np.asarray(floats, dtype=_np.float64)
-            if not (
-                _np.isnan(column).any()
-                or (column < 0.0).any()
-                or (column > 1.0).any()
-            ):
-                return floats, column
-        elif all(0.0 <= grade <= 1.0 for grade in floats):
-            return floats, floats
+        column = _np.asarray(floats, dtype=_np.float64)
+        if not (
+            _np.isnan(column).any() or (column < 0.0).any() or (column > 1.0).any()
+        ):
+            return floats, column
     floats = [
         validate_grade(grade, context=f"{context} {obj!r}")
         for obj, grade in zip(objects, grades)
     ]
-    return floats, _np.asarray(floats) if HAVE_NUMPY else floats
+    return floats, _np.asarray(floats)
 
 
 def descending_order(column):
@@ -142,14 +135,10 @@ def descending_order(column):
 
     Equal grades keep their positions' order, so a column listed in
     :func:`tie_break_order` breaks its ties by :func:`tie_break_key`.
-    An int array with numpy, a list of ints without. The one sort
-    behind :func:`rank_population` and
-    :func:`~repro.access.columnar.rank_orders`.
+    Returns an int array. The one sort behind :func:`rank_population`
+    and :func:`~repro.access.columnar.rank_orders`.
     """
-    if HAVE_NUMPY:
-        return _np.argsort(-_np.asarray(column, dtype=_np.float64), kind="stable")
-    # reverse=True keeps equal keys in their original order.
-    return sorted(range(len(column)), key=column.__getitem__, reverse=True)
+    return _np.argsort(-_np.asarray(column, dtype=_np.float64), kind="stable")
 
 
 def rank_population(
@@ -165,9 +154,7 @@ def rank_population(
     objects. Returns ``((objects, grades), grade_map)``.
     """
     floats, column = checked_grades(objects, grades)
-    order = descending_order(column)
-    if HAVE_NUMPY:
-        order = order.tolist()
+    order = descending_order(column).tolist()
     columns = (
         tuple(map(objects.__getitem__, order)),
         tuple(map(floats.__getitem__, order)),

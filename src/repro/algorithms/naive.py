@@ -20,13 +20,12 @@ by Theorem 7.1 — essentially optimal for the hard query of Section 7.
 
 from __future__ import annotations
 
+import numpy as _np
+
 from repro.access.session import MiddlewareSession
 from repro.algorithms.base import TopKAlgorithm, TopKResult, top_k_of
 from repro.core.aggregation import AggregationFunction
-from repro.core.kernels import HAVE_NUMPY, evaluate_matrix
-
-if HAVE_NUMPY:
-    import numpy as _np
+from repro.core.kernels import evaluate_columns
 
 __all__ = ["NaiveAlgorithm"]
 
@@ -92,38 +91,19 @@ class NaiveAlgorithm(TopKAlgorithm):
 
     def _score(self, aggregation, deliveries, index, n, m):
         """Aggregate the aligned grade matrix into (object, score) pairs."""
-        objects = list(index)
-        if HAVE_NUMPY:
-            matrix = _np.empty((m, n), dtype=_np.float64)
-            for i, (objs, grades) in enumerate(deliveries):
-                positions = _np.fromiter(
-                    map(index.__getitem__, objs), dtype=_np.intp, count=n
-                )
-                covered = _np.zeros(n, dtype=bool)
-                covered[positions] = True
-                if not covered.all():
-                    # n items but not n distinct objects: a duplicate is
-                    # hiding a missing (object, list) pair.
-                    self._raise_missing(deliveries, index, m)
-                matrix[i, positions] = grades
-            scores = evaluate_matrix(aggregation, matrix)
-            if scores is not None:
-                return list(zip(objects, scores.tolist()))
-            rows = matrix  # scalar fold below iterates matrix rows
-        else:
-            rows = []
-            for objs, grades in deliveries:
-                row = [None] * n
-                for obj, grade in zip(objs, grades):
-                    row[index[obj]] = grade
-                if any(grade is None for grade in row):
-                    self._raise_missing(deliveries, index, m)
-                rows.append(row)
-        evaluate = aggregation.evaluate_trusted
-        return [
-            (obj, evaluate([row[j] for row in rows]))
-            for j, obj in enumerate(objects)
-        ]
+        matrix = _np.empty((m, n), dtype=_np.float64)
+        for i, (objs, grades) in enumerate(deliveries):
+            positions = _np.fromiter(
+                map(index.__getitem__, objs), dtype=_np.intp, count=n
+            )
+            covered = _np.zeros(n, dtype=bool)
+            covered[positions] = True
+            if not covered.all():
+                # n items but not n distinct objects: a duplicate is
+                # hiding a missing (object, list) pair.
+                self._raise_missing(deliveries, index, m)
+            matrix[i, positions] = grades
+        return list(zip(index, evaluate_columns(aggregation, matrix, n)))
 
     @staticmethod
     def _raise_missing(deliveries, index, m):

@@ -31,7 +31,6 @@ from repro.core.certify import (
     as_contract,
 )
 from repro.core.kernels import (
-    HAVE_NUMPY,
     evaluate_columns,
     kernel_for,
     register_kernel,
@@ -148,7 +147,6 @@ __all__ = [
     "EXACT_GUARANTEE",
     "as_contract",
     # vectorized kernels
-    "HAVE_NUMPY",
     "kernel_for",
     "register_kernel",
     "evaluate_columns",

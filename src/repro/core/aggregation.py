@@ -83,27 +83,14 @@ class AggregationFunction(ABC):
         """Apply to a sequence (convenience mirror of ``__call__``)."""
         return self(*grades)
 
-    def bulk_kernel(self):
-        """The vectorized kernel for this aggregation, or ``None``.
-
-        Resolution order (see :mod:`repro.core.kernels`): an
-        ``aggregate_columns`` method supplied by the
-        :class:`VectorizedAggregation` capability wins; otherwise the
-        exact-type kernel registry; otherwise ``None`` — callers then
-        use the scalar :meth:`evaluate_trusted` fold, so vectorization
-        is always an accelerator and never a behavioural requirement.
-        """
-        from repro.core.kernels import kernel_for
-
-        return kernel_for(self)
-
     def evaluate_columns(self, rows: Sequence[Sequence[float]]) -> list[float]:
         """Bulk-evaluate m per-list grade rows into per-object scores.
 
         ``rows[i][j]`` is object j's (already validated) grade in list
         i; the result is one score per object, as plain Python floats.
-        Vectorized through :meth:`bulk_kernel` when possible, with the
-        pure-Python ``evaluate_trusted`` fold as the fallback.
+        Vectorized through :func:`~repro.core.kernels.kernel_for`'s
+        kernel when there is one, with the scalar ``evaluate_trusted``
+        fold otherwise.
         """
         from repro.core.kernels import evaluate_columns
 
@@ -125,9 +112,7 @@ class VectorizedAggregation:
     implementing :meth:`aggregate_columns`. The contract mirrors
     :meth:`AggregationFunction.aggregate` lifted to matrices:
 
-    * the input is an (m, n) float64 matrix of validated grades (numpy
-      is guaranteed importable when this is called — the capability is
-      only consulted when :data:`~repro.core.kernels.HAVE_NUMPY` holds);
+    * the input is an (m, n) float64 matrix of validated grades;
     * the output is a length-n vector; callers clip it into [0, 1]
       exactly as ``clamp_grade`` would;
     * column j's score must equal ``self.aggregate(matrix[:, j])`` (up

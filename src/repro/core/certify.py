@@ -165,8 +165,8 @@ class StoppingRule:
     The exact rules this replaces:
 
     * TA stops when ``kth_best >= tau`` → :meth:`met`.
-    * NRA keeps a candidate alive while ``upper > kth_best`` →
-      :meth:`still_viable` (the logical dual of :meth:`met`).
+    * NRA keeps a candidate alive while ``upper > kth_best`` → it
+      compares ``upper`` against :meth:`limit`.
 
     At ``epsilon == 0`` each method takes an explicit exact branch so
     the float comparisons are bit-identical to the historical checks
@@ -188,14 +188,6 @@ class StoppingRule:
         if self.epsilon == 0.0:
             return kth_best >= upper
         return self._relaxation * kth_best >= upper
-
-    def still_viable(self, upper: float, kth_best: float) -> bool:
-        """Can an object bounded by ``upper`` still beat the relaxed
-        bar? NRA keeps candidates alive on this (the dual of
-        :meth:`met`)."""
-        if self.epsilon == 0.0:
-            return upper > kth_best
-        return upper > self._relaxation * kth_best
 
     def limit(self, kth_best: float) -> float:
         """The relaxed bar ``(1+ε) * kth_best`` — what vectorised

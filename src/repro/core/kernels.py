@@ -27,10 +27,10 @@ Design constraints:
   percent of inputs, and an object's grade must not depend on which
   path scored it (TA switches to the kernel by batch size; shards and
   ``true_top_k`` score in bulk).
-* **Pure-Python fallback.** Without numpy (``HAVE_NUMPY`` false) or
-  without a registered kernel, :func:`evaluate_columns` falls back to
-  the scalar ``evaluate_trusted`` fold — same answers, no new
-  dependency. numpy is an accelerator, never a requirement.
+* **Scalar fold for kernel-less aggregations.** Without a registered
+  kernel, :func:`evaluate_columns` falls back to the scalar
+  ``evaluate_trusted`` fold — same answers, and the reference every
+  kernel is tested against.
 
 Kernels are looked up by *exact* aggregation type (a subclass that
 overrides ``aggregate`` must not inherit a kernel that no longer
@@ -45,13 +45,7 @@ import math
 from itertools import repeat
 from typing import TYPE_CHECKING, Callable, Sequence
 
-try:  # pragma: no cover - exercised implicitly by every import
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is baked into CI images
-    _np = None  # type: ignore[assignment]
-
-#: True when numpy is importable; every kernel path is gated on this.
-HAVE_NUMPY: bool = _np is not None
+import numpy as _np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
@@ -59,12 +53,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.aggregation import AggregationFunction
 
 __all__ = [
-    "HAVE_NUMPY",
     "Kernel",
     "register_kernel",
     "kernel_for",
     "as_grade_matrix",
-    "stack_rows",
     "evaluate_matrix",
     "evaluate_columns",
 ]
@@ -95,12 +87,10 @@ def register_kernel(
 def kernel_for(aggregation: "AggregationFunction") -> Kernel | None:
     """The bulk kernel for ``aggregation``, or None (scalar fallback).
 
-    Checks, in order: numpy availability, the
+    Checks, in order: the
     :class:`~repro.core.aggregation.VectorizedAggregation` capability
     (an instance-supplied kernel), then the exact-type registry.
     """
-    if not HAVE_NUMPY:
-        return None
     aggregate_columns = getattr(aggregation, "aggregate_columns", None)
     if aggregate_columns is not None:
         return aggregate_columns
@@ -112,20 +102,7 @@ def kernel_for(aggregation: "AggregationFunction") -> Kernel | None:
 
 def as_grade_matrix(rows: Sequence[Sequence[float]]) -> "np.ndarray":
     """Stack m per-list grade rows into an (m, n) float64 matrix."""
-    assert HAVE_NUMPY, "as_grade_matrix needs numpy; gate on HAVE_NUMPY"
     return _np.asarray(rows, dtype=_np.float64)
-
-
-def stack_rows(vectors: Sequence["np.ndarray"]) -> "np.ndarray":
-    """Gather per-child score vectors into an (m, n) kernel input.
-
-    The helper compositional kernels use (e.g. the compiled query
-    column plans of :mod:`repro.middleware.compile`): each child node
-    evaluates to a length-n vector, and the parent connective's kernel
-    wants them stacked as a matrix, rows in child order.
-    """
-    assert HAVE_NUMPY, "stack_rows needs numpy; gate on HAVE_NUMPY"
-    return _np.stack(vectors)
 
 
 def evaluate_matrix(

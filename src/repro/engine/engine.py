@@ -188,7 +188,6 @@ class Engine:
         shards: int,
         processes: int | None = None,
         start_method: str | None = None,
-        backend: str | None = None,
     ) -> "Engine":
         """An engine over a columnar store split into worker processes.
 
@@ -214,7 +213,6 @@ class Engine:
             shards=shards,
             processes=processes,
             start_method=start_method,
-            backend=backend,
         )
         return engine
 

@@ -27,15 +27,14 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
+import numpy as _np
+
 from repro.core.aggregation import AggregationFunction
-from repro.core.kernels import HAVE_NUMPY, kernel_for, stack_rows
+from repro.core.kernels import kernel_for
 from repro.core.negations import StandardNegation
 from repro.core.query import And, AtomicQuery, Ft, Not, Or, Query, Weighted
 from repro.core.semantics import FuzzySemantics
 from repro.core.weights import FaginWimmersWeighting
-
-if HAVE_NUMPY:
-    import numpy as _np
 
 __all__ = ["CompiledQueryAggregation"]
 
@@ -70,7 +69,7 @@ class CompiledQueryAggregation(AggregationFunction):
         self.monotone = classification.monotone
         self.strict = classification.strict
         self.name = f"compiled({query!r})"
-        if vectorize and HAVE_NUMPY:
+        if vectorize:
             column_plan = self._compile_columns(
                 query, {atom: i for i, atom in enumerate(self.atoms)}
             )
@@ -138,7 +137,7 @@ class CompiledQueryAggregation(AggregationFunction):
 
         def run(matrix, kernel=kernel, children=tuple(children)):
             return _np.clip(
-                kernel(stack_rows([child(matrix) for child in children])),
+                kernel(_np.stack([child(matrix) for child in children])),
                 0.0,
                 1.0,
             )

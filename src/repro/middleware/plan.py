@@ -136,7 +136,6 @@ class FullScanPlan(PhysicalPlan):
 
     atoms: tuple[AtomicQuery, ...] = ()
     aggregation: CompiledQueryAggregation | None = None
-    universe_negation: bool = field(default=False)
 
     def explain(self) -> str:
         return (

@@ -47,10 +47,7 @@ class CursorSession:
         return now - self.last_used > self.ttl_s
 
     def describe(self, now: float) -> dict:
-        # getattr: the store is duck-typed over anything page-shaped
-        # (tests drive it with fakes that predate the certified surface).
-        guarantee = getattr(self.cursor, "guarantee", None)
-        live_bounds = getattr(self.cursor, "live_bounds", None)
+        guarantee = self.cursor.guarantee
         return {
             "cursor_id": self.id,
             "spec": self.spec,
@@ -65,7 +62,7 @@ class CursorSession:
             # page): what the answers fetched so far are worth, and
             # the certified cap on everything still unfetched.
             "guarantee": None if guarantee is None else guarantee.as_dict(),
-            "bounds": live_bounds() if callable(live_bounds) else None,
+            "bounds": self.cursor.live_bounds(),
         }
 
 

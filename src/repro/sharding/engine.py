@@ -334,15 +334,7 @@ class ShardedEngine:
         against the answer's k-th grade τ. The result is certified
         approximate exactly when a final probe ran relaxed.
         """
-        self._require_open()
-        merge = self._start_merge(aggregation, k, strategy, contract)
-        while merge.pending:
-            for _tag, s, probe in self._run_round(
-                (None, request) for request in merge.requests()
-            ):
-                merge.absorb(s, probe)
-            merge.advance()
-        return merge.finish()
+        return self.run_many([(aggregation, k, strategy)], contract=contract)[0]
 
     def run_many(
         self,
@@ -425,7 +417,7 @@ class ShardedEngine:
 
         ``tagged`` is an iterable of ``(tag, (shard, spec, wire, k,
         strategy, epsilon))`` — the tag routes each result back to its
-        owner (the query index in ``run_many``; ignored by ``top_k``).
+        owner, the query's index in the ``run_many`` batch.
         Pooled mode ships ONE task per pool carrying every probe
         pinned to it; inline mode runs them directly. Yields
         ``(tag, shard, ProbeResult)``.
@@ -488,10 +480,10 @@ def _rank_key(obj, grade: float) -> tuple:
 class _QueryMerge:
     """One query's threshold-exchange merge, transport-agnostic.
 
-    The state machine behind both :meth:`ShardedEngine.top_k` (one
-    merge driven alone) and :meth:`ShardedEngine.run_many` (many
-    merges driven round-synchronously, their probe requests batched
-    into the same per-pool tasks). The cycle per round is
+    The state machine behind :meth:`ShardedEngine.run_many`: its
+    merges are driven round-synchronously, their probe requests
+    batched into the same per-pool tasks (``top_k`` is a batch of
+    one). The cycle per round is
     ``requests() -> absorb(each probe) -> advance()``; ``advance``
     returns whether another round is needed, and ``finish`` seals the
     counters and builds the :class:`TopKResult`. Every probe executed

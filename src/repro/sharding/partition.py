@@ -39,13 +39,11 @@ import pickle
 import struct
 from dataclasses import dataclass
 
+import numpy as _np
+
 from repro.access.columnar import ColumnarScoringDatabase, rank_orders
-from repro.core.kernels import HAVE_NUMPY
 from repro.exceptions import ShardingError
 from repro.sharding.shm import attach_segment, create_segment
-
-if HAVE_NUMPY:
-    import numpy as _np
 
 __all__ = ["ShardSpec", "attach_store", "partition_columnar"]
 
@@ -79,11 +77,6 @@ def partition_columnar(
     ``close()`` and ``unlink()`` each when done (ShardedEngine does
     this in :meth:`~repro.sharding.engine.ShardedEngine.close`).
     """
-    if not HAVE_NUMPY:
-        raise ShardingError(
-            "sharded execution requires numpy (shared-memory segments "
-            "hold raw float64/int64 columns)"
-        )
     if num_shards < 1:
         raise ValueError(f"need at least one shard, got {num_shards}")
     if num_shards > store.num_objects:
@@ -177,8 +170,6 @@ def attach_store(spec: ShardSpec):
     it afterwards. No grades are re-validated and no orders recomputed
     — attach is O(m) plus the header unpickle.
     """
-    if not HAVE_NUMPY:  # pragma: no cover - guarded at partition time
-        raise ShardingError("sharded execution requires numpy")
     segment = attach_segment(spec.token)
     try:
         buf = segment.buf

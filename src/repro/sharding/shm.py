@@ -43,24 +43,16 @@ import mmap
 import os
 import secrets
 import tempfile
+from multiprocessing import shared_memory as _shared_memory
 
 from repro.exceptions import ShardingError
 
 __all__ = [
-    "SHM_AVAILABLE",
     "MmapSegment",
     "ShmSegment",
     "attach_segment",
     "create_segment",
 ]
-
-try:
-    from multiprocessing import shared_memory as _shared_memory
-
-    SHM_AVAILABLE = True
-except ImportError:  # pragma: no cover - stdlib module, always present
-    _shared_memory = None
-    SHM_AVAILABLE = False
 
 #: Prefix of every segment name/file this module creates — what the
 #: leak tests scan ``/dev/shm`` for.
@@ -69,7 +61,6 @@ SEGMENT_PREFIX = "repro_shard_"
 
 def _untracked_attach(name: str):
     """Attach an existing shm block without taking over its cleanup."""
-    assert _shared_memory is not None
     try:
         # Python >= 3.13 spells it directly.
         return _shared_memory.SharedMemory(name=name, track=False)
@@ -92,8 +83,6 @@ class ShmSegment:
 
     @classmethod
     def create(cls, size: int) -> "ShmSegment":
-        if _shared_memory is None:  # pragma: no cover
-            raise ShardingError("multiprocessing.shared_memory unavailable")
         # Explicit names (rather than the stdlib's anonymous ones) give
         # the leak tests a recognisable prefix to scan for; retry on
         # the astronomically unlikely collision.
@@ -112,8 +101,6 @@ class ShmSegment:
 
     @classmethod
     def attach(cls, name: str, size: int) -> "ShmSegment":
-        if _shared_memory is None:  # pragma: no cover
-            raise ShardingError("multiprocessing.shared_memory unavailable")
         try:
             shm = _untracked_attach(name)
         except FileNotFoundError:
@@ -252,12 +239,11 @@ def create_segment(size: int, prefer: str | None = None):
         raise ValueError(f"unknown segment backend {prefer!r}")
     if prefer == "mmap":
         return MmapSegment.create(size)
-    if prefer == "shm" or SHM_AVAILABLE:
-        try:
-            return ShmSegment.create(size)
-        except (OSError, ShardingError):
-            if prefer == "shm":
-                raise
+    try:
+        return ShmSegment.create(size)
+    except (OSError, ShardingError):
+        if prefer == "shm":
+            raise
     return MmapSegment.create(size)
 
 

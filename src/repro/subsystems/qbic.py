@@ -34,20 +34,18 @@ import math
 from itertools import repeat
 from typing import Mapping, Sequence
 
+import numpy as _np
+
 from repro.access.source import (
     MaterializedSource,
     SortedRandomSource,
     tie_break_order,
 )
 from repro.access.types import ObjectId
-from repro.core.kernels import HAVE_NUMPY
 from repro.core.query import AtomicQuery
 from repro.exceptions import SubsystemCapabilityError, UnknownObjectError
 from repro.subsystems.base import DEFAULT_RANKING_CACHE_CAPACITY, Subsystem
 from repro.workloads.datasets import NAMED_COLORS
-
-if HAVE_NUMPY:
-    import numpy as _np
 
 __all__ = ["QbicSubsystem", "gaussian_similarity", "histogram_intersection"]
 
@@ -134,10 +132,8 @@ def _coordinate_columns(
     population: tuple[ObjectId, ...],
 ):
     """A feature's vectors as a frozen (dimension, N) float64 array,
-    columns aligned with ``population`` — or None without numpy or for
-    ragged or empty vectors, which are scored object by object."""
-    if not HAVE_NUMPY:
-        return None
+    columns aligned with ``population`` — or None for ragged or empty
+    vectors, which are scored object by object."""
     try:
         rows = _np.array([table[obj] for obj in population], dtype=_np.float64)
     except ValueError:  # ragged vectors

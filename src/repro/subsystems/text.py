@@ -14,9 +14,9 @@ code paths.
 Like any retrieval engine, the stand-in keeps an inverted index (term
 -> documents): a query scores only the documents that share one of
 its terms, and every other document gets the 0.0 its cosine would be.
-With numpy, each term's postings carry the documents' weights for it,
-and a query adds ``w_q * w_d`` term by term into one score vector, with
-grades bit for bit those of :meth:`TextSubsystem._cosine` (see
+Each term's postings carry the documents' weights for it, and a query
+adds ``w_q * w_d`` term by term into one score vector, with grades bit
+for bit those of :meth:`TextSubsystem._cosine` (see
 :meth:`TextSubsystem._scores`).
 """
 
@@ -27,14 +27,12 @@ import re
 from collections import Counter
 from typing import Mapping
 
+import numpy as _np
+
 from repro.access.source import SortedRandomSource, tie_break_order
 from repro.access.types import ObjectId
-from repro.core.kernels import HAVE_NUMPY
 from repro.core.query import AtomicQuery
 from repro.subsystems.base import DEFAULT_RANKING_CACHE_CAPACITY, Subsystem
-
-if HAVE_NUMPY:
-    import numpy as _np
 
 __all__ = ["TextSubsystem", "tokenize"]
 
@@ -105,13 +103,11 @@ class TextSubsystem(Subsystem):
                 positions, weights = postings.setdefault(term, ([], []))
                 positions.append(position)
                 weights.append(weight)
-        self._postings = postings
-        if HAVE_NUMPY:
-            # Shared by every thread that misses: read-only arrays.
-            self._postings = {
-                term: (_frozen(positions, _np.intp), _frozen(weights, _np.float64))
-                for term, (positions, weights) in postings.items()
-            }
+        # Shared by every thread that misses: read-only arrays.
+        self._postings = {
+            term: (_frozen(positions, _np.intp), _frozen(weights, _np.float64))
+            for term, (positions, weights) in postings.items()
+        }
 
     def _vectorise(self, tokens: list[str]) -> dict[str, float]:
         counts = Counter(tokens)
@@ -152,13 +148,13 @@ class TextSubsystem(Subsystem):
     def _scores(self, text: str) -> list[float]:
         """Every document's cosine with ``text``, in population order.
 
-        With numpy, the documents sharing a query term are scored in
-        bulk, bit for bit as :meth:`_cosine` scores them: each term's
-        products ``w_q * w_d`` are added into a zero vector, in the
-        query's term order. A document's cosine has one non-zero
-        product per shared term (products commute bit for bit, and an
-        exact 0.0 changes no sum). With at most two, the sum rounds
-        once and comes out the same in any order, compensated or not.
+        The documents sharing a query term are scored in bulk, bit for
+        bit as :meth:`_cosine` scores them: each term's products
+        ``w_q * w_d`` are added into a zero vector, in the query's term
+        order. A document's cosine has one non-zero product per shared
+        term (products commute bit for bit, and an exact 0.0 changes no
+        sum). With at most two, the sum rounds once and comes out the
+        same in any order, compensated or not.
         ``_cosine``'s builtin ``sum`` iterates the shorter vector's
         terms and, from Python 3.12, compensates, so a document sharing
         three or more terms is scored by ``_cosine`` itself. A document
@@ -169,12 +165,6 @@ class TextSubsystem(Subsystem):
         vectors = self._vectors
         grades = [0.0] * len(vectors)
         postings = self._postings
-        if not HAVE_NUMPY:
-            for position in set().union(
-                *(postings[term][0] for term in query_vec if term in postings)
-            ):
-                grades[position] = self._cosine(query_vec, vectors[position])
-            return grades
         dots = _np.zeros(len(vectors))
         shared = _np.zeros(len(vectors), dtype=_np.intp)
         for term, weight in query_vec.items():

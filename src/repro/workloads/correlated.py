@@ -20,15 +20,7 @@ from __future__ import annotations
 
 import random
 
-try:
-    # Copula sampling is linear algebra; there is no sensible pure-
-    # Python fallback at benchmark scale. The import is soft so that
-    # merely importing the package (or the independent workloads) does
-    # not require numpy — generating a *correlated* database does, and
-    # says so.
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy is baked into CI images
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro.access.scoring_database import ScoringDatabase, Skeleton
 from repro.algorithms.hard_query import self_negated_lists
@@ -75,11 +67,6 @@ def correlated_skeleton(
         raise ValueError(
             f"rho={rho} outside the valid range [{lo:.4f}, 1] for "
             f"{num_lists} lists"
-        )
-    if np is None:
-        raise ImportError(
-            "correlated workloads require numpy (Gaussian-copula "
-            "sampling); install numpy or use independent_database"
         )
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     np_rng = np.random.default_rng(rng.getrandbits(64))
@@ -134,11 +121,6 @@ def spearman_rho(skeleton: Skeleton, i: int = 0, j: int = 1) -> float:
     Used by tests and by experiment E10's tables to report the
     *achieved* correlation next to the requested copula parameter.
     """
-    if np is None:
-        raise ImportError(
-            "spearman_rho requires numpy; install numpy to report "
-            "realised correlations"
-        )
     rank_i = {obj: r for r, obj in enumerate(skeleton.permutations[i])}
     rank_j = {obj: r for r, obj in enumerate(skeleton.permutations[j])}
     objects = list(skeleton.objects)

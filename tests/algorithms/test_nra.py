@@ -8,7 +8,6 @@ from repro.algorithms.base import is_valid_top_k
 from repro.algorithms.fa import FaginA0
 from repro.algorithms.nra import NoRandomAccessAlgorithm
 from repro.core.aggregation import FunctionAggregation
-from repro.core.kernels import HAVE_NUMPY
 from repro.core.means import ARITHMETIC_MEAN
 from repro.core.tnorms import ALGEBRAIC_PRODUCT, MINIMUM
 from repro.exceptions import SubsystemCapabilityError
@@ -143,7 +142,6 @@ class TestCostShape:
 
 
 class TestLatchedUnseenBound:
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="the sweep needs numpy")
     def test_objects_first_seen_after_the_latch_reach_no_sweep(
         self, monkeypatch
     ):

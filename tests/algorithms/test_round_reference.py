@@ -38,8 +38,10 @@ from repro.algorithms.threshold import ThresholdAlgorithm
 from repro.core.certify import as_contract
 from repro.core.means import ARITHMETIC_MEAN, GEOMETRIC_MEAN, MEDIAN
 from repro.core.tconorms import MAXIMUM
-from repro.core.tnorms import ALGEBRAIC_PRODUCT, MINIMUM
+from repro.core.tnorms import ALGEBRAIC_PRODUCT, EINSTEIN_PRODUCT, MINIMUM
 
+# EINSTEIN_PRODUCT has no column kernel, so it runs the algorithms'
+# scalar branches (TA's completion fold, NRA's scalar certification).
 AGGREGATIONS = (
     MINIMUM,
     MAXIMUM,
@@ -47,6 +49,7 @@ AGGREGATIONS = (
     GEOMETRIC_MEAN,
     ALGEBRAIC_PRODUCT,
     MEDIAN,
+    EINSTEIN_PRODUCT,
 )
 
 

@@ -111,13 +111,17 @@ class TestStoppingRule:
         assert rule.met(0.5, 0.54)
         assert not StoppingRule(0.0).met(0.5, 0.54)
 
-    def test_still_viable_is_dual_of_met(self):
+    def test_nra_viability_is_the_negation_of_met(self):
+        # NRA keeps a candidate alive while ``upper > limit(kth)``; TA
+        # stops on ``met(kth, upper)``. They must be one bar: a bound is
+        # still viable exactly when ``met`` fails, at the bar itself too.
         for eps in (0.0, 0.05, 0.3):
             rule = StoppingRule(eps)
             for kth, upper in [(0.5, 0.52), (0.5, 0.5), (0.4, 0.9)]:
-                assert rule.still_viable(upper, kth) == (
-                    upper > rule.limit(kth)
-                )
+                for bound in (upper, rule.limit(kth)):
+                    assert (bound > rule.limit(kth)) == (
+                        not rule.met(kth, bound)
+                    )
 
     def test_limit_identity_at_zero(self):
         # Bit-identity: the exact branch must return the value verbatim,

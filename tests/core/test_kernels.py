@@ -25,7 +25,6 @@ from repro.core.aggregation import (
     VectorizedAggregation,
 )
 from repro.core.kernels import (
-    HAVE_NUMPY,
     evaluate_columns,
     kernel_for,
     register_kernel,
@@ -96,7 +95,7 @@ def test_kernel_matches_scalar_fold(aggregation, bit_exact, rows):
     assert len(actual) == len(expected)
     for got, want in zip(actual, expected):
         assert isinstance(got, float)
-        if bit_exact and HAVE_NUMPY:
+        if bit_exact:
             assert got == want, (aggregation.name, got, want)
         else:
             assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12)
@@ -115,10 +114,7 @@ def test_weighted_kernels_match_scalar_fold(rows, raw_weights):
     arithmetic = WeightedArithmeticMean(raw_weights)
     expected = scalar_scores(arithmetic, rows)
     for got, want in zip(arithmetic.evaluate_columns(rows), expected):
-        if HAVE_NUMPY:
-            assert got == want
-        else:
-            assert math.isclose(got, want, rel_tol=1e-12)
+        assert got == want
 
     geometric = WeightedGeometricMean(raw_weights)
     expected = scalar_scores(geometric, rows)
@@ -172,10 +168,9 @@ def test_fagin_wimmers_kernel_matches_scalar_bit_for_bit(base, case):
     trusted = [weighting.evaluate_trusted(column) for column in columns]
     assert trusted == [weighting(*column) for column in columns]
     assert weighting.evaluate_columns(rows) == trusted
-    if HAVE_NUMPY:
-        assert kernel_for(weighting) is not None
-        matrix = kernels.as_grade_matrix(rows)
-        assert kernels.evaluate_matrix(weighting, matrix).tolist() == trusted
+    assert kernel_for(weighting) is not None
+    matrix = kernels.as_grade_matrix(rows)
+    assert kernels.evaluate_matrix(weighting, matrix).tolist() == trusted
 
 
 def test_fagin_wimmers_over_a_kernelless_tnorm_has_no_kernel():
@@ -185,7 +180,6 @@ def test_fagin_wimmers_over_a_kernelless_tnorm_has_no_kernel():
     assert weighting.evaluate_columns(rows) == scalar_scores(weighting, rows)
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="kernels require numpy")
 def test_standard_aggregations_have_kernels():
     for aggregation, _ in KERNELED:
         assert kernel_for(aggregation) is not None, aggregation.name
@@ -212,7 +206,6 @@ def test_einstein_product_has_no_kernel_but_bulk_path_agrees():
     )
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="kernels require numpy")
 def test_vectorized_aggregation_capability_wins_over_registry():
     import numpy as np
 
@@ -239,9 +232,8 @@ def test_register_kernel_is_consulted_for_exact_type():
         def aggregate(self, grades):
             return grades[0] / 2.0
 
-    if HAVE_NUMPY:
-        register_kernel(Halver, lambda agg: (lambda matrix: matrix[0] / 2.0))
-        assert kernel_for(Halver()) is not None
+    register_kernel(Halver, lambda agg: (lambda matrix: matrix[0] / 2.0))
+    assert kernel_for(Halver()) is not None
     rows = [[0.2, 0.8]]
     assert Halver().evaluate_columns(rows) == [0.1, 0.4]
 

@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from repro.core.kernels import HAVE_NUMPY
 from repro.core.means import (
     ARITHMETIC_MEAN,
     GEOMETRIC_MEAN,
@@ -136,7 +135,6 @@ def assert_matches_evaluate(query, semantics, compiled, rows):
 
 
 class TestColumnPlan:
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="column plans need numpy")
     def test_weighted_query_has_a_column_plan(self):
         query = Weighted((A, B), (2, 1))
         compiled = CompiledQueryAggregation(query, STANDARD_FUZZY)
@@ -153,13 +151,13 @@ class TestColumnPlan:
     def test_random_weighted_trees_match_per_object_evaluation(
         self, semantics, seed
     ):
-        """Bit for bit: the column plan (or, without numpy, the scalar
-        fallback) scores every object as ``semantics.evaluate`` does."""
+        """Bit for bit: the column plan scores every object as
+        ``semantics.evaluate`` does."""
         rng = random.Random(seed)
         for _ in range(60):
             query = random_tree(rng, 4)
             compiled = CompiledQueryAggregation(query, semantics)
-            assert hasattr(compiled, "aggregate_columns") == HAVE_NUMPY
+            assert hasattr(compiled, "aggregate_columns")
             rows = [
                 [random_grade(rng) for _ in range(80)] for _ in compiled.atoms
             ]

@@ -22,6 +22,10 @@ class FakeCursor:
     pages_fetched = 0
     answers_fetched = 0
     remaining = None
+    guarantee = None
+
+    def live_bounds(self):
+        return None
 
 
 def make_store(**kwargs) -> tuple[CursorSessionStore, FakeClock]:

@@ -15,8 +15,6 @@ import time
 
 import pytest
 
-np = pytest.importorskip("numpy")
-
 from repro.access import ColumnarScoringDatabase
 from repro.core.tnorms import MINIMUM
 from repro.exceptions import ShardingError

@@ -4,9 +4,8 @@ restriction of the global order, self-describing attach, backends.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.access import ColumnarScoringDatabase
 from repro.core.tnorms import MINIMUM

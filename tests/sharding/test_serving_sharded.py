@@ -12,8 +12,6 @@ import multiprocessing
 
 import pytest
 
-np = pytest.importorskip("numpy")
-
 from repro.access import ColumnarScoringDatabase
 from repro.core.tnorms import MINIMUM
 from repro.engine import Engine

@@ -10,8 +10,6 @@ import random
 
 import pytest
 
-np = pytest.importorskip("numpy")
-
 from repro.access import ColumnarScoringDatabase
 from repro.core.means import ARITHMETIC_MEAN, GEOMETRIC_MEAN
 from repro.core.tconorms import MAXIMUM

@@ -5,8 +5,6 @@ from __future__ import annotations
 
 import pytest
 
-np = pytest.importorskip("numpy")
-
 from repro.access import ColumnarScoringDatabase
 from repro.core.certify import QualityContract
 from repro.core.tnorms import MINIMUM

@@ -8,8 +8,6 @@ import random
 
 import pytest
 
-np = pytest.importorskip("numpy")
-
 from repro.access import ColumnarScoringDatabase
 from repro.core.means import ARITHMETIC_MEAN
 from repro.core.tnorms import MINIMUM

@@ -9,7 +9,7 @@ observable. Repeated federated queries (``run_many`` batches issued
 again and again) must hit across the board. Entries are kept in LRU
 order, and a full cache admits a new ranking only when its atom has
 been requested at least as often as the LRU victim
-(:class:`TestAdmission`). Every test here runs without numpy.
+(:class:`TestAdmission`).
 """
 
 import gc

@@ -100,8 +100,8 @@ class TestScoringModel:
 
 
 class TestScoresMatchCosine:
-    """A miss grades every document as ``TextSubsystem._cosine`` does,
-    bit for bit: in bulk with numpy, by the scalar loop without it."""
+    """A miss grades every document in bulk, bit for bit as
+    ``TextSubsystem._cosine`` does."""
 
     VOCABULARY = ["raw", "soul", "jazz", "blue", "note", "horn", "beat", "a"]
 
