@@ -47,15 +47,6 @@ class CostModel:
             + self.random_weight * stats.random_cost
         )
 
-    @property
-    def random_access_ratio(self) -> float:
-        """c2/c1 — how much dearer a random access is than a sorted one.
-
-        The quantity strategy selection compares against
-        :data:`~repro.engine.registry.EXPENSIVE_RANDOM_ACCESS_RATIO`.
-        """
-        return self.random_weight / self.sorted_weight
-
 
 #: The unweighted model (c1 = c2 = 1) used throughout the benchmarks.
 UNWEIGHTED = CostModel()

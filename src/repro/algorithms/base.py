@@ -26,12 +26,7 @@ from repro.access.session import MiddlewareSession
 from repro.access.source import tie_break_key
 from repro.access.types import GradedItem, ObjectId
 from repro.core.aggregation import AggregationFunction
-from repro.core.certify import (
-    EXACT_GUARANTEE,
-    Guarantee,
-    QualityContract,
-    as_contract,
-)
+from repro.core.certify import EXACT_GUARANTEE, Guarantee, validate_epsilon
 from repro.core.graded_set import GradedSet
 from repro.exceptions import InsufficientObjectsError
 
@@ -57,7 +52,7 @@ class TopKResult:
         algorithm.
     guarantee:
         The quality statement this run certifies. ``None`` from an
-        algorithm body means "exact" (every pre-contract algorithm
+        algorithm body means "exact" (every algorithm but TA and NRA
         runs to exact completion); the template normalises it to
         :data:`~repro.core.certify.EXACT_GUARANTEE` so consumers can
         rely on the field.
@@ -95,40 +90,30 @@ class TopKAlgorithm(ABC):
 
     name: str = "top-k-algorithm"
 
-    #: Whether this algorithm honours non-exact quality contracts by
-    #: implementing :meth:`_run_certified`. Algorithms that don't are
-    #: still valid under any contract — they run to exact completion,
-    #: and exact trivially satisfies every ε (the strongest guarantee
-    #: wins); the delivered guarantee says so honestly.
-    supports_contracts: bool = False
-
     def top_k(
         self,
         session: MiddlewareSession,
         aggregation: AggregationFunction,
         k: int,
-        contract: "QualityContract | float | None" = None,
+        epsilon: float = 0.0,
     ) -> TopKResult:
         """Find the top k answers to ``Ft(A1, ..., Am)`` over the session.
 
         ``session.sources[i]`` is the graded result of atomic query
         ``A_{i+1}``; ``aggregation`` is the function t. Subclasses
         state their own correctness preconditions (e.g. A0 requires a
-        monotone t — Theorem 4.2). ``contract`` optionally relaxes the
-        termination test (a :class:`~repro.core.certify.QualityContract`
-        or a bare ε); the returned result's ``guarantee`` states what
-        was actually certified.
+        monotone t — Theorem 4.2). ``epsilon`` is the approximation
+        slack the caller accepts (0, the default, is exact); the
+        returned result's ``guarantee`` states what was actually
+        certified.
         """
         if k < 1:
             raise ValueError(f"k must be at least 1, got {k}")
         if k > session.num_objects:
             raise InsufficientObjectsError(k, session.num_objects)
-        contract = as_contract(contract)
+        epsilon = validate_epsilon(epsilon)
         before = session.tracker.snapshot()
-        if contract.kind != "exact" and self.supports_contracts:
-            result = self._run_certified(session, aggregation, k, contract)
-        else:
-            result = self._run(session, aggregation, k)
+        result = self._run(session, aggregation, k, epsilon)
         # Re-derive this run's stats from the tracker delta so that
         # algorithms cannot under-report by snapshotting early.
         return TopKResult(
@@ -145,23 +130,14 @@ class TopKAlgorithm(ABC):
         session: MiddlewareSession,
         aggregation: AggregationFunction,
         k: int,
+        epsilon: float,
     ) -> TopKResult:
-        """Algorithm body; k and session are already validated."""
+        """Algorithm body; k, session and ``epsilon`` are validated.
 
-    def _run_certified(
-        self,
-        session: MiddlewareSession,
-        aggregation: AggregationFunction,
-        k: int,
-        contract: QualityContract,
-    ) -> TopKResult:
-        """Contract-aware body; only called when
-        :attr:`supports_contracts` is True. The default refuses loudly
-        so a subclass cannot claim support without implementing it."""
-        raise NotImplementedError(
-            f"{type(self).__name__} sets supports_contracts but does not "
-            "implement _run_certified"
-        )
+        TA and NRA stop under ``StoppingRule(epsilon)``. Every other
+        algorithm ignores ``epsilon`` and runs to exact completion,
+        which satisfies any ε, and its guarantee says ``exact``.
+        """
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r}>"

@@ -49,6 +49,7 @@ class DisjunctionB0(TopKAlgorithm):
         session: MiddlewareSession,
         aggregation: AggregationFunction,
         k: int,
+        epsilon: float,
     ) -> TopKResult:
         if not isinstance(aggregation, MaximumTConorm):
             raise ValueError(

@@ -220,13 +220,13 @@ class FaginA0(TopKAlgorithm):
     Result ``details``: ``T`` (sorted depth), ``matches`` (|L|),
     ``seen`` (number of distinct objects accessed).
 
-    A0 takes no quality contract: its stop observes *match counts*,
-    never grades, and any certificate about the k-th grade needs k
-    certified grades — which A0 only has once it has matched k
-    objects, i.e. once it has already stopped. Under every contract A0
-    therefore runs to exact completion and honestly delivers the
-    ``exact`` guarantee (stronger than asked). Callers who want real
-    ε-savings get steered to TA by the engine's strategy selection.
+    A0 ignores ε: its stop observes *match counts*, never grades,
+    and any certificate about the k-th grade needs k certified
+    grades — which A0 only has once it has matched k objects, i.e.
+    once it has already stopped. Under every ε A0 therefore runs to
+    exact completion and honestly delivers the ``exact`` guarantee
+    (stronger than asked). Callers who want real ε-savings get
+    steered to TA by the engine's strategy selection.
     """
 
     name = "A0"
@@ -239,6 +239,7 @@ class FaginA0(TopKAlgorithm):
         session: MiddlewareSession,
         aggregation: AggregationFunction,
         k: int,
+        epsilon: float,
     ) -> TopKResult:
         if not aggregation.monotone and not self._trust_caller:
             raise ValueError(

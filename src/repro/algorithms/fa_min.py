@@ -46,6 +46,7 @@ class FaginA0Min(TopKAlgorithm):
         session: MiddlewareSession,
         aggregation: AggregationFunction,
         k: int,
+        epsilon: float,
     ) -> TopKResult:
         if not isinstance(aggregation, MinimumTNorm):
             raise ValueError(

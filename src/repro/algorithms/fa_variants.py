@@ -48,6 +48,7 @@ class EarlyStopFagin(TopKAlgorithm):
         session: MiddlewareSession,
         aggregation: AggregationFunction,
         k: int,
+        epsilon: float,
     ) -> TopKResult:
         if not aggregation.monotone:
             raise ValueError(
@@ -90,6 +91,7 @@ class ShrunkenFagin(TopKAlgorithm):
         session: MiddlewareSession,
         aggregation: AggregationFunction,
         k: int,
+        epsilon: float,
     ) -> TopKResult:
         if not aggregation.monotone:
             raise ValueError(

@@ -104,6 +104,7 @@ class SelfNegatedScan(TopKAlgorithm):
         session: MiddlewareSession,
         aggregation: AggregationFunction,
         k: int,
+        epsilon: float,
     ) -> TopKResult:
         if not isinstance(aggregation, MinimumTNorm):
             raise ValueError(

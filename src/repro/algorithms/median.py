@@ -77,6 +77,7 @@ class MedianTopK(TopKAlgorithm):
         session: MiddlewareSession,
         aggregation: AggregationFunction,
         k: int,
+        epsilon: float,
     ) -> TopKResult:
         if not isinstance(aggregation, Median):
             raise ValueError(

@@ -46,6 +46,7 @@ class NaiveAlgorithm(TopKAlgorithm):
         session: MiddlewareSession,
         aggregation: AggregationFunction,
         k: int,
+        epsilon: float,
     ) -> TopKResult:
         # Drain every list, keeping each list's delivery as parallel
         # (object, grade) columns — the cheapest possible shape to

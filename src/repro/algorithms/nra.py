@@ -34,7 +34,7 @@ from repro.access.session import MiddlewareSession
 from repro.algorithms.base import TopKAlgorithm, TopKResult, top_k_of
 from repro.algorithms.fa import SortedPhaseState, run_sorted_phase, score_objects
 from repro.core.aggregation import AggregationFunction
-from repro.core.certify import EXACT, QualityContract
+from repro.core.certify import StoppingRule
 from repro.core.kernels import as_grade_matrix, evaluate_matrix, kernel_for
 from repro.exceptions import InsufficientObjectsError
 
@@ -59,34 +59,25 @@ class NoRandomAccessAlgorithm(TopKAlgorithm):
     passes (see the forever-certified invariant below), so it is not
     re-evaluated.
 
-    NRA honours quality contracts: under an ε-approximate contract
-    both upper-bound comparisons (the unseen bound and the candidate
-    sweep) run against the relaxed bar ``(1 + ε) * kth_best`` instead
-    of ``kth_best``. The forever-certified pruning invariant survives
-    the relaxation — the bar is monotone non-decreasing (the k-th best
-    exact grade only rises) while upper bounds only fall, so an object
-    certified under the bar stays certified. At ε=0 the bar *is*
+    NRA honours ε: with ``epsilon > 0`` both upper-bound comparisons
+    (the unseen bound and the candidate sweep) run against the relaxed
+    bar ``(1 + ε) * kth_best`` instead of ``kth_best``. The
+    forever-certified pruning invariant survives the relaxation — the
+    bar is monotone non-decreasing (the k-th best exact grade only
+    rises) while upper bounds only fall, so an object certified under
+    the bar stays certified. At ε=0 the bar *is*
     ``kth_best`` (no float round-trip), keeping exact runs
     bit-identical.
     """
 
     name = "NRA"
-    supports_contracts = True
 
     def _run(
         self,
         session: MiddlewareSession,
         aggregation: AggregationFunction,
         k: int,
-    ) -> TopKResult:
-        return self._run_certified(session, aggregation, k, EXACT)
-
-    def _run_certified(
-        self,
-        session: MiddlewareSession,
-        aggregation: AggregationFunction,
-        k: int,
-        contract: QualityContract,
+        epsilon: float,
     ) -> TopKResult:
         if not aggregation.monotone:
             raise ValueError(
@@ -95,7 +86,7 @@ class NoRandomAccessAlgorithm(TopKAlgorithm):
             )
         m = session.num_lists
         sources = session.sources
-        rule = contract.stopping_rule()
+        rule = StoppingRule(epsilon)
         evaluate = aggregation.evaluate_trusted
         # Certification needs k exact grades first, and a round of m
         # sorted accesses completes at most m objects — exactly A0's
@@ -148,7 +139,7 @@ class NoRandomAccessAlgorithm(TopKAlgorithm):
 
         while not exhausted:
             # The certification bar: ``kth_best`` exactly, or the
-            # contract's relaxed ``(1 + ε) * kth_best``.
+            # relaxed ``(1 + ε) * kth_best`` when ε > 0.
             limit = rule.limit(best[0])
             # Upper bound for unseen objects first; then the surviving
             # partially-seen objects. (Exactly-known objects are covered
@@ -239,8 +230,8 @@ class NoRandomAccessAlgorithm(TopKAlgorithm):
         candidates' upper-bound matrix (known grades where available,
         the current per-list bottom otherwise), scored in one call.
         The sweep's survivors — exactly the objects still above the
-        certification bar (the k-th best exact grade, ε-relaxed under
-        an approximate contract) — become the new candidate list;
+        certification bar (the k-th best exact grade, ε-relaxed when
+        ε > 0) — become the new candidate list;
         everything else is certified forever.
         """
         head = candidates[start]

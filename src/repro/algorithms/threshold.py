@@ -34,7 +34,7 @@ from __future__ import annotations
 from repro.access.session import MiddlewareSession
 from repro.algorithms.base import TopKAlgorithm, TopKResult, top_k_of
 from repro.core.aggregation import AggregationFunction
-from repro.core.certify import EXACT, QualityContract
+from repro.core.certify import StoppingRule
 from repro.core.kernels import kernel_for
 
 __all__ = ["ThresholdAlgorithm"]
@@ -73,10 +73,10 @@ class ThresholdAlgorithm(TopKAlgorithm):
     one batch per list; every later round reads one
     ``sorted_access_next`` pair per list.
 
-    TA honours quality contracts: under an ε-approximate contract the
-    stop check relaxes to the FLN θ-approximation — halt once
-    ``(1 + ε) * kth_best >= tau``. The certificate is immediate from
-    monotonicity: every unreturned object z (seen or unseen) has
+    TA honours ε: with ``epsilon > 0`` the stop check relaxes to the
+    FLN θ-approximation — halt once ``(1 + ε) * kth_best >= tau``. The
+    certificate is immediate from monotonicity: every unreturned
+    object z (seen or unseen) has
     ``mu(z) <= tau <= (1 + ε) * kth_best <= (1 + ε) * mu(y)`` for
     every returned y. At ε=0 the rule takes the historical exact
     comparison verbatim, so answers and access ledgers stay
@@ -85,22 +85,13 @@ class ThresholdAlgorithm(TopKAlgorithm):
     """
 
     name = "TA"
-    supports_contracts = True
 
     def _run(
         self,
         session: MiddlewareSession,
         aggregation: AggregationFunction,
         k: int,
-    ) -> TopKResult:
-        return self._run_certified(session, aggregation, k, EXACT)
-
-    def _run_certified(
-        self,
-        session: MiddlewareSession,
-        aggregation: AggregationFunction,
-        k: int,
-        contract: QualityContract,
+        epsilon: float,
     ) -> TopKResult:
         if not aggregation.monotone:
             raise ValueError(
@@ -109,7 +100,7 @@ class ThresholdAlgorithm(TopKAlgorithm):
             )
         m = session.num_lists
         sources = session.sources
-        rule = contract.stopping_rule()
+        rule = StoppingRule(epsilon)
         scored: dict[object, float] = {}
         # The k best completed grades, ascending: ``best[0]`` is the
         # k-th best once k objects are complete, and with u objects

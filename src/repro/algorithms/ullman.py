@@ -75,6 +75,7 @@ class UllmanAlgorithm(TopKAlgorithm):
         session: MiddlewareSession,
         aggregation: AggregationFunction,
         k: int,
+        epsilon: float,
     ) -> TopKResult:
         if not aggregation.monotone:
             raise ValueError(

@@ -21,14 +21,11 @@ from repro.core.aggregation import (
     iterated,
 )
 from repro.core.certify import (
-    EXACT,
     EXACT_GUARANTEE,
     CertifiedResult,
     GradeBounds,
     Guarantee,
-    QualityContract,
     StoppingRule,
-    as_contract,
 )
 from repro.core.kernels import (
     evaluate_columns,
@@ -137,15 +134,12 @@ __all__ = [
     "FunctionAggregation",
     "VectorizedAggregation",
     "iterated",
-    # certified results & quality contracts
-    "QualityContract",
+    # certified results & stopping rules
     "StoppingRule",
     "Guarantee",
     "GradeBounds",
     "CertifiedResult",
-    "EXACT",
     "EXACT_GUARANTEE",
-    "as_contract",
     # vectorized kernels
     "kernel_for",
     "register_kernel",

@@ -1,4 +1,4 @@
-"""Quality contracts, stopping rules, and certified results.
+"""Approximation slack, stopping rules, and certified results.
 
 Every algorithm in this repository used to run to exact completion.
 The paper's guarantee machinery supports strictly more: TA's threshold
@@ -6,19 +6,17 @@ value :math:`\\tau` and NRA's (lower, upper) bookkeeping are *live
 certificates*, and relaxing the termination test against them yields
 early stops whose answers still carry a provable quality statement.
 
-This module is the contract layer those relaxations share:
-
-``QualityContract``
-    What the caller asked for — ``exact``, ``approximate`` (the
-    :math:`\\theta`-approximation of Fagin–Lotem–Naor: stop once the
-    k-th best certified grade :math:`g_k` satisfies
-    :math:`(1+\\varepsilon)\\,g_k \\ge \\tau`), or ``anytime`` (run
-    until a deadline, return the certified prefix plus bounds).
+What the caller asks for is one number, the slack :math:`\\varepsilon`
+(0 for exact): the :math:`\\theta`-approximation of Fagin–Lotem–Naor
+stops once the k-th best certified grade :math:`g_k` satisfies
+:math:`(1+\\varepsilon)\\,g_k \\ge \\tau`. :func:`validate_epsilon`
+is its one check. The rest of this module is what the relaxations
+share:
 
 ``StoppingRule``
-    The pluggable termination test minted from a contract. The
-    hard-coded ``kth_best >= tau`` checks in ``algorithms/threshold``
-    and ``algorithms/nra`` route through it; at :math:`\\varepsilon=0`
+    The termination test built from ε. The hard-coded
+    ``kth_best >= tau`` checks in ``algorithms/threshold`` and
+    ``algorithms/nra`` route through it; at :math:`\\varepsilon=0`
     the comparisons are *literally* the exact ones (an explicit
     branch, not a ``1.0 * x`` multiplication), so exact runs stay
     bit-identical in both answers and access ledgers.
@@ -27,7 +25,7 @@ This module is the contract layer those relaxations share:
     What was actually delivered. An algorithm may deliver a *stronger*
     guarantee than asked (FA's match-count stop observes no grades, so
     it can never certify an early :math:`\\varepsilon`-stop — it runs
-    to exact completion under any contract and says so).
+    to exact completion under any ε and says so).
 
 ``GradeBounds`` / ``CertifiedResult``
     The anytime surface: per-item (lower, upper) intervals plus an
@@ -49,114 +47,37 @@ against.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 __all__ = [
     "CertifiedResult",
-    "EXACT",
     "EXACT_GUARANTEE",
     "GradeBounds",
     "Guarantee",
-    "QualityContract",
     "StoppingRule",
-    "as_contract",
     "validate_epsilon",
 ]
 
 
 def validate_epsilon(epsilon: float) -> float:
-    """Validate an approximation slack: a finite float >= 0."""
-    try:
-        value = float(epsilon)
-    except (TypeError, ValueError, OverflowError):
-        # OverflowError: an int past float range, e.g. 10**400.
-        raise ValueError(
-            f"epsilon must be a non-negative real number, got {epsilon!r}"
-        ) from None
-    if math.isnan(value) or math.isinf(value) or value < 0.0:
-        raise ValueError(
-            f"epsilon must be a non-negative real number, got {epsilon!r}"
-        )
-    return value
+    """Validate an approximation slack: a finite real number >= 0.
 
-
-@dataclass(frozen=True, slots=True)
-class QualityContract:
-    """What quality the caller asked for.
-
-    ``kind`` is ``"exact"``, ``"approximate"`` or ``"anytime"``;
-    ``epsilon`` is the relative slack (0 for exact). An approximate
-    contract with ``epsilon == 0`` *is* the exact contract — the
-    constructors normalise it so downstream code can branch on
-    ``kind`` alone.
+    Returns it as a float. ``bool`` is an ``int`` but not a slack, and
+    a string is not a number, so both are refused, as is anything else
+    that is not a :class:`numbers.Real` (numpy's scalars are).
     """
-
-    kind: str = "exact"
-    epsilon: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("exact", "approximate", "anytime"):
-            raise ValueError(
-                "contract kind must be 'exact', 'approximate' or "
-                f"'anytime', got {self.kind!r}"
-            )
-        object.__setattr__(self, "epsilon", validate_epsilon(self.epsilon))
-        if self.kind == "exact" and self.epsilon != 0.0:
-            raise ValueError("an exact contract cannot carry epsilon > 0")
-
-    # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def exact(cls) -> "QualityContract":
-        return EXACT
-
-    @classmethod
-    def approximate(cls, epsilon: float) -> "QualityContract":
-        """The θ-approximate contract; ``epsilon == 0`` is exact."""
-        epsilon = validate_epsilon(epsilon)
-        if epsilon == 0.0:
-            return EXACT
-        return cls("approximate", epsilon)
-
-    @classmethod
-    def anytime(cls, epsilon: float = 0.0) -> "QualityContract":
-        return cls("anytime", validate_epsilon(epsilon))
-
-    # -- derived --------------------------------------------------------
-
-    @property
-    def relaxation(self) -> float:
-        """The multiplicative slack ``1 + epsilon``."""
-        return 1.0 + self.epsilon
-
-    def stopping_rule(self) -> "StoppingRule":
-        return StoppingRule(self.epsilon)
-
-    def as_dict(self) -> dict:
-        return {"kind": self.kind, "epsilon": self.epsilon}
-
-    def __str__(self) -> str:
-        if self.kind == "exact":
-            return "exact"
-        return f"{self.kind}(ε={self.epsilon:g})"
-
-
-#: The default contract: run to exact completion.
-EXACT = QualityContract()
-
-
-def as_contract(value: Any) -> QualityContract:
-    """Coerce ``None`` / a float ε / a contract into a contract."""
-    if value is None:
-        return EXACT
-    if isinstance(value, QualityContract):
-        return value
-    if isinstance(value, bool):
-        raise ValueError(f"cannot interpret {value!r} as a quality contract")
-    if isinstance(value, (int, float)):
-        return QualityContract.approximate(value)
-    raise ValueError(f"cannot interpret {value!r} as a quality contract")
+    if not isinstance(epsilon, bool) and isinstance(epsilon, numbers.Real):
+        try:
+            value = float(epsilon)
+        except OverflowError:  # an int past float range, e.g. 10**400
+            value = math.nan
+        if math.isfinite(value) and value >= 0.0:
+            return value
+    raise ValueError(
+        f"epsilon must be a non-negative real number, got {epsilon!r}"
+    )
 
 
 class StoppingRule:

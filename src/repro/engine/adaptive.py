@@ -52,7 +52,6 @@ from repro.middleware.compile import CompiledQueryAggregation
 from repro.middleware.plan import (
     AlgorithmPlan,
     FilteredConjunctPlan,
-    FullScanPlan,
     InternalConjunctionPlan,
     PhysicalPlan,
 )
@@ -176,7 +175,7 @@ class QueryShape:
     conjunction: str
     random_access: bool
     fingerprint: tuple
-    #: The quality contract's approximation slack. ε-relaxed runs stop
+    #: The query's approximation slack ε. ε-relaxed runs stop
     #: earlier, so their measured access counts would poison the exact
     #: histories (and vice versa): the slack is part of the identity,
     #: separating plan-cache entries and cost ledgers per ε.
@@ -414,7 +413,7 @@ def rebind_plan(
 
     Same shape means same tree structure, attributes, operators and
     crispness — only the target constants may differ — so the plan
-    *kind*, strategy and batch size carry over verbatim; the atoms and
+    *kind* and strategy carry over verbatim; the atoms and
     any compiled aggregation are rebuilt from the new query.
     """
     if query == cached_query:
@@ -445,13 +444,6 @@ def rebind_plan(
         )
     if isinstance(plan, InternalConjunctionPlan):
         return _dc_replace(plan, query=query, atoms=atoms)
-    if isinstance(plan, FullScanPlan):
-        return _dc_replace(
-            plan,
-            query=query,
-            atoms=atoms,
-            aggregation=CompiledQueryAggregation(query, semantics),
-        )
     return plan  # pragma: no cover - future plan kinds plan fresh
 
 
@@ -752,8 +744,8 @@ class AdaptivePlanner:
     ) -> PhysicalPlan:
         """Apply the chooser to an auto-selected algorithm plan.
 
-        Non-algorithm plans (filtered conjunct, pushdown, full scan)
-        pass through: their strategy is structural, not a table pick.
+        Non-algorithm plans (filtered conjunct, pushdown) pass
+        through: their strategy is structural, not a table pick.
         """
         if not isinstance(plan, AlgorithmPlan) or plan.algorithm is None:
             return plan

@@ -108,16 +108,17 @@ class QueryBuilder:
     def epsilon(self, epsilon: float) -> "QueryBuilder":
         """Accept a certified ε-approximate answer (θ/(1+ε) stopping).
 
-        With ``epsilon > 0``, contract-aware algorithms (TA, NRA) may
-        stop as soon as the k-th best certified grade is within a
-        ``(1 + ε)`` factor of the threshold: every returned item y then
-        carries the certificate ``(1 + ε) · μ(y) >= μ(z)`` for every
-        excluded z. The result's ``guarantee`` records what was
-        actually delivered — algorithms whose termination cannot be
-        relaxed (A0's match-count stop) run to completion and deliver
-        ``exact``, which satisfies any ε. ``epsilon(0)`` is the exact
-        contract and is bit-identical to not calling this at all;
-        this per-query value overrides the context's ``epsilon``.
+        With ``epsilon > 0``, TA and NRA may stop as soon as the k-th
+        best certified grade is within a ``(1 + ε)`` factor of the
+        threshold: every returned item y then carries the certificate
+        ``(1 + ε) · μ(y) >= μ(z)`` for every excluded z. The result's
+        ``guarantee`` records what was actually delivered — algorithms
+        whose termination cannot be relaxed (A0's match-count stop) run
+        to completion and deliver ``exact``, which satisfies any ε.
+        ``epsilon(0)`` is exact and is bit-identical to not calling
+        this at all; this per-query value overrides the context's
+        ``epsilon``. ``epsilon`` must be a finite real number >= 0
+        (``True`` is refused, as is the string ``"0.1"``).
         """
         self._epsilon = validate_epsilon(epsilon)
         return self

@@ -39,8 +39,8 @@ class ExecutionContext:
         strategy selection (expensive random access prefers NRA) and
         for pricing results. Defaults to the unweighted model.
     planner:
-        Planner tuning (filtered-conjunct threshold, cost-based
-        comparison, internal-conjunction opt-in).
+        Planner tuning (the filtered-conjunct selectivity threshold
+        and the internal-conjunction opt-in).
     conjunction:
         Default conjunction mode, ``"external"`` or ``"internal"``
         (Section 8); individual queries may override it.
@@ -58,9 +58,9 @@ class ExecutionContext:
         samples per trial).
     epsilon:
         Deployment-wide default approximation slack. 0 (the default)
-        keeps every query exact; ε > 0 lets contract-aware algorithms
-        stop under the θ/(1+ε) rule, certifying that every returned
-        grade is within a (1+ε) factor of anything excluded.
+        keeps every query exact; ε > 0 lets TA and NRA stop under the
+        θ/(1+ε) rule, certifying that every returned grade is within a
+        (1+ε) factor of anything excluded.
         Individual queries override it with
         ``QueryBuilder.epsilon(...)``.
     """

@@ -84,7 +84,7 @@ class ResultCursor:
         The approximation slack the caller would accept. Incremental
         paging is *exact* per page (Proposition 4.1), so every page
         over-delivers on any ε — the slack is recorded so the cursor's
-        certified snapshots state the contract that was asked for.
+        certified snapshots state the ε that was asked for.
     """
 
     def __init__(
@@ -134,7 +134,7 @@ class ResultCursor:
         anytime bound state *as of that page* (answers certified so
         far, the last certified grade, and the certified upper bound
         on everything unreturned) — and the page's ``guarantee``
-        records the anytime contract. The same snapshot is readable
+        records the anytime guarantee. The same snapshot is readable
         from :meth:`live_bounds`.
         """
         if self._closed:
@@ -171,7 +171,7 @@ class ResultCursor:
         Proposition 4.1), whose per-item bounds are degenerate (the
         grades are exact), and whose guarantee's ``threshold`` is the
         certified upper bound on every answer *not* returned — the
-        anytime contract: "here is a correct prefix, and nothing you
+        anytime guarantee: "here is a correct prefix, and nothing you
         are missing grades above θ". Subsequent :meth:`next_k` calls
         raise; :meth:`stop` itself is idempotent.
         """

@@ -50,11 +50,7 @@ from typing import Iterable, Sequence
 
 from repro.algorithms.base import TopKAlgorithm, TopKResult
 from repro.core.aggregation import AggregationFunction
-from repro.core.certify import (
-    EXACT_GUARANTEE,
-    Guarantee,
-    QualityContract,
-)
+from repro.core.certify import EXACT_GUARANTEE, Guarantee
 from repro.core.query import Query
 from repro.engine.adaptive import (
     AdaptivePlanner,
@@ -129,7 +125,7 @@ class Engine:
             "random": 0,
             # Delivered-guarantee tally (the quality plane of
             # /metrics): how many completed queries certified which
-            # contract kind.
+            # guarantee kind.
             "exact": 0,
             "approximate": 0,
             "anytime": 0,
@@ -301,16 +297,17 @@ class Engine:
                 self.context.default_k,
                 self.context.cost_model,
             )
-        contract = self._contract_for(epsilon)
-        lines.append(f"guarantee: {self._describe_contract(contract)}")
+        lines.append(
+            f"guarantee: {self._describe_epsilon(self._epsilon_for(epsilon))}"
+        )
         return "\n".join(lines)
 
     @staticmethod
-    def _describe_contract(contract: QualityContract) -> str:
-        if contract.epsilon == 0.0:
+    def _describe_epsilon(epsilon: float) -> str:
+        if epsilon == 0.0:
             return "exact (run to certified completion)"
         return (
-            f"ε={contract.epsilon:g} approximate — stop once "
+            f"ε={epsilon:g} approximate — stop once "
             f"(1+ε)·g_k ≥ τ; every returned grade is certified within "
             f"a (1+ε) factor of anything excluded"
         )
@@ -328,7 +325,7 @@ class Engine:
         ``(spec, k)`` pair overriding the batch-wide ``k``.
 
         Every member takes the pipeline a one-shot ``top()`` takes —
-        plan, ε-steering under the context's contract, run — but never
+        plan, ε-steering under the context's ε, run — but never
         consults or feeds the adaptive chooser. Each member runs in its
         own session, and the batch ledger is the sum of the per-member
         :class:`~repro.access.cost.AccessStats`. A catalog member
@@ -363,7 +360,7 @@ class Engine:
             k if k is not None else self.context.default_k
         )
         specs = [self._normalise_spec(entry, default_k) for entry in queries]
-        contract = self._contract_for(None)
+        epsilon = self._epsilon_for(None)
 
         def plan_member(spec: object, k: int) -> PhysicalPlan:
             if isinstance(spec, AggregationFunction):
@@ -371,7 +368,7 @@ class Engine:
             else:
                 query, aggregation = spec, None
             plan, _shape, _hit = self._plan(
-                query, aggregation, None, None, k, self._adaptive, contract
+                query, aggregation, None, None, k, self._adaptive, epsilon
             )
             self._fit_k(plan, k)
             return plan
@@ -384,7 +381,7 @@ class Engine:
                     (plan.aggregation, k, plan.algorithm.name)
                     for plan, (_, k) in zip(plans, specs)
                 ],
-                contract=contract,
+                epsilon=epsilon,
             )
             details.update(
                 sharded=True,
@@ -395,7 +392,7 @@ class Engine:
 
             def run_one(spec_k: tuple[object, int]) -> object:
                 spec, k = spec_k
-                return self._run(plan_member(spec, k), k, contract)
+                return self._run(plan_member(spec, k), k, epsilon)
 
             if parallel is None:
                 answers = [run_one(spec_k) for spec_k in specs]
@@ -666,15 +663,15 @@ class Engine:
             return None
         return self._adaptive
 
-    def _contract_for(self, epsilon: "float | None") -> QualityContract:
-        """The quality contract a query runs under.
+    def _epsilon_for(self, epsilon: "float | None") -> float:
+        """The ε a query runs under.
 
         The builder's per-query ε (``None`` means "not set") overrides
-        the context's deployment-wide default; ε=0 normalises to the
-        exact contract, so the historical call paths are untouched.
+        the context's deployment-wide default. Both were validated
+        where they were set (``QueryBuilder.epsilon``,
+        ``ExecutionContext``).
         """
-        eps = self.context.epsilon if epsilon is None else epsilon
-        return QualityContract.approximate(eps)
+        return self.context.epsilon if epsilon is None else epsilon
 
     def _pick(
         self,
@@ -707,7 +704,7 @@ class Engine:
         conjunction: str | None,
         k: int,
         layer: AdaptivePlanner | None,
-        contract: QualityContract,
+        epsilon: float,
     ) -> "tuple[PhysicalPlan, QueryShape | None, bool | None]":
         """The plan one query runs, short of the adaptive chooser.
 
@@ -724,7 +721,6 @@ class Engine:
         and always when sharded; ``cache_hit`` is None when the plan
         cache was not consulted.
         """
-        epsilon = contract.epsilon
         shape = hit = None
         if self._is_source_backed():
             if query is not None:
@@ -830,10 +826,10 @@ class Engine:
             plan = _dc_replace(
                 plan, algorithm=choice.algorithm, reason=choice.reason
             )
-        # ε-steering. Under an approximate contract the auto pick may be
-        # A0, whose match-count stop cannot exploit the relaxation (it
-        # observes no grades); TA's threshold stop can, so steer to it
-        # and paying ε buys fewer accesses — on a sharded backing, in
+        # ε-steering. Under ε > 0 the auto pick may be A0, whose
+        # match-count stop cannot exploit the relaxation (it observes
+        # no grades); TA's threshold stop can, so steer to it and
+        # paying ε buys fewer accesses — on a sharded backing, in
         # every shard's probe. Forced strategies and non-random-access
         # workloads (NRA, which also honours ε) are left alone.
         # Steering follows the plan cache, whose shapes are ε-aware, so
@@ -853,7 +849,7 @@ class Engine:
                 plan,
                 algorithm=choice.algorithm,
                 reason=(
-                    f"ε={epsilon:g} approximate contract: TA's "
+                    f"ε={epsilon:g} approximate: TA's "
                     "θ/(1+ε) stopping rule converts the slack into early "
                     "termination (A0's match-count stop cannot)"
                 ),
@@ -873,10 +869,10 @@ class Engine:
         return self._plan(
             query, aggregation, strategy, conjunction,
             self.context.default_k, self._adaptive_for(adaptive),
-            self._contract_for(epsilon),
+            self._epsilon_for(epsilon),
         )
 
-    def _run(self, plan: PhysicalPlan, k: int, contract: QualityContract):
+    def _run(self, plan: PhysicalPlan, k: int, epsilon: float):
         """The backing's run step: the shard merge (which forwards the
         planned algorithm by registry name to the workers), the
         algorithm over the plan's session, or the executor."""
@@ -887,15 +883,15 @@ class Engine:
                 plan.aggregation,
                 k,
                 strategy=plan.algorithm.name,
-                contract=contract,
+                epsilon=epsilon,
             )
         if self._backing is not None:
             assert isinstance(plan, AlgorithmPlan)
             assert plan.algorithm is not None and plan.aggregation is not None
             return plan.algorithm.top_k(
-                plan.session, plan.aggregation, k, contract
+                plan.session, plan.aggregation, k, epsilon
             )
-        return self._executor().execute(plan, k, contract=contract)
+        return self._executor().execute(plan, k, epsilon)
 
     # ------------------------------------------------------------------
     # Terminal operations (called by QueryBuilder)
@@ -915,22 +911,22 @@ class Engine:
         # .top(0) / .top(True) fails fast with a clear message on every
         # backing.
         k = validate_k(k if k is not None else self.context.default_k)
-        contract = self._contract_for(epsilon)
+        epsilon = self._epsilon_for(epsilon)
         layer = self._adaptive_for(adaptive)
         plan, shape, _hit = self._plan(
-            query, aggregation, strategy, conjunction, k, layer, contract
+            query, aggregation, strategy, conjunction, k, layer, epsilon
         )
         num_objects = self._fit_k(plan, k)
-        if shape is not None and strategy is None and contract.epsilon == 0.0:
+        if shape is not None and strategy is None and epsilon == 0.0:
             # The chooser's override slate is built from exact runs;
-            # under an ε-contract the steering already picked the
-            # algorithm that can spend the slack, so the chooser only
-            # observes (the ε-keyed shape keeps its histories separate).
+            # under ε > 0 the steering already picked the algorithm
+            # that can spend the slack, so the chooser only observes
+            # (the ε-keyed shape keeps its histories separate).
             assert layer is not None
             plan = layer.choose(
                 shape, plan, num_objects, k, self.context.cost_model
             )
-        answer = self._run(plan, k, contract)
+        answer = self._run(plan, k, epsilon)
         result = answer.result if isinstance(answer, QueryAnswer) else answer
         self._record_query(result.stats, result.guarantee)
         # Only runs the ledger can name feed it: auto-selected, or forced
@@ -972,10 +968,10 @@ class Engine:
                 "Engine.over(store) on the unsharded store"
             )
         # Every page is exact (Proposition 4.1) whatever ε the caller
-        # accepts, so the cursor is planned under the exact contract.
+        # accepts, so the cursor is planned at ε = 0.
         plan, _shape, _hit = self._plan(
             query, aggregation, None, conjunction,
-            self.context.default_k, self._adaptive, self._contract_for(0.0),
+            self.context.default_k, self._adaptive, 0.0,
         )
         if not isinstance(plan, AlgorithmPlan):
             raise PlanningError(
@@ -983,6 +979,13 @@ class Engine:
                 "not support cursors; re-issue with a larger k instead"
             )
         assert plan.aggregation is not None
+        if not plan.aggregation.monotone:
+            # Refused here, before session_for evaluates any atom.
+            raise PlanningError(
+                "cursors require a monotone aggregation (Theorem 4.2), "
+                "and this query plans to the naive full scan; re-issue "
+                "with a larger k instead"
+            )
         return ResultCursor(
             self._executor().session_for(plan),
             plan.aggregation,
@@ -990,5 +993,5 @@ class Engine:
             query=plan.query,
             cost_model=self.context.cost_model,
             on_page=self._record_page,
-            epsilon=self._contract_for(epsilon).epsilon,
+            epsilon=self._epsilon_for(epsilon),
         )

@@ -20,7 +20,6 @@ from repro.middleware.parser import parse_query, render_query
 from repro.middleware.plan import (
     AlgorithmPlan,
     FilteredConjunctPlan,
-    FullScanPlan,
     InternalConjunctionPlan,
     PhysicalPlan,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "AlgorithmPlan",
     "FilteredConjunctPlan",
     "InternalConjunctionPlan",
-    "FullScanPlan",
     "ModeComparison",
     "compare_conjunction_modes",
 ]

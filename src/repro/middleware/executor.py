@@ -15,7 +15,6 @@ from repro.access.session import MiddlewareSession
 from repro.access.source import InstrumentedSource, tie_break_key
 from repro.access.types import GradedItem
 from repro.algorithms.base import TopKResult, top_k_of
-from repro.algorithms.naive import NaiveAlgorithm
 from repro.core.certify import EXACT_GUARANTEE
 from repro.core.graded_set import GradedSet
 from repro.core.query import Query
@@ -25,7 +24,6 @@ from repro.middleware.catalog import Catalog
 from repro.middleware.plan import (
     AlgorithmPlan,
     FilteredConjunctPlan,
-    FullScanPlan,
     InternalConjunctionPlan,
     PhysicalPlan,
 )
@@ -81,26 +79,23 @@ class Executor:
         self._semantics = semantics
 
     def execute(
-        self, plan: PhysicalPlan, k: int, contract=None
+        self, plan: PhysicalPlan, k: int, epsilon: float = 0.0
     ) -> QueryAnswer:
         """Run ``plan`` and return the top-k answer with cost accounting.
 
-        ``contract`` (a :class:`~repro.core.certify.QualityContract`,
-        or ``None`` for exact) reaches contract-aware algorithms
-        through :class:`AlgorithmPlan` execution; every other plan
-        shape runs to exact completion regardless — exact satisfies
-        any ε, and the answer's ``guarantee`` records it honestly.
+        ``epsilon`` (0, the default, is exact) reaches the algorithm
+        of an :class:`AlgorithmPlan`; every other plan shape runs to
+        exact completion regardless — exact satisfies any ε, and the
+        answer's ``guarantee`` records it honestly.
         """
         if k < 1:
             raise ValueError(f"k must be at least 1, got {k}")
         if isinstance(plan, AlgorithmPlan):
-            result = self._run_algorithm(plan, k, contract)
+            result = self._run_algorithm(plan, k, epsilon)
         elif isinstance(plan, FilteredConjunctPlan):
             result = self._run_filtered(plan, k)
         elif isinstance(plan, InternalConjunctionPlan):
             result = self._run_internal(plan, k)
-        elif isinstance(plan, FullScanPlan):
-            result = self._run_full_scan(plan, k)
         else:
             raise PlanningError(f"unknown plan type {type(plan).__name__}")
         return QueryAnswer(query=plan.query, plan=plan, result=result)
@@ -109,31 +104,24 @@ class Executor:
     # Strategies
     # ------------------------------------------------------------------
 
-    def session_for(
-        self, plan: "AlgorithmPlan | FullScanPlan"
-    ) -> MiddlewareSession:
+    def session_for(self, plan: AlgorithmPlan) -> MiddlewareSession:
         """The instrumented session a plan's algorithm reads: the
         plan's own session when it has one, else one source per atom,
         with a fresh tracker."""
-        session = getattr(plan, "session", None)
-        if session is not None:
-            return session
+        if plan.session is not None:
+            return plan.session
         raw = [self._catalog.subsystem_for(atom).evaluate(atom) for atom in plan.atoms]
         return MiddlewareSession.over_sources(
             raw, num_objects=self._catalog.num_objects
         )
 
     def _run_algorithm(
-        self, plan: AlgorithmPlan, k: int, contract=None
+        self, plan: AlgorithmPlan, k: int, epsilon: float
     ) -> TopKResult:
         assert plan.algorithm is not None and plan.aggregation is not None
         return plan.algorithm.top_k(
-            self.session_for(plan), plan.aggregation, k, contract
+            self.session_for(plan), plan.aggregation, k, epsilon
         )
-
-    def _run_full_scan(self, plan: FullScanPlan, k: int) -> TopKResult:
-        assert plan.aggregation is not None
-        return NaiveAlgorithm().top_k(self.session_for(plan), plan.aggregation, k)
 
     def _run_internal(self, plan: InternalConjunctionPlan, k: int) -> TopKResult:
         assert plan.subsystem is not None

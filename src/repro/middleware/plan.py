@@ -1,20 +1,20 @@
 """Physical plans: how the executor will evaluate a query.
 
-The planner compiles a parsed query into one of four strategies, each
+The planner compiles a parsed query into one of three strategies, each
 grounded in a specific part of the paper:
 
 * :class:`AlgorithmPlan` — fetch one source per atom and run a chosen
   top-k algorithm (A0 / A0' / B0 / median / TA) on the compiled
-  aggregation; the paper's main evaluation pathway (Section 4).
+  aggregation; the paper's main evaluation pathway (Section 4). A
+  negated or otherwise non-monotone query gets the registry's naive
+  full scan here, the only strategy correct for it; Theorem 7.1 shows
+  that is sometimes unavoidable.
 * :class:`FilteredConjunctPlan` — the strategy of Section 4's first
   example: evaluate a selective crisp conjunct to a set S, then use
   random access to grade only S's members under the other conjuncts.
 * :class:`InternalConjunctionPlan` — Section 8: push a conjunction
   down into a single subsystem that evaluates it under its own
   semantics; the answer is then just the top of one sorted stream.
-* :class:`FullScanPlan` — the naive algorithm, the only strategy that
-  is correct for arbitrary (e.g. negated) queries; Theorem 7.1 shows
-  this is sometimes unavoidable.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ __all__ = [
     "AlgorithmPlan",
     "FilteredConjunctPlan",
     "InternalConjunctionPlan",
-    "FullScanPlan",
 ]
 
 
@@ -127,17 +126,4 @@ class InternalConjunctionPlan(PhysicalPlan):
         return (
             f"InternalConjunctionPlan: subsystem {self.subsystem.name!r} "
             f"evaluates [{atom_list}] under its own semantics — {self.reason}"
-        )
-
-
-@dataclass(frozen=True)
-class FullScanPlan(PhysicalPlan):
-    """Naive full scan — correct for any query."""
-
-    atoms: tuple[AtomicQuery, ...] = ()
-    aggregation: CompiledQueryAggregation | None = None
-
-    def explain(self) -> str:
-        return (
-            f"FullScanPlan over {len(self.atoms)} atom(s) — {self.reason}"
         )

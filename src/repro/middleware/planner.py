@@ -13,12 +13,13 @@ Strategy selection follows the paper's decision points:
 3. A conjunction whose atoms all live in one subsystem can be **pushed
    down** as an internal conjunction when the caller opts into
    Section 8's internal mode.
-4. Everything monotone goes to the **algorithm table** of
-   :mod:`repro.engine.registry` (B0 for max-disjunctions, A0'
-   for min-conjunctions, the median construction, generic A0).
-5. Negation or other non-monotone structure falls back to the **full
-   scan** (Theorem 7.1 shows that in the worst case nothing better
-   exists).
+4. Everything else goes to the **algorithm table** of
+   :mod:`repro.engine.registry`: B0 for max-disjunctions, A0' for
+   min-conjunctions, the median construction, generic A0 for the rest
+   of the monotone queries, and for negation or other non-monotone
+   structure the naive full scan, the table's only strategy that
+   admits them (Theorem 7.1 shows that in the worst case nothing
+   better exists).
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from repro.middleware.compile import CompiledQueryAggregation
 from repro.middleware.plan import (
     AlgorithmPlan,
     FilteredConjunctPlan,
-    FullScanPlan,
     InternalConjunctionPlan,
     PhysicalPlan,
 )
@@ -54,35 +54,16 @@ class PlannerOptions:
         A crisp conjunct qualifies for the filtered strategy when its
         estimated selectivity is at most this fraction ("there are not
         many objects that satisfy the first conjunct", Section 4).
-        Ignored when ``cost_based`` is set.
     allow_internal_conjunction:
         Permit Section 8 pushdown when a conjunction's atoms share a
         subsystem that supports it. Off by default because the answer
         follows the *subsystem's* semantics, not Garlic's — the user
         must opt in, exactly as Section 8 prescribes ("The user could
         request an internal conjunction for the sake of efficiency").
-    cost_based:
-        Replace the fixed selectivity threshold with a cost comparison
-        built from the paper's own formulas: the filtered strategy is
-        estimated at ``(sel*N + 1) + sel*N*(#graded conjuncts)``
-        accesses (scan the crisp block, then random-access each
-        survivor) and the A0 route at ``expected_k_factor *
-        N^((m-1)/m) * k^(1/m) * m`` (Theorem 5.3's envelope with an
-        empirical constant). Requires ``expected_k`` to size the A0
-        estimate.
-    expected_k:
-        The k the cost-based comparison assumes (queries usually ask
-        for a known page size, e.g. 10).
-    expected_k_factor:
-        The empirical constant in front of the A0 envelope; ~4 for
-        m = 2 on independent lists (benchmark E1's cost/bound column).
     """
 
     selectivity_threshold: float = 0.1
     allow_internal_conjunction: bool = False
-    cost_based: bool = False
-    expected_k: int = 10
-    expected_k_factor: float = 4.0
 
 
 class Planner:
@@ -176,31 +157,19 @@ class Planner:
             if conjunction_plan is not None:
                 return conjunction_plan
 
-        if aggregation.monotone:
-            run_aggregation = self._pick_table_aggregation(query, aggregation)
-            choice = select_strategy(
-                run_aggregation,
-                len(atoms),
-                random_access=random_access_ok,
-                cost_model=self._cost_model,
-            )
-            return AlgorithmPlan(
-                query=query,
-                reason=choice.reason,
-                atoms=atoms,
-                algorithm=choice.algorithm,
-                aggregation=run_aggregation,
-            )
-
-        return FullScanPlan(
+        run_aggregation = self._pick_table_aggregation(query, aggregation)
+        choice = select_strategy(
+            run_aggregation,
+            len(atoms),
+            random_access=random_access_ok,
+            cost_model=self._cost_model,
+        )
+        return AlgorithmPlan(
             query=query,
-            reason=(
-                "query is not monotone (negation or non-monotone "
-                "aggregation); only the naive full scan is guaranteed "
-                "correct — cf. the Theta(N) hard query of Theorem 7.1"
-            ),
+            reason=choice.reason,
             atoms=atoms,
-            aggregation=aggregation,
+            algorithm=choice.algorithm,
+            aggregation=run_aggregation,
         )
 
     def _pick_table_aggregation(self, query: Query, compiled):
@@ -208,7 +177,8 @@ class Planner:
 
         A flat AND-of-atoms under min *is* the min aggregation (so A0'
         applies); a flat OR-of-atoms under max is max (B0). Anything
-        nested keeps the compiled composite and gets generic A0.
+        nested keeps the compiled composite: generic A0 when it is
+        monotone, the naive scan when it is not.
         """
         if isinstance(query, And) and all(
             isinstance(op, AtomicQuery) for op in query.operands
@@ -243,9 +213,6 @@ class Planner:
                     subsystem=owner,
                 )
 
-        if self._options.cost_based:
-            return self._plan_conjunction_cost_based(query, aggregation)
-
         crisp_selective = [
             a
             for a in atoms
@@ -264,54 +231,6 @@ class Planner:
                     "Artist='Beatles' example)"
                 ),
                 filter_atoms=tuple(crisp_selective),
-                graded_atoms=graded,
-                aggregation=aggregation,
-            )
-        return None
-
-    def _plan_conjunction_cost_based(
-        self, query: And, aggregation: CompiledQueryAggregation
-    ) -> PhysicalPlan | None:
-        """Compare estimated access costs of the two conjunction routes.
-
-        Estimates come straight from the paper: the filtered strategy
-        touches ~|S| objects per phase (Section 4's example) and the
-        A0 route is sized by Theorem 5.3's envelope. We deliberately
-        estimate, not measure — this is what a Garlic optimizer with
-        catalogue statistics could do in 1996.
-        """
-        atoms = tuple(query.operands)
-        crisp = [
-            a
-            for a in atoms
-            if self._catalog.is_crisp(a)
-            and self._catalog.selectivity(a) is not None
-        ]
-        if not crisp or len(crisp) == len(atoms):
-            return None
-        n = self._catalog.num_objects
-        # Most selective crisp conjunct leads the filter.
-        sel = min(self._catalog.selectivity(a) for a in crisp)  # type: ignore[arg-type]
-        graded = tuple(a for a in atoms if a not in crisp)
-        match_size = sel * n
-        filtered_cost = (match_size + 1) + match_size * len(graded)
-
-        m = len(atoms)
-        k = self._options.expected_k
-        a0_cost = (
-            self._options.expected_k_factor
-            * n ** ((m - 1) / m)
-            * k ** (1 / m)
-        )
-        if filtered_cost < a0_cost:
-            return FilteredConjunctPlan(
-                query=query,
-                reason=(
-                    f"cost-based: filtered ~{filtered_cost:.0f} accesses "
-                    f"vs A0 envelope ~{a0_cost:.0f} (Theorem 5.3 with "
-                    f"empirical constant {self._options.expected_k_factor})"
-                ),
-                filter_atoms=tuple(crisp),
                 graded_atoms=graded,
                 aggregation=aggregation,
             )

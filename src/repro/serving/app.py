@@ -273,12 +273,6 @@ class ServingApp:
         raw = payload.get("epsilon")
         if raw is None:
             return None
-        if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-            raise ServingError(
-                HTTPStatus.BAD_REQUEST,
-                "invalid_epsilon",
-                f"epsilon must be a non-negative number, got {raw!r}",
-            )
         try:
             return validate_epsilon(raw)
         except ValueError as exc:
@@ -440,11 +434,12 @@ class ServingApp:
         which would be unsound for the smaller item set actually
         returned. Expiring with nothing is the plain 504.
 
-        A query whose plan cannot page (a filtered-conjunct or full-scan
-        plan: the engine refuses the cursor) is answered whole by
-        ``top_k`` under the rest of the budget, in the same admission
-        slot, with the envelope ``/v1/query`` returns without the flag:
-        a 200 when it completes, a 504 when the deadline expires.
+        A query whose plan cannot page (a filtered-conjunct plan, or the
+        naive scan of a negated query: the engine refuses the cursor)
+        is answered whole by ``top_k`` under the rest of the budget, in
+        the same admission slot, with the envelope ``/v1/query``
+        returns without the flag: a 200 when it completes, a 504 when
+        the deadline expires.
         """
         want = self.engine.context.default_k if k is None else k
         if isinstance(want, bool) or not isinstance(want, int) or want < 1:

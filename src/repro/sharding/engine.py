@@ -30,9 +30,9 @@ and a merge takes O(log k) rounds. In practice one round settles
 almost every query: 1000 queries of the ``shard-topk`` benchmark take
 1025 rounds.
 
-**ε lives in the probes.** Under an ε-approximate contract each probe
-runs its shard with the algorithm's own (1+ε) stop, and the retirement
-test stays exact. A relaxed probe hides only objects graded at most
+**ε lives in the probes.** Under ε > 0 each probe runs its shard with
+the algorithm's own (1+ε) stop, and the retirement test stays exact. A
+relaxed probe hides only objects graded at most
 (1+ε)·grade(L_s), and a retired shard has grade(L_s) ≤ τ, the answer's
 k-th grade — so nothing outside the answer grades above (1+ε)·τ, which
 is Fagin–Lotem–Naor's θ-approximation with θ = 1+ε. Relaxing the merge
@@ -81,7 +81,7 @@ from repro.access.cost import AccessStats
 from repro.access.source import tie_break_key
 from repro.algorithms.base import TopKResult, top_k_of
 from repro.core.aggregation import AggregationFunction
-from repro.core.certify import EXACT_GUARANTEE, Guarantee, QualityContract
+from repro.core.certify import EXACT_GUARANTEE, Guarantee, validate_epsilon
 from repro.exceptions import InsufficientObjectsError, ShardingError
 from repro.sharding import worker as _worker
 from repro.sharding.partition import partition_columnar
@@ -317,7 +317,7 @@ class ShardedEngine:
         k: int,
         *,
         strategy: str | None = None,
-        contract: QualityContract | None = None,
+        epsilon: float = 0.0,
     ) -> TopKResult:
         """The global top-k, merged by threshold exchange.
 
@@ -325,27 +325,28 @@ class ShardedEngine:
         merge is strategy-agnostic — it only needs each probe's
         certificate); ``None`` lets each shard auto-select.
 
-        ``contract`` relaxes the *shards*, never the merge: every probe
-        runs its local algorithm under the contract's ε (TA and NRA
-        stop at (1+ε)·θ_s ≥ their threshold; algorithms without a
-        relaxed stop run exact), while retirement stays the exact
-        total-order test. A retired relaxed shard hides only objects
+        ``epsilon`` relaxes the *shards*, never the merge: every probe
+        runs its local algorithm under that ε (TA and NRA stop at
+        (1+ε)·θ_s ≥ their threshold; algorithms without a relaxed
+        stop run exact), while retirement stays the exact total-order
+        test. A retired relaxed shard hides only objects
         graded ≤ (1+ε)·θ_s ≤ (1+ε)·τ, the θ-approximate certificate
         against the answer's k-th grade τ. The result is certified
         approximate exactly when a final probe ran relaxed.
         """
-        return self.run_many([(aggregation, k, strategy)], contract=contract)[0]
+        return self.run_many([(aggregation, k, strategy)], epsilon=epsilon)[0]
 
     def run_many(
         self,
         specs: Iterable[tuple],
         *,
-        contract: QualityContract | None = None,
+        epsilon: float = 0.0,
     ) -> list[TopKResult]:
         """Run a batch of ``(aggregation, k)`` queries across the pool.
 
         A spec may carry a third element, the registry strategy that
         member's shards run (each shard auto-selects without one).
+        ``epsilon`` relaxes every member's probes, as in :meth:`top_k`.
 
         The whole batch merges round-synchronously: every in-flight
         query's probe requests for the current round are shipped in
@@ -361,8 +362,9 @@ class ShardedEngine:
         if not requests:
             return []
         self._require_open()
+        epsilon = validate_epsilon(epsilon)
         merges = [
-            self._start_merge(agg, k, member, contract)
+            self._start_merge(agg, k, member, epsilon)
             for agg, k, member in requests
         ]
         active = [i for i, merge in enumerate(merges) if merge.pending]
@@ -378,7 +380,7 @@ class ShardedEngine:
         return [merge.finish() for merge in merges]
 
     def _start_merge(
-        self, aggregation, k, strategy, contract=None
+        self, aggregation, k, strategy, epsilon: float
     ) -> "_QueryMerge":
         """Validate one query and open its merge state (no probes yet)."""
         if isinstance(k, bool) or not isinstance(k, int) or k < 1:
@@ -386,7 +388,7 @@ class ShardedEngine:
         if k > self._num_objects:
             raise InsufficientObjectsError(k, self._num_objects)
         return _QueryMerge(
-            self, self._wire_aggregation(aggregation), k, strategy, contract
+            self, self._wire_aggregation(aggregation), k, strategy, epsilon
         )
 
     # ------------------------------------------------------------------
@@ -514,13 +516,13 @@ class _QueryMerge:
         wire,
         k: int,
         strategy: str | None,
-        contract=None,
+        epsilon: float,
     ) -> None:
         self._engine = engine
         self.wire = wire
         self.k = k
         self.strategy = strategy
-        self.epsilon = 0.0 if contract is None else contract.epsilon
+        self.epsilon = epsilon
         first = _first_probe_size(k, engine.num_shards)
         self.asked = [min(first, spec.num_objects) for spec in engine._specs]
         self.results: dict[int, _worker.ProbeResult] = {}

@@ -88,6 +88,13 @@ class TestArgumentValidation:
         with pytest.raises(InsufficientObjectsError):
             FaginA0().top_k(tiny_db.session(), MINIMUM, 6)
 
+    @pytest.mark.parametrize("bad", [True, "0.1", None, -0.5])
+    def test_epsilon_validated_before_any_access(self, tiny_db, bad):
+        session = tiny_db.session()
+        with pytest.raises(ValueError, match="epsilon"):
+            FaginA0().top_k(session, MINIMUM, 1, bad)
+        assert session.tracker.snapshot().sum_cost == 0
+
     def test_stats_are_run_delta(self, tiny_db):
         """Re-running on a dirty session reports only the new accesses."""
         session = tiny_db.session()

@@ -35,7 +35,7 @@ from repro.algorithms.base import top_k_of
 from repro.algorithms.fa import IncrementalFagin
 from repro.algorithms.nra import NoRandomAccessAlgorithm
 from repro.algorithms.threshold import ThresholdAlgorithm
-from repro.core.certify import as_contract
+from repro.core.certify import StoppingRule
 from repro.core.means import ARITHMETIC_MEAN, GEOMETRIC_MEAN, MEDIAN
 from repro.core.tconorms import MAXIMUM
 from repro.core.tnorms import ALGEBRAIC_PRODUCT, EINSTEIN_PRODUCT, MINIMUM
@@ -87,7 +87,7 @@ def read_round(sources, bottoms):
 
 
 def reference_ta(session, aggregation, k, epsilon):
-    rule = as_contract(epsilon).stopping_rule()
+    rule = StoppingRule(epsilon)
     sources = session.sources
     m = len(sources)
     evaluate = aggregation.evaluate_trusted
@@ -118,7 +118,7 @@ def reference_ta(session, aggregation, k, epsilon):
 
 
 def reference_nra(session, aggregation, k, epsilon):
-    rule = as_contract(epsilon).stopping_rule()
+    rule = StoppingRule(epsilon)
     sources = session.sources
     m = len(sources)
     evaluate = aggregation.evaluate_trusted
@@ -221,11 +221,11 @@ def assert_matches_reference(
     algorithm, backing, lists, num_objects, aggregation, k, epsilon
 ):
     result = algorithm.top_k(
-        backing(lists, num_objects), aggregation, k, epsilon or None
+        backing(lists, num_objects), aggregation, k, epsilon
     )
     session = backing(lists, num_objects)
     items, details, guarantee = REFERENCES[algorithm.name](
-        session, aggregation, k, epsilon or None
+        session, aggregation, k, epsilon
     )
     assert fingerprint(
         result.items, result.stats, result.details, result.guarantee

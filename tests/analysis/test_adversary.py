@@ -31,6 +31,7 @@ class UnderReadingAlgorithm(TopKAlgorithm):
         session: MiddlewareSession,
         aggregation: AggregationFunction,
         k: int,
+        epsilon: float,
     ) -> TopKResult:
         m = session.num_lists
         seen: dict[object, dict[int, float]] = {}

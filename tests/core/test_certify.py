@@ -1,18 +1,16 @@
-"""Tests for the quality-contract layer (core/certify.py)."""
+"""Tests for ε, stopping rules and certified results (core/certify.py)."""
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core.certify import (
-    EXACT,
     EXACT_GUARANTEE,
     CertifiedResult,
     GradeBounds,
     Guarantee,
-    QualityContract,
     StoppingRule,
-    as_contract,
     validate_epsilon,
 )
 
@@ -27,13 +25,23 @@ class TestValidateEpsilon:
         assert isinstance(value, float) and value == 1.0
 
     @pytest.mark.parametrize(
+        "scalar", [np.float64(0.25), np.float32(0.25), np.int64(0)]
+    )
+    def test_accepts_numpy_scalars(self, scalar):
+        value = validate_epsilon(scalar)
+        assert type(value) is float and value == float(scalar)
+
+    @pytest.mark.parametrize(
         "bad",
         [
             -0.1,
             float("nan"),
             float("inf"),
             "x",
+            "0.1",
             None,
+            True,
+            False,
             pytest.param(10**400, id="int-past-float-range"),
             pytest.param(-(10**400), id="negative-int-past-float-range"),
         ],
@@ -41,61 +49,6 @@ class TestValidateEpsilon:
     def test_rejects_invalid(self, bad):
         with pytest.raises(ValueError):
             validate_epsilon(bad)
-
-
-class TestQualityContract:
-    def test_default_is_exact(self):
-        contract = QualityContract()
-        assert contract.kind == "exact" and contract.epsilon == 0.0
-
-    def test_approximate_zero_is_exact_singleton(self):
-        assert QualityContract.approximate(0.0) is EXACT
-
-    def test_approximate_carries_epsilon(self):
-        contract = QualityContract.approximate(0.1)
-        assert contract.kind == "approximate"
-        assert contract.epsilon == 0.1
-        assert contract.relaxation == pytest.approx(1.1)
-
-    def test_exact_cannot_carry_slack(self):
-        with pytest.raises(ValueError):
-            QualityContract("exact", 0.5)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            QualityContract("best-effort")
-
-    def test_anytime(self):
-        contract = QualityContract.anytime()
-        assert contract.kind == "anytime" and contract.epsilon == 0.0
-
-    def test_as_dict(self):
-        assert QualityContract.approximate(0.2).as_dict() == {
-            "kind": "approximate",
-            "epsilon": 0.2,
-        }
-
-
-class TestAsContract:
-    def test_none_is_exact(self):
-        assert as_contract(None) is EXACT
-
-    def test_contract_passthrough(self):
-        contract = QualityContract.approximate(0.3)
-        assert as_contract(contract) is contract
-
-    def test_number_is_approximate(self):
-        assert as_contract(0.5).epsilon == 0.5
-        assert as_contract(0) is EXACT
-        assert as_contract(0.0) is EXACT
-
-    def test_bool_rejected(self):
-        with pytest.raises(ValueError):
-            as_contract(True)
-
-    def test_garbage_rejected(self):
-        with pytest.raises(ValueError):
-            as_contract("exactish")
 
 
 class TestStoppingRule:

@@ -87,6 +87,14 @@ class TestEpsilonSteering:
         with pytest.raises(ValueError):
             ExecutionContext(epsilon=float("nan"))
 
+    @pytest.mark.parametrize("bad", [True, False, "0.1"])
+    def test_bool_and_string_are_not_a_slack(self, db, bad):
+        # bool is an int, but True is not a slack of 1.
+        with pytest.raises(ValueError, match="epsilon"):
+            Engine.over(db).query(MINIMUM).epsilon(bad)
+        with pytest.raises(ValueError, match="epsilon"):
+            ExecutionContext(epsilon=bad)
+
     @pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
     def test_epsilon_past_float_range_is_a_value_error(self, db, sign):
         # float(10**400) overflows; the builder must still say ValueError.

@@ -13,6 +13,7 @@ from repro.core.graded_set import GradedSet
 from repro.core.semantics import STANDARD_FUZZY
 from repro.engine import Engine, ExecutionContext
 from repro.middleware.parser import parse_query
+from repro.middleware.plan import AlgorithmPlan
 from repro.middleware.planner import PlannerOptions
 from repro.subsystems.qbic import QbicSubsystem
 from repro.subsystems.relational import RelationalSubsystem
@@ -92,12 +93,21 @@ def test_answers_match_oracle(stack, query_text):
 
 
 def test_every_strategy_exercised(stack):
-    """The query list above covers all four physical plan types."""
+    """The query list above covers the filtered-conjunct plan, a
+    registry algorithm on a monotone query, and the naive scan of a
+    negated one."""
     __, engine = stack
-    plan_types = {type(engine.plan(q)).__name__ for q in QUERIES}
+    plans = [engine.plan(q) for q in QUERIES]
+    plan_types = {type(plan).__name__ for plan in plans}
     assert "FilteredConjunctPlan" in plan_types
     assert "AlgorithmPlan" in plan_types
-    assert "FullScanPlan" in plan_types
+    algorithms = {
+        plan.algorithm.name
+        for plan in plans
+        if isinstance(plan, AlgorithmPlan)
+    }
+    assert "naive" in algorithms
+    assert algorithms - {"naive"}
 
 
 def test_federated_cost_is_sublinear_for_conjunction(stack):

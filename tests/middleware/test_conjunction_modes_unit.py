@@ -4,10 +4,11 @@
 from repro.access.cost import AccessStats
 from repro.access.types import GradedItem
 from repro.algorithms.base import TopKResult
+from repro.algorithms.naive import NaiveAlgorithm
 from repro.core.query import atom
 from repro.middleware.conjunction_modes import ModeComparison
 from repro.middleware.executor import QueryAnswer
-from repro.middleware.plan import FullScanPlan
+from repro.middleware.plan import AlgorithmPlan
 
 
 def _answer(objects, grades, sorted_cost):
@@ -17,7 +18,9 @@ def _answer(objects, grades, sorted_cost):
         algorithm="stub",
     )
     query = atom("A")
-    plan = FullScanPlan(query=query, reason="stub", atoms=(query,))
+    plan = AlgorithmPlan(
+        query=query, reason="stub", atoms=(query,), algorithm=NaiveAlgorithm()
+    )
     return QueryAnswer(query=query, plan=plan, result=result)
 
 

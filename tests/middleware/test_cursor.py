@@ -99,5 +99,18 @@ class TestCursorEligibility:
             strict.query('(Tag = "x") AND (Color ~ "red")').cursor()
 
     def test_full_scan_not_cursorable(self, engine):
-        with pytest.raises(PlanningError):
-            engine.query('NOT (Tag = "x") AND (Color ~ "red")').cursor()
+        negated = 'NOT (Tag = "x") AND (Color ~ "red")'
+        assert engine.query(negated).top(3).result.algorithm == "naive"
+
+        def cache_counters():
+            caches = engine.metrics_snapshot()["ranking_caches"]
+            return {
+                name: (cache["hits"], cache["misses"])
+                for name, cache in caches.items()
+            }
+
+        before = cache_counters()
+        with pytest.raises(PlanningError, match="monotone"):
+            engine.query(negated).cursor()
+        # Refused before any atom was evaluated: no cache was asked.
+        assert cache_counters() == before

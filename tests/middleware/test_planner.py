@@ -11,7 +11,6 @@ from repro.middleware.parser import parse_query
 from repro.middleware.plan import (
     AlgorithmPlan,
     FilteredConjunctPlan,
-    FullScanPlan,
     InternalConjunctionPlan,
 )
 from repro.middleware.planner import Planner, PlannerOptions
@@ -103,7 +102,10 @@ class TestStrategySelection:
         plan = _planner(catalog).plan(
             parse_query('NOT (Artist = "Beatles") AND (Color ~ "red")')
         )
-        assert isinstance(plan, FullScanPlan)
+        assert isinstance(plan, AlgorithmPlan)
+        assert plan.algorithm.name == "naive"
+        assert "Theorem 7.1" in plan.reason
+        assert not plan.aggregation.monotone
 
     def test_unknown_attribute_fails_fast(self, catalog):
         with pytest.raises(CatalogError):

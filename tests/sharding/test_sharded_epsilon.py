@@ -6,7 +6,6 @@ from __future__ import annotations
 import pytest
 
 from repro.access import ColumnarScoringDatabase
-from repro.core.certify import QualityContract
 from repro.core.tnorms import MINIMUM
 from repro.engine.context import ExecutionContext
 from repro.engine.engine import Engine
@@ -36,15 +35,13 @@ def ledger_of(result):
 class TestEpsilonZeroParity:
     @pytest.mark.parametrize("shards", [1, 2, 4])
     def test_exact_contract_is_bit_identical(self, shards):
-        """An explicit ε=0 contract must not change a single probe."""
+        """An explicit ε=0 must not change a single probe."""
         store = columnar()
         with ShardedEngine(store, shards=shards, processes=0) as plain:
             baseline = plain.top_k(MINIMUM, K)
         store = columnar()
         with ShardedEngine(store, shards=shards, processes=0) as contracted:
-            relaxed = contracted.top_k(
-                MINIMUM, K, contract=QualityContract.approximate(0.0)
-            )
+            relaxed = contracted.top_k(MINIMUM, K, epsilon=0.0)
         assert answers_of(relaxed) == answers_of(baseline)
         assert ledger_of(relaxed) == ledger_of(baseline)
         assert relaxed.details["merge_rounds"] == baseline.details["merge_rounds"]
@@ -68,18 +65,14 @@ class TestEpsilonRelaxedMerge:
         true_kth = truth[-1].grade
         with ShardedEngine(columnar(), shards=4, processes=0) as sharded:
             for epsilon in (0.05, 0.2, 0.5):
-                result = sharded.top_k(
-                    MINIMUM, K, contract=QualityContract.approximate(epsilon)
-                )
+                result = sharded.top_k(MINIMUM, K, epsilon=epsilon)
                 got_kth = result.items[-1].grade
                 assert (1.0 + epsilon) * got_kth >= true_kth - 1e-12
 
     def test_relaxation_never_costs_more_probes(self):
         with ShardedEngine(columnar(), shards=4, processes=0) as sharded:
             exact = sharded.top_k(MINIMUM, K)
-            relaxed = sharded.top_k(
-                MINIMUM, K, contract=QualityContract.approximate(0.5)
-            )
+            relaxed = sharded.top_k(MINIMUM, K, epsilon=0.5)
         assert relaxed.details["probes"] <= exact.details["probes"]
         assert relaxed.stats.sum_cost <= exact.stats.sum_cost
 
@@ -92,7 +85,7 @@ class TestEpsilonRelaxedMerge:
                     MINIMUM,
                     K,
                     strategy=strategy,
-                    contract=QualityContract.approximate(0.5),
+                    epsilon=0.5,
                 )
                 if relaxed.details.get("relaxed_probes"):
                     assert relaxed.guarantee.kind == "approximate"
@@ -115,11 +108,19 @@ class TestEpsilonRelaxedMerge:
             quality = engine.metrics_snapshot()["quality"]
             assert quality["exact"] + quality["approximate"] == 1
 
+    @pytest.mark.parametrize("bad", [True, "0.1", -0.1])
+    def test_coordinator_refuses_a_bad_epsilon(self, bad):
+        with ShardedEngine(columnar(), shards=2, processes=0) as sharded:
+            before = sharded.metrics()
+            with pytest.raises(ValueError, match="epsilon"):
+                sharded.top_k(MINIMUM, K, epsilon=bad)
+            assert sharded.metrics() == before
+
     def test_run_many_carries_contract(self):
         with ShardedEngine(columnar(), shards=2, processes=0) as sharded:
             results = sharded.run_many(
                 [(MINIMUM, K), (MINIMUM, 2 * K)],
-                contract=QualityContract.approximate(0.2),
+                epsilon=0.2,
             )
         assert len(results) == 2
         for result in results:
