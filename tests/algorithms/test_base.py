@@ -1,11 +1,14 @@
 """Tests for the top-k contract machinery."""
 
+import numpy as np
 import pytest
 
 from repro.access.cost import AccessStats
 from repro.access.types import GradedItem
 from repro.algorithms.base import TopKResult, is_valid_top_k, top_k_of
 from repro.algorithms.fa import FaginA0
+from repro.algorithms.nra import NoRandomAccessAlgorithm
+from repro.algorithms.threshold import ThresholdAlgorithm
 from repro.core.graded_set import GradedSet
 from repro.core.tnorms import MINIMUM
 from repro.exceptions import InsufficientObjectsError
@@ -105,3 +108,31 @@ class TestArgumentValidation:
         assert second.stats.sum_cost == first.stats.sum_cost
         total = session.tracker.snapshot()
         assert total.sum_cost == first.stats.sum_cost + second.stats.sum_cost
+
+
+def run_of(result):
+    return (result.items, result.stats, result.details, result.guarantee)
+
+
+@pytest.mark.parametrize(
+    "algorithm",
+    [ThresholdAlgorithm, NoRandomAccessAlgorithm],
+    ids=lambda cls: cls.name,
+)
+class TestEpsilonReachesTheStoppingRule:
+    """``top_k`` validates ε once and hands TA and NRA the float."""
+
+    def test_every_spelling_of_zero_is_the_exact_run(self, db2, algorithm):
+        exact = algorithm().top_k(db2.session(), MINIMUM, 10)
+        assert exact.guarantee.is_exact
+        for zero in (0, 0.0, np.int64(0), np.float64(0.0)):
+            result = algorithm().top_k(db2.session(), MINIMUM, 10, zero)
+            assert run_of(result) == run_of(exact)
+
+    def test_numpy_epsilon_runs_as_its_float(self, db2, algorithm):
+        relaxed = algorithm().top_k(db2.session(), MINIMUM, 10, 0.2)
+        scalar = algorithm().top_k(db2.session(), MINIMUM, 10, np.float64(0.2))
+        assert run_of(scalar) == run_of(relaxed)
+        assert relaxed.guarantee.kind == "approximate"
+        assert type(scalar.guarantee.epsilon) is float
+        assert scalar.guarantee.epsilon == 0.2

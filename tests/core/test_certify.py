@@ -52,6 +52,20 @@ class TestValidateEpsilon:
 
 
 class TestStoppingRule:
+    def test_default_is_exact(self):
+        rule = StoppingRule()
+        assert rule.exact and rule.epsilon == 0.0
+        assert rule.guarantee() is EXACT_GUARANTEE
+
+    def test_relaxed_rule_carries_epsilon(self):
+        rule = StoppingRule(0.1)
+        assert not rule.exact
+        assert rule.epsilon == 0.1
+        assert rule.limit(1.0) == pytest.approx(1.1)
+        guarantee = rule.guarantee()
+        assert guarantee.kind == "approximate" and guarantee.epsilon == 0.1
+        assert guarantee.threshold is None
+
     def test_exact_met_is_verbatim_comparison(self):
         rule = StoppingRule(0.0)
         assert rule.exact
@@ -122,6 +136,12 @@ class TestGuarantee:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             Guarantee("vibes")
+
+    def test_approximate_as_dict(self):
+        assert StoppingRule(0.2).guarantee().as_dict() == {
+            "kind": "approximate",
+            "epsilon": 0.2,
+        }
 
     def test_as_dict_omits_missing_threshold(self):
         assert Guarantee("exact").as_dict() == {"kind": "exact", "epsilon": 0.0}
